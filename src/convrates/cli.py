@@ -24,7 +24,7 @@ check-ineq, experiment, fit-rate.  All CSV output is written with a fixed
 header and 17-significant-digit floats, so identical configs and seeds
 reproduce byte-identical files (the wall_time column of experiment results
 is the one documented exception).  Relative output paths resolve against
-$CONVRATES_OUTDIR when it is set.
+$CONVRATES_OUTDIR when it is set; the output's directory must exist.
 
 Exit codes: 0 success, 2 config error, 3 precondition violation, 4 property
 check failed.  Failures emit a one-line JSON error record on stderr.
@@ -262,6 +262,12 @@ def load_config(path):
     return CliConfig(verb=verb, seed=seed, output=output, params=params)
 
 
+def _require_directory(path):
+    outdir = os.path.dirname(path)
+    if outdir and not os.path.isdir(outdir):
+        raise ConfigError(f"output directory {outdir!r} does not exist")
+
+
 def _resolve_output(path):
     outdir = os.environ.get("CONVRATES_OUTDIR")
     if outdir and not os.path.isabs(path):
@@ -440,9 +446,10 @@ def _compile_net(p, seed):
 
 
 def _run_compile(p, seed, output):
+    report_path = p["report"] or output + ".report"
+    _require_directory(report_path)
     _, params, report, _ = _compile_net(p, seed)
     cnn.save_cnn(params, output)
-    report_path = p["report"] or output + ".report"
     with open(report_path, "w") as fh:
         fh.write(
             "\n".join(
@@ -606,6 +613,7 @@ _HANDLERS = {
 def run(config):
     """Dispatch a validated CliConfig; returns the process exit code."""
     output = _resolve_output(config.output)
+    _require_directory(output)
     return _HANDLERS[config.verb](config.params, config.seed, output)
 
 

@@ -15,12 +15,14 @@ Architecture conventions used throughout the package:
 
 All values are float64; "exact" claims are meant up to round-off.  Every
 function here is pure: inputs are never mutated and the returned objects
-share no storage with the arguments.
+share no storage with the arguments.  The single exception is
+`params_view`, whose parameters are views of the flat vector it is given;
+`learnlab.train_erm` uses it to update a network in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,19 +111,20 @@ class CnnParams:
 
 @dataclass
 class CnnGrad:
-    """Gradient of a scalar w.r.t. all parameters, mirroring CnnParams."""
+    """Gradient of a scalar w.r.t. all parameters, mirroring CnnParams.
+
+    The per-layer arrays are views of `vector`, one flat buffer in
+    `param_vector` order.
+    """
 
     layer_weights: list
     layer_biases: list
     output_weights: np.ndarray
+    vector: np.ndarray = field(repr=False)
 
     def as_vector(self):
-        parts = []
-        for w, b in zip(self.layer_weights, self.layer_biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        parts.append(self.output_weights.ravel())
-        return np.concatenate(parts)
+        """The flat gradient in `param_vector` order (the buffer, not a copy)."""
+        return self.vector
 
 
 def conv_matrix(w, d):
@@ -148,7 +151,8 @@ def _conv_forward(weights, bias, x):
     """Batched layer map: x (n, d, J_in) -> (n, d, J_out), pre-activation."""
     s = weights.shape[0]
     n, d, _ = x.shape
-    out = np.tile(bias, (n, d, 1))
+    out = np.empty((n, d, weights.shape[1]))
+    out[...] = bias
     for k in range(s):
         out[:, : d - k, :] += x[:, k:, :] @ weights[k].T
     return out
@@ -177,13 +181,7 @@ def _check_input(params, x):
     return x
 
 
-def activation_grids(params, x):
-    """Activated grids after each layer for a batch of inputs.
-
-    Returns a list of L arrays of shape (n, d, J); the last one is the grid
-    the output weights contract against.
-    """
-    X = _check_input(params, x)
+def _grids(params, X):
     a = X[:, :, None]
     grids = []
     for layer in params.layers:
@@ -192,11 +190,19 @@ def activation_grids(params, x):
     return grids
 
 
+def activation_grids(params, x):
+    """Activated grids after each layer for a batch of inputs.
+
+    Returns a list of L arrays of shape (n, d, J); the last one is the grid
+    the output weights contract against.
+    """
+    return _grids(params, _check_input(params, x))
+
+
 def forward(params, x):
     """Evaluate the network. x may be a single d-vector or an (n, d) batch."""
     X = _check_input(params, x)
-    a = activation_grids(params, X)[-1]
-    vals = np.einsum("ndj,dj->n", a, params.output_weights)
+    vals = np.einsum("ndj,dj->n", _grids(params, X)[-1], params.output_weights)
     if np.ndim(x) == 1:
         return float(vals[0])
     return vals
@@ -207,18 +213,15 @@ def backward(params, x, dout=None):
 
     For a batch X of shape (n, d), `dout` (shape (n,)) weights each sample's
     contribution and the per-sample gradients are summed: the result is the
-    gradient of sum_i dout[i] * f(X[i]).  With a single d-vector input the
-    result is the gradient of f(x) itself.  ReLU uses subgradient 0 at 0.
+    gradient of sum_i dout[i] * f(X[i]).  `dout` may also be a callable: it
+    receives the (n,) array of outputs f(X) from this function's own forward
+    pass and returns the weights, so a loss gradient needs no separate
+    `forward` call; whatever it raises propagates.  With a single d-vector
+    input and no `dout` the result is the gradient of f(x) itself.  ReLU
+    uses subgradient 0 at 0.
     """
     X = _check_input(params, x)
-    n = X.shape[0]
-    if dout is None:
-        dout = np.ones(n)
-    else:
-        dout = np.asarray(dout, dtype=np.float64)
-        if dout.shape != (n,):
-            raise ShapeError("dout must have one entry per sample")
-
+    n, d = X.shape
     pre = []
     inputs = []
     a = X[:, :, None]
@@ -228,25 +231,30 @@ def backward(params, x, dout=None):
         pre.append(z)
         a = np.maximum(z, 0.0)
 
-    g_out = np.einsum("n,ndj->dj", dout, a)
-    ga = dout[:, None, None] * params.output_weights[None, :, :]
+    if callable(dout):
+        dout = dout(np.einsum("ndj,dj->n", a, params.output_weights))
+    dout = np.ones(n) if dout is None else np.asarray(dout, dtype=np.float64)
+    if dout.shape != (n,):
+        raise ShapeError("dout must have one entry per sample")
 
-    grad_w = [None] * params.depth
-    grad_b = [None] * params.depth
-    for i in range(params.depth - 1, -1, -1):
+    L, s, J = params.depth, params.s, params.J
+    vec = np.empty(_vector_size(d, s, J, L))
+    grad_w, grad_b, g_out = _split(vec, d, s, J, L)
+    g_out[...] = np.einsum("n,ndj->dj", dout, a)
+    ga = dout[:, None, None] * params.output_weights[None, :, :]
+    for i in range(L - 1, -1, -1):
         gz = ga * (pre[i] > 0.0)
-        w = params.layers[i].weights
-        s = w.shape[0]
-        d = X.shape[1]
         a_in = inputs[i]
-        gw = np.zeros_like(w)
-        ga = np.zeros_like(a_in)
+        gw = grad_w[i]
         for k in range(s):
             gw[k] = np.einsum("nio,nij->oj", gz[:, : d - k, :], a_in[:, k:, :])
-            ga[:, k:, :] += gz[:, : d - k, :] @ w[k]
-        grad_w[i] = gw
-        grad_b[i] = gz.sum(axis=(0, 1))
-    return CnnGrad(grad_w, grad_b, g_out)
+        grad_b[i][...] = gz.sum(axis=(0, 1))
+        if i > 0:  # the input gradient of layer 0 is not needed
+            w = params.layers[i].weights
+            ga = np.zeros_like(a_in)
+            for k in range(s):
+                ga[:, k:, :] += gz[:, : d - k, :] @ w[k]
+    return CnnGrad(grad_w, grad_b, g_out, vec)
 
 
 def layer_norm(layer):
@@ -346,24 +354,48 @@ def param_vector(params):
     return np.concatenate(parts)
 
 
-def params_from_vector(vec, d, s, J, L):
-    """Inverse of param_vector for the (d, s, J, L) architecture."""
-    vec = np.asarray(vec, dtype=np.float64)
-    layers = []
+def _vector_size(d, s, J, L):
+    return s * J * (1 + (L - 1) * J) + L * J + d * J
+
+
+def _split(vec, d, s, J, L):
+    """Views of vec's filters, biases and output weights, in vector order."""
+    size = _vector_size(d, s, J, L)
+    if vec.shape[0] != size:
+        raise ShapeError(f"vector length {vec.shape[0]} != expected {size}")
+    weights, biases = [], []
     pos = 0
     for i in range(L):
         in_c = 1 if i == 0 else J
         nw = s * J * in_c
-        w = vec[pos : pos + nw].reshape(s, J, in_c)
+        weights.append(vec[pos : pos + nw].reshape(s, J, in_c))
         pos += nw
-        b = vec[pos : pos + J]
+        biases.append(vec[pos : pos + J])
         pos += J
-        layers.append(ConvLayer(w.copy(), b.copy()))
-    W = vec[pos : pos + d * J].reshape(d, J).copy()
-    pos += d * J
-    if pos != vec.shape[0]:
-        raise ShapeError(f"vector length {vec.shape[0]} != expected {pos}")
-    return CnnParams(d, s, layers, W)
+    return weights, biases, vec[pos:].reshape(d, J)
+
+
+def params_view(vec, d, s, J, L):
+    """CnnParams for the (d, s, J, L) architecture whose arrays are views of vec.
+
+    vec must be a contiguous one-dimensional float64 array; writing to it
+    changes the returned network, and vice versa.  This is the one function
+    here whose result shares storage with its argument.
+    """
+    if not (
+        isinstance(vec, np.ndarray)
+        and vec.dtype == np.float64
+        and vec.ndim == 1
+        and vec.flags.c_contiguous
+    ):
+        raise ShapeError("parameter vector must be a contiguous 1-D float64 array")
+    weights, biases, W = _split(vec, d, s, J, L)
+    return CnnParams(d, s, [ConvLayer(w, b) for w, b in zip(weights, biases)], W)
+
+
+def params_from_vector(vec, d, s, J, L):
+    """Inverse of param_vector for the (d, s, J, L) architecture."""
+    return params_view(np.array(vec, dtype=np.float64), d, s, J, L)
 
 
 # -- serialization ---------------------------------------------------------
@@ -403,8 +435,14 @@ def load_cnn(path):
         lines = [ln.strip() for ln in fh if ln.strip()]
     it = iter(lines)
 
+    def next_line():
+        line = next(it, None)
+        if line is None:
+            raise PreconditionError("malformed cnn file: unexpected end of file")
+        return line
+
     def expect(prefix):
-        line = next(it)
+        line = next_line()
         if not line.startswith(prefix):
             raise PreconditionError(f"malformed cnn file: expected {prefix!r}, got {line!r}")
         return line
@@ -421,14 +459,14 @@ def load_cnn(path):
         expect("filter")
         w = np.empty((s, out_c, in_c))
         for tap in range(s):
-            vals = [float(v) for v in next(it).split()]
+            vals = [float(v) for v in next_line().split()]
             w[tap] = np.array(vals).reshape(out_c, in_c)
         expect("bias")
-        b = np.array([float(v) for v in next(it).split()])
+        b = np.array([float(v) for v in next_line().split()])
         layers.append(ConvLayer(w, b))
     expect("output")
     W = np.empty((d, J))
     for r in range(d):
-        W[r] = [float(v) for v in next(it).split()]
+        W[r] = [float(v) for v in next_line().split()]
     expect("end")
     return CnnParams(d, s, layers, W)

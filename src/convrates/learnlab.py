@@ -36,6 +36,7 @@ from .cnn import (
     forward,
     param_vector,
     params_from_vector,
+    params_view,
     path_norm,
     truncate,
 )
@@ -436,24 +437,16 @@ def _init_cnn(d, s, J, L, M, rng, scale):
         b = rng.normal(0.0, 0.01, J)
         layers.append(ConvLayer(w, b))
     W = rng.normal(0.0, scale / math.sqrt(d * J), (d, J))
-    return _project(CnnParams(d, s, layers, W), M)
+    params = CnnParams(d, s, layers, W)
+    _project(params, M)
+    return params
 
 
 def _project(params, M):
-    """Scale the output layer down so the path norm is at most M (exact)."""
+    """Scale the output layer down in place so the path norm is at most M (exact)."""
     k = path_norm(params)
-    if k <= M or k == 0.0:
-        return params
-    return CnnParams(params.d, params.s, params.layers, params.output_weights * (M / k))
-
-
-def _copy(params):
-    return CnnParams(
-        params.d,
-        params.s,
-        [ConvLayer(l.weights.copy(), l.bias.copy()) for l in params.layers],
-        params.output_weights.copy(),
-    )
+    if k > M:
+        params.output_weights *= M / k
 
 
 def train_erm(data, cfg):
@@ -464,6 +457,10 @@ def train_erm(data, cfg):
     by full-sample risk, across all epochs and restarts and including the
     initializations, is returned, so the result never does worse than any
     initialization.  Raises TrainingFailure if the loss turns non-finite.
+
+    Each restart keeps its parameters in one flat vector; the network it
+    trains is a `params_view` of that vector, so Adam and the projection
+    update it in place and each step runs a single `backward`.
     """
     t0 = time.perf_counter()
     X, y = data.X, data.y
@@ -471,6 +468,8 @@ def train_erm(data, cfg):
     level = cfg.trunc_level
     n = len(y)
     batch = min(cfg.batch_size, n)
+    arch = (d, cfg.s, cfg.J, cfg.L)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     best = None  # (risk, params, restart, epoch)
     all_risks = []
@@ -480,23 +479,27 @@ def train_erm(data, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for restart in range(cfg.restarts):
             rng = spawn_rng(cfg.seed, restart)
-            params = _init_cnn(d, cfg.s, cfg.J, cfg.L, cfg.M, rng, cfg.init_scale)
+            vec = param_vector(_init_cnn(*arch, cfg.M, rng, cfg.init_scale))
+            params = params_view(vec, *arch)
             step = 0
             risks = [empirical_risk(params, X, y, cfg.loss, level)]
             if best is None or risks[0] < best[0]:
-                best = (risks[0], _copy(params), restart, 0)
+                best = (risks[0], params_from_vector(vec, *arch), restart, 0)
 
-            vec = param_vector(params)
             m1 = np.zeros_like(vec)
             m2 = np.zeros_like(vec)
-            beta1, beta2, eps = 0.9, 0.999, 1e-8
-            arch = (d, cfg.s, cfg.J, cfg.L)
 
             def fail(reason):
                 return TrainingFailure(
                     reason,
                     TrainTrace(all_risks + [np.array(risks)], -1, -1, math.nan, 0.0),
                 )
+
+            def batch_loss_grad(f_vals):
+                g = _loss_grad(cfg.loss, f_vals, y_batch, level) / len(y_batch)
+                if not np.all(np.isfinite(g)):
+                    raise fail("non-finite loss gradient")
+                return g
 
             for epoch in range(1, cfg.epochs + 1):
                 if cfg.final_learning_rate and cfg.epochs > 1:
@@ -509,29 +512,25 @@ def train_erm(data, cfg):
                 order = rng.permutation(n)
                 for lo in range(0, n, batch):
                     idx = order[lo : lo + batch]
-                    params = params_from_vector(vec, *arch)
-                    f_vals = forward(params, X[idx])
-                    dout = _loss_grad(cfg.loss, f_vals, y[idx], level) / len(idx)
-                    if not np.all(np.isfinite(dout)):
-                        raise fail("non-finite loss gradient")
-                    grad = backward(params, X[idx], dout).as_vector()
+                    y_batch = y[idx]  # read by batch_loss_grad
+                    grad = backward(params, X[idx], batch_loss_grad).as_vector()
                     step += 1
-                    m1 = beta1 * m1 + (1 - beta1) * grad
-                    m2 = beta2 * m2 + (1 - beta2) * grad * grad
+                    m1 *= beta1
+                    m1 += (1 - beta1) * grad
+                    m2 *= beta2
+                    m2 += (1 - beta2) * grad * grad
                     hat1 = m1 / (1 - beta1**step)
                     hat2 = m2 / (1 - beta2**step)
-                    vec = vec - lr * hat1 / (np.sqrt(hat2) + eps)
+                    vec -= lr * hat1 / (np.sqrt(hat2) + eps)
                     if not np.all(np.isfinite(vec)):
                         raise fail("parameters diverged")
-                    projected = _project(params_from_vector(vec, *arch), cfg.M)
-                    vec = param_vector(projected)
-                params = params_from_vector(vec, *arch)
+                    _project(params, cfg.M)
                 risk = empirical_risk(params, X, y, cfg.loss, level)
                 if not math.isfinite(risk):
                     raise fail("non-finite empirical risk")
                 risks.append(risk)
                 if risk < best[0]:
-                    best = (risk, _copy(params), restart, epoch)
+                    best = (risk, params_from_vector(vec, *arch), restart, epoch)
             all_risks.append(np.array(risks))
 
     risk, params, restart, epoch = best

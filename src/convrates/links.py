@@ -205,14 +205,21 @@ def _draw(x_sampler, m, seed):
     return x_sampler(m, spawn_rng(seed, 0))
 
 
+def _finite_scores(values):
+    fv = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(fv)):
+        raise PreconditionError("scores f(X) must be finite on the sample")
+    return fv
+
+
 def hinge_excess_risk(f, eta, x_sampler, m, seed):
     """Monte Carlo estimate of E |f - sign(2 eta - 1)| |2 eta - 1|.
 
-    Valid for |f| <= 1 (checked on the sample); equals the hinge risk of f
+    Valid for finite |f| <= 1 (checked on the sample); equals the hinge risk of f
     minus the Bayes hinge risk.
     """
     X = _draw(x_sampler, m, seed)
-    fv = np.asarray(f(X), dtype=np.float64)
+    fv = _finite_scores(f(X))
     if np.max(np.abs(fv)) > 1 + 1e-9:
         raise PreconditionError("hinge excess risk requires |f| <= 1 on the sample")
     ev = np.asarray(eta(X), dtype=np.float64)
@@ -229,9 +236,12 @@ def logistic_excess_risk(f, eta, x_sampler, m, seed):
 
 
 def classification_excess_risk(f, eta, x_sampler, m, seed):
-    """Monte Carlo estimate of E 1{sign f != sign(2 eta - 1)} |2 eta - 1|."""
+    """Monte Carlo estimate of E 1{sign f != sign(2 eta - 1)} |2 eta - 1|.
+
+    The scores f(X) must be finite on the sample.
+    """
     X = _draw(x_sampler, m, seed)
-    fv = np.asarray(f(X), dtype=np.float64)
+    fv = _finite_scores(f(X))
     ev = np.asarray(eta(X), dtype=np.float64)
     margin = 2 * ev - 1
     vals = (sign_plus(fv) != sign_plus(margin)) * np.abs(margin)

@@ -1,6 +1,7 @@
 """CLI: config validation, verb outputs, exit codes, determinism."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -297,10 +298,27 @@ class TestOutputHygiene:
     def test_error_record_is_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\nverb = nope\nseed = 0\noutput = x\n")
         assert cli.main([cfg]) == cli.EXIT_CONFIG
-        import json
-
         record = json.loads(capsys.readouterr().err.strip())
         assert record["exit_code"] == 2 and record["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[run]\nverb = approx-log\nseed = 0\noutput = {tmp}/missing/alog.csv\n"
+            "[approx-log]\npieces = 3:200\n",
+            "[run]\nverb = compile\nseed = 0\noutput = {tmp}/net.txt\n"
+            "[compile]\nreport = {tmp}/missing/net.report\n",
+        ],
+    )
+    def test_missing_output_directory_is_a_config_error(self, tmp_path, capsys, body):
+        cfg = write_config(tmp_path, body.format(tmp=tmp_path))
+        assert cli.main([cfg]) == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "config" and record["exit_code"] == 2
+        assert "missing" in record["detail"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]  # no work done
 
     def test_training_failure_writes_partial_results(self, tmp_path, capsys):
         out = tmp_path / "exp.csv"
@@ -313,8 +331,6 @@ class TestOutputHygiene:
             "final_learning_rate = 0\n",
         )
         assert cli.main([cfg]) == cli.EXIT_PRECONDITION
-        import json
-
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "training"
         with open(out, newline="") as fh:

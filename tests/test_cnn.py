@@ -23,6 +23,7 @@ from convrates.cnn import (
     load_cnn,
     param_vector,
     params_from_vector,
+    params_view,
     path_norm,
     rescale,
     save_cnn,
@@ -289,6 +290,78 @@ class TestBackward:
             assert secant == pytest.approx(g[i], rel=1e-10, abs=1e-12)
 
 
+    def test_callable_dout_equals_array_dout_bitwise(self, rng):
+        for _ in range(10):
+            params = random_cnn(rng)
+            X = rng.random((9, params.d))
+            weights = rng.standard_normal(9)
+            seen = []
+
+            def fn(f_vals):
+                seen.append(f_vals)
+                return weights * np.tanh(f_vals)
+
+            g_fn = backward(params, X, fn).as_vector()
+            g_arr = backward(params, X, fn(forward(params, X))).as_vector()
+            assert np.array_equal(seen[0], forward(params, X))
+            assert g_fn.tobytes() == g_arr.tobytes()
+
+    def test_callable_dout_errors_propagate(self, rng):
+        params = random_cnn(rng)
+
+        def fn(f_vals):
+            raise ValueError("from dout")
+
+        with pytest.raises(ValueError, match="from dout"):
+            backward(params, rng.random((3, params.d)), fn)
+        with pytest.raises(ShapeError):
+            backward(params, rng.random((3, params.d)), lambda f: f[:2])
+
+    def test_as_vector_follows_param_vector_layout(self, rng):
+        for _ in range(10):
+            params = random_cnn(rng)
+            grad = backward(params, rng.random((4, params.d)), rng.standard_normal(4))
+            mirror = CnnParams(
+                params.d,
+                params.s,
+                [ConvLayer(w, b) for w, b in zip(grad.layer_weights, grad.layer_biases)],
+                grad.output_weights,
+            )
+            assert np.array_equal(grad.as_vector(), param_vector(mirror))
+            assert grad.as_vector().size == param_vector(params).size
+
+
+class TestParamsFromVector:
+    def test_round_trip_shares_no_memory(self, rng):
+        params = random_cnn(rng)
+        vec = param_vector(params)
+        out = params_from_vector(vec, params.d, params.s, params.J, params.depth)
+        assert np.array_equal(param_vector(out), vec)
+        arrays = [out.output_weights] + [a for l in out.layers for a in (l.weights, l.bias)]
+        assert not any(np.shares_memory(vec, a) for a in arrays)
+
+    def test_view_writes_show_through(self, rng):
+        params = random_cnn(rng)
+        vec = param_vector(params)
+        view = params_view(vec, params.d, params.s, params.J, params.depth)
+        assert np.shares_memory(vec, view.output_weights)
+        vec[-1] += 1.0
+        assert view.output_weights[-1, -1] == vec[-1]
+        view.layers[0].weights[0, 0, 0] = 7.0
+        assert vec[0] == 7.0
+
+    def test_view_rejects_arrays_it_cannot_view(self, rng):
+        params = random_cnn(rng)
+        arch = (params.d, params.s, params.J, params.depth)
+        vec = param_vector(params)
+        with pytest.raises(ShapeError):
+            params_view(np.repeat(vec, 2)[::2], *arch)
+        with pytest.raises(ShapeError):
+            params_view(list(vec), *arch)
+        with pytest.raises(ShapeError):
+            params_from_vector(vec[:-1], *arch)
+
+
 class TestRescale:
     def test_already_normalized_unchanged(self, rng):
         params = random_cnn(rng, scale=0.05)
@@ -412,6 +485,18 @@ class TestSerialization:
         path = tmp_path / "net.txt"
         save_cnn(params, path)
         assert np.array_equal(param_vector(load_cnn(path)), param_vector(params))
+
+
+    def test_truncated_file_is_a_precondition_error(self, rng, tmp_path):
+        path = tmp_path / "net.txt"
+        save_cnn(random_cnn(rng), path)
+        lines = path.read_text().splitlines()
+        after_s = next(i for i, line in enumerate(lines) if line.startswith("s ")) + 1
+        after_filter = lines.index("filter") + 1
+        for cut in (after_s, after_filter, len(lines) - 2, len(lines) - 1):
+            path.write_text("\n".join(lines[:cut]) + "\n")
+            with pytest.raises(PreconditionError, match="unexpected end of file"):
+                load_cnn(path)
 
 
 class TestValidation:

@@ -5,13 +5,15 @@ against sampled difference quotients; training is validated on realizable
 instances where a compiled network certifies that zero risk is attainable.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from convrates.cnn import path_norm
+from convrates import learnlab
+from convrates.cnn import param_vector, path_norm
 from convrates.compiler import ScalarNet, ShallowNet, compose_with_scalar_net, shallow_to_cnn
 from convrates.errors import PreconditionError, TrainingFailure
 from convrates.learnlab import (
@@ -255,11 +257,35 @@ class TestTrainErm:
                           epochs=4, batch_size=32, restarts=2, seed=7)
         p1, t1 = train_erm(data, cfg)
         p2, t2 = train_erm(data, cfg)
-        from convrates.cnn import param_vector
-
         assert np.array_equal(param_vector(p1), param_vector(p2))
         for a, b in zip(t1.risks, t2.risks):
             assert np.array_equal(a, b)
+
+    def test_golden_hinge_run(self):
+        # sha256 of the selected parameters and every per-epoch risk, recorded
+        # before training moved to in-place updates of a flat vector; the
+        # projection binds on most steps of this run
+        spec = make_eta_tsybakov(4.0)
+        data = sample_dataset(spec, 200, seed=11)
+        cfg = TrainConfig(s=2, J=4, L=2, M=3.0, loss="hinge", trunc_level=1.0, epochs=6,
+                          batch_size=32, learning_rate=0.05, restarts=2, seed=3)
+        params, trace = train_erm(data, cfg)
+        digest = hashlib.sha256(param_vector(params).tobytes())
+        for risks in trace.risks:
+            digest.update(np.asarray(risks).tobytes())
+        assert (trace.best_restart, trace.best_epoch) == (0, 6)
+        assert digest.hexdigest() == (
+            "d45159949c48ccb5d924b9bc1149061034cbdfee183081182ce21e1b86603f60"
+        )
+
+    def test_nonfinite_loss_gradient_raises(self, monkeypatch):
+        monkeypatch.setattr(learnlab, "_loss_grad", lambda loss, f, y, level: f * np.nan)
+        data = sample_dataset(make_eta_tsybakov(4.0), 64, seed=0)
+        cfg = TrainConfig(s=2, J=4, L=2, M=8.0, loss="hinge", epochs=2, batch_size=32,
+                          restarts=1, seed=0)
+        with pytest.raises(TrainingFailure, match="non-finite loss gradient") as info:
+            train_erm(data, cfg)
+        assert len(info.value.trace.risks) == 1 and len(info.value.trace.risks[0]) == 1
 
     def test_divergence_raises(self):
         spec = make_regression_target("coordinate-clamp", {"d": 2})

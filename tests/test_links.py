@@ -199,6 +199,18 @@ class TestHingeExcessRisk:
             )
 
 
+    def test_nan_scores_rejected(self):
+        # NaN compares false against the |f| <= 1 check, so it needs its own
+        with pytest.raises(PreconditionError, match="finite"):
+            hinge_excess_risk(
+                lambda X: np.full(len(X), np.nan),
+                lambda X: X[:, 0],
+                uniform_sampler(2),
+                100,
+                0,
+            )
+
+
 class TestLogisticExcessRisk:
     def test_optimal_score_has_zero_excess(self):
         eta = lambda X: 0.25 + 0.5 * X[:, 0]
@@ -244,6 +256,12 @@ class TestClassificationExcessRisk:
             0,
         )
         assert est.value == 1.0
+
+    def test_nan_scores_rejected(self):
+        # sign_plus would read NaN as -1 and return a plausible risk
+        scores = lambda X: np.where(X[:, 1] < 0.5, np.nan, 1.0)
+        with pytest.raises(PreconditionError, match="finite"):
+            classification_excess_risk(scores, lambda X: X[:, 0], uniform_sampler(2), 100, 0)
 
 
 class TestHingeCalibration:
