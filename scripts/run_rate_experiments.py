@@ -11,15 +11,15 @@ Usage: python scripts/run_rate_experiments.py [outdir] [--quick]
 """
 
 import argparse
-import csv
 import pathlib
 import sys
 
 import numpy as np
 
+from convrates.cli import write_results
 from convrates.learnlab import (
     NoiseSpec,
-    ScheduleConstants,
+    default_constants,
     make_eta_svb,
     make_eta_tsybakov,
     make_regression_target,
@@ -34,21 +34,18 @@ EXPERIMENTS = {
              "phases": [0.3, 1.1], "d": 2},
         ),
         noise=NoiseSpec("gaussian", 0.25),
-        consts=ScheduleConstants(1.0, 5.0, 2.0),
         opts=dict(epochs=60, batch_size=128, learning_rate=0.02,
                   final_learning_rate=0.002, restarts=2),
     ),
     "hinge": dict(
         spec=lambda: make_eta_tsybakov(4.0),
         noise=None,
-        consts=ScheduleConstants(0.5, 3.0, 2.0),
         opts=dict(epochs=60, batch_size=128, learning_rate=0.03,
                   final_learning_rate=0.003, restarts=2),
     ),
     "logistic": dict(
         spec=lambda: make_eta_svb(1.0),
         noise=None,
-        consts=ScheduleConstants(0.15, 2.0, 2.0),
         opts=dict(epochs=60, batch_size=128, learning_rate=0.03,
                   final_learning_rate=0.003, restarts=2),
     ),
@@ -83,25 +80,12 @@ def main(argv=None):
             repeats=args.repeats if not args.quick else 2,
             base_seed=args.seed,
             noise=setup["noise"],
-            consts=setup["consts"],
+            consts=default_constants(loss),
             train_options=opts,
             mc_samples=20_000 if not args.quick else 4_000,
         )
         path = outdir / f"rates_{loss}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["loss", "n", "L", "M", "B", "seed", "excess_risk", "stderr", "wall_time"]
-            )
-            for r in rows:
-                writer.writerow(
-                    [r.loss, r.n, r.L, f"{r.M:.17g}", f"{r.B:.17g}", r.seed,
-                     f"{r.excess_risk:.17g}", f"{r.stderr:.17g}", f"{r.wall_time:.17g}"]
-                )
-            writer.writerow(
-                ["ratefit", 0, 0, f"{fit.slope:.17g}", f"{fit.intercept:.17g}", 0,
-                 f"{fit.theory_slope:.17g}", 0.0, 0.0]
-            )
+        write_results(path, rows, fit)
         errs = np.array2string(fit.mean_errors, precision=5)
         print(
             f"{loss:>8}: slope {fit.slope:+.3f} (theory {fit.theory_slope:+.3f}) "

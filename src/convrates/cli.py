@@ -75,14 +75,6 @@ class CliConfig:
     params: dict
 
 
-def _parse_int(text):
-    return int(text)
-
-
-def _parse_float(text):
-    return float(text)
-
-
 def _parse_bool(text):
     t = text.strip().lower()
     if t in ("true", "yes", "1"):
@@ -125,85 +117,85 @@ _REQUIRED = object()
 
 _SCHEMAS = {
     "entropy": {
-        "d": (_parse_int, _REQUIRED),
-        "s": (_parse_int, _REQUIRED),
-        "J": (_parse_int, _REQUIRED),
+        "d": (int, _REQUIRED),
+        "s": (int, _REQUIRED),
+        "J": (int, _REQUIRED),
         "L": (_parse_int_list, _REQUIRED),
         "M": (_parse_float_list, _REQUIRED),
         "eps": (_parse_float_list, _REQUIRED),
     },
     "cover-check": {
-        "d": (_parse_int, 2),
-        "s": (_parse_int, 2),
-        "J": (_parse_int, 1),
-        "L": (_parse_int, 1),
-        "M": (_parse_float, 1.0),
+        "d": (int, 2),
+        "s": (int, 2),
+        "J": (int, 1),
+        "L": (int, 1),
+        "M": (float, 1.0),
         "eps": (_parse_float_list, _REQUIRED),
-        "trials": (_parse_int, 100),
-        "resolution": (_parse_int, 0),  # 0 -> derived from eps and the recursion
-        "points": (_parse_int, 1000),
+        "trials": (int, 100),
+        "resolution": (int, 0),  # 0 -> derived from eps and the recursion
+        "points": (int, 1000),
         "exhaustive": (_parse_bool, False),
     },
     "approx-log": {
         "pieces": (_parse_int_list, _REQUIRED),
-        "grid": (_parse_int, 10_000),
+        "grid": (int, 10_000),
     },
     "check-ineq": {
-        "resolution": (_parse_int, 500),
+        "resolution": (int, 500),
         "u": (_parse_float_list, None),
     },
     "compile": {
-        "s": (_parse_int, 2),
+        "s": (int, 2),
         "net_file": (_parse_str, None),
-        "neurons": (_parse_int, 8),
-        "d": (_parse_int, 2),
-        "net_seed": (_parse_int, 0),
+        "neurons": (int, 8),
+        "d": (int, 2),
+        "net_seed": (int, 0),
         "link": (_parse_str, "none"),
         "report": (_parse_str, None),
     },
     "verify-compile": {
-        "s": (_parse_int, 2),
+        "s": (int, 2),
         "net_file": (_parse_str, None),
-        "neurons": (_parse_int, 8),
-        "d": (_parse_int, 2),
-        "net_seed": (_parse_int, 0),
+        "neurons": (int, 8),
+        "d": (int, 2),
+        "net_seed": (int, 0),
         "link": (_parse_str, "none"),
-        "points": (_parse_int, 10_000),
-        "tolerance": (_parse_float, 1e-10),
+        "points": (int, 10_000),
+        "tolerance": (float, 1e-10),
     },
     "experiment": {
         "loss": (_parse_str, _REQUIRED),
         "target": (_parse_str, _REQUIRED),
-        "d": (_parse_int, 2),
-        "target_seed": (_parse_int, 0),
-        "steepness": (_parse_float, 4.0),  # eta-ramp
-        "beta": (_parse_float, 1.0),  # eta-svb
-        "slope": (_parse_float, 4.0),  # coordinate-clamp
-        "n_terms": (_parse_int, 2),  # mixtures
+        "d": (int, 2),
+        "target_seed": (int, 0),
+        "steepness": (float, 4.0),  # eta-ramp
+        "beta": (float, 1.0),  # eta-svb
+        "slope": (float, 4.0),  # coordinate-clamp
+        "n_terms": (int, 2),  # mixtures
         "noise_kind": (_parse_str, "gaussian"),
-        "noise_scale": (_parse_float, 0.25),
+        "noise_scale": (float, 0.25),
         "n_schedule": (_parse_int_list, _REQUIRED),
-        "repeats": (_parse_int, 5),
-        "l_const": (_parse_float, 0.0),  # 0 -> per-loss default
-        "m_const": (_parse_float, 0.0),
-        "b_const": (_parse_float, 0.0),
-        "s": (_parse_int, 2),
-        "J": (_parse_int, 6),
-        "epochs": (_parse_int, 60),
-        "batch_size": (_parse_int, 128),
-        "learning_rate": (_parse_float, 0.02),
-        "final_learning_rate": (_parse_float, 0.002),
-        "restarts": (_parse_int, 2),
-        "init_scale": (_parse_float, 1.0),
-        "mc_samples": (_parse_int, 20_000),
+        "repeats": (int, 5),
+        "l_const": (float, 0.0),  # 0 -> per-loss default
+        "m_const": (float, 0.0),
+        "b_const": (float, 0.0),
+        "s": (int, 2),
+        "J": (int, 6),
+        "epochs": (int, 60),
+        "batch_size": (int, 128),
+        "learning_rate": (float, 0.02),
+        "final_learning_rate": (float, 0.002),
+        "restarts": (int, 2),
+        "init_scale": (float, 1.0),
+        "mc_samples": (int, 20_000),
     },
     "fit-rate": {
         "input": (_parse_str, _REQUIRED),
         "loss": (_parse_str, _REQUIRED),
-        "alpha": (_parse_float, 1.0),
-        "d": (_parse_int, 2),
-        "q": (_parse_float, 1.0),
-        "beta": (_parse_float, 1.0),
+        "alpha": (float, 1.0),
+        "d": (int, 2),
+        "q": (float, 1.0),
+        "beta": (float, 1.0),
     },
 }
 
@@ -406,7 +398,10 @@ def _run_check_ineq(p, seed, output):
 
 
 def _load_shallow_net(path):
-    rows = np.loadtxt(path, ndmin=2)
+    try:
+        rows = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read net file {path!r}: {exc}") from exc
     if rows.shape[1] < 3:
         raise ConfigError("net file rows must be: coeff a_1 ... a_d offset")
     return compiler.ShallowNet(rows[:, 0], rows[:, 1:-1], rows[:, -1])
@@ -425,12 +420,16 @@ def _make_net(p, seed):
 def _make_link(spec_text):
     if spec_text == "none":
         return None
+    usage = f"link spec {spec_text!r} (use none, sign:<u>, log:<n>)"
     kind, _, arg = spec_text.partition(":")
-    if kind == "sign":
-        return links.sign_link_net(float(arg)).net
-    if kind == "log":
-        return links.log_link_net(int(arg)).net
-    raise ConfigError(f"unknown link spec {spec_text!r} (use none, sign:<u>, log:<n>)")
+    if kind not in ("sign", "log"):
+        raise ConfigError(f"unknown {usage}")
+    try:
+        arg = float(arg) if kind == "sign" else int(arg)
+    except ValueError:
+        raise ConfigError(f"malformed {usage}") from None
+    build = links.sign_link_net if kind == "sign" else links.log_link_net
+    return build(arg).net
 
 
 def _compile_net(p, seed):
@@ -446,7 +445,7 @@ def _compile_net(p, seed):
 
 
 def _run_compile(p, seed, output):
-    report_path = p["report"] or output + ".report"
+    report_path = _resolve_output(p["report"]) if p["report"] else output + ".report"
     _require_directory(report_path)
     _, params, report, _ = _compile_net(p, seed)
     cnn.save_cnn(params, output)
@@ -510,6 +509,21 @@ def _make_target(p):
 _RESULT_HEADER = ["loss", "n", "L", "M", "B", "seed", "excess_risk", "stderr", "wall_time"]
 
 
+def write_results(path, rows, fit=None):
+    """Write rate-experiment rows as a results CSV, plus a summary row for `fit`.
+
+    The summary row is labelled "ratefit" and carries the slope, intercept
+    and theory slope in the M, B and excess_risk columns.
+    """
+    out = [
+        (r.loss, r.n, r.L, r.M, r.B, r.seed, r.excess_risk, r.stderr, r.wall_time)
+        for r in rows
+    ]
+    if fit is not None:
+        out.append(("ratefit", 0, 0, fit.slope, fit.intercept, 0, fit.theory_slope, 0.0, 0.0))
+    _write_csv(path, _RESULT_HEADER, out)
+
+
 def _run_experiment(p, seed, output):
     spec = _make_target(p)
     loss = p["loss"]
@@ -547,25 +561,9 @@ def _run_experiment(p, seed, output):
             mc_samples=p["mc_samples"],
         )
     except TrainingFailure as exc:
-        partial = getattr(exc, "partial_rows", [])
-        _write_csv(
-            output,
-            _RESULT_HEADER,
-            [
-                (r.loss, r.n, r.L, r.M, r.B, r.seed, r.excess_risk, r.stderr, r.wall_time)
-                for r in partial
-            ],
-        )
+        write_results(output, getattr(exc, "partial_rows", []))
         raise
-    out_rows = [
-        (r.loss, r.n, r.L, r.M, r.B, r.seed, r.excess_risk, r.stderr, r.wall_time)
-        for r in rows
-    ]
-    # trailing summary row: slope/intercept/theory in the numeric columns
-    out_rows.append(
-        ("ratefit", 0, 0, fit.slope, fit.intercept, 0, fit.theory_slope, 0.0, 0.0)
-    )
-    _write_csv(output, _RESULT_HEADER, out_rows)
+    write_results(output, rows, fit)
     print(
         f"{loss}: fitted slope {fit.slope:+.3f} (theory {fit.theory_slope:+.3f}), "
         f"mean errors {np.array2string(fit.mean_errors, precision=5)}"
@@ -582,7 +580,13 @@ def _run_fit_rate(p, seed, output):
         for row in reader:
             if row["loss"] == "ratefit":
                 continue
-            cells.setdefault(int(row["n"]), []).append(float(row["excess_risk"]))
+            try:
+                n, risk = int(row["n"]), float(row["excess_risk"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"malformed results row {reader.line_num} in {p['input']!r}: {exc}"
+                ) from exc
+            cells.setdefault(n, []).append(risk)
     if not cells:
         raise ConfigError("no data rows in results file")
     ns = sorted(cells)

@@ -181,13 +181,16 @@ def _check_input(params, x):
     return x
 
 
-def _grids(params, X):
+def _activations(layers, X):
+    """Yield the activated grid after each layer for an (n, d) batch X.
+
+    The package's one forward loop.  A caller that keeps only the last grid
+    holds a few grids at a time, whatever the depth.
+    """
     a = X[:, :, None]
-    grids = []
-    for layer in params.layers:
+    for layer in layers:
         a = np.maximum(_conv_forward(layer.weights, layer.bias, a), 0.0)
-        grids.append(a)
-    return grids
+        yield a
 
 
 def activation_grids(params, x):
@@ -196,13 +199,15 @@ def activation_grids(params, x):
     Returns a list of L arrays of shape (n, d, J); the last one is the grid
     the output weights contract against.
     """
-    return _grids(params, _check_input(params, x))
+    return list(_activations(params.layers, _check_input(params, x)))
 
 
 def forward(params, x):
     """Evaluate the network. x may be a single d-vector or an (n, d) batch."""
     X = _check_input(params, x)
-    vals = np.einsum("ndj,dj->n", _grids(params, X)[-1], params.output_weights)
+    for a in _activations(params.layers, X):
+        pass
+    vals = np.einsum("ndj,dj->n", a, params.output_weights)
     if np.ndim(x) == 1:
         return float(vals[0])
     return vals
@@ -222,14 +227,9 @@ def backward(params, x, dout=None):
     """
     X = _check_input(params, x)
     n, d = X.shape
-    pre = []
-    inputs = []
-    a = X[:, :, None]
-    for layer in params.layers:
-        inputs.append(a)
-        z = _conv_forward(layer.weights, layer.bias, a)
-        pre.append(z)
-        a = np.maximum(z, 0.0)
+    grids = list(_activations(params.layers, X))
+    inputs = [X[:, :, None]] + grids[:-1]
+    a = grids[-1]
 
     if callable(dout):
         dout = dout(np.einsum("ndj,dj->n", a, params.output_weights))
@@ -243,7 +243,7 @@ def backward(params, x, dout=None):
     g_out[...] = np.einsum("n,ndj->dj", dout, a)
     ga = dout[:, None, None] * params.output_weights[None, :, :]
     for i in range(L - 1, -1, -1):
-        gz = ga * (pre[i] > 0.0)
+        gz = ga * (grids[i] > 0.0)  # relu(z) > 0 exactly where z > 0
         a_in = inputs[i]
         gw = grad_w[i]
         for k in range(s):
@@ -267,12 +267,16 @@ def layer_norm(layer):
     return float(per_channel.max())
 
 
-def path_norm(params):
-    """Weight-constraint functional: ||W_out||_1 * prod_l max(layer_norm_l, 1)."""
-    value = float(np.abs(params.output_weights).sum())
-    for layer in params.layers:
+def layer_norm_product(layers, value=1.0):
+    """value * prod_l max(layer_norm_l, 1), multiplied in from the left in layer order."""
+    for layer in layers:
         value *= max(layer_norm(layer), 1.0)
     return value
+
+
+def path_norm(params):
+    """Weight-constraint functional: ||W_out||_1 * prod_l max(layer_norm_l, 1)."""
+    return layer_norm_product(params.layers, float(np.abs(params.output_weights).sum()))
 
 
 def rescale(params):
@@ -447,26 +451,31 @@ def load_cnn(path):
             raise PreconditionError(f"malformed cnn file: expected {prefix!r}, got {line!r}")
         return line
 
-    expect("cnn v1")
-    d = int(expect("d ").split()[1])
-    s = int(expect("s ").split()[1])
-    J = int(expect("J ").split()[1])
-    L = int(expect("L ").split()[1])
-    layers = []
-    for i in range(L):
-        head = expect(f"layer {i} ").split()
-        out_c, in_c = int(head[3]), int(head[5])
-        expect("filter")
-        w = np.empty((s, out_c, in_c))
-        for tap in range(s):
-            vals = [float(v) for v in next_line().split()]
-            w[tap] = np.array(vals).reshape(out_c, in_c)
-        expect("bias")
-        b = np.array([float(v) for v in next_line().split()])
-        layers.append(ConvLayer(w, b))
-    expect("output")
-    W = np.empty((d, J))
-    for r in range(d):
-        W[r] = [float(v) for v in next_line().split()]
-    expect("end")
+    try:
+        expect("cnn v1")
+        d = int(expect("d ").split()[1])
+        s = int(expect("s ").split()[1])
+        J = int(expect("J ").split()[1])
+        L = int(expect("L ").split()[1])
+        layers = []
+        for i in range(L):
+            head = expect(f"layer {i} ").split()
+            out_c, in_c = int(head[3]), int(head[5])
+            expect("filter")
+            w = np.empty((s, out_c, in_c))
+            for tap in range(s):
+                vals = [float(v) for v in next_line().split()]
+                w[tap] = np.array(vals).reshape(out_c, in_c)
+            expect("bias")
+            b = np.array([float(v) for v in next_line().split()])
+            layers.append(ConvLayer(w, b))
+        expect("output")
+        W = np.empty((d, J))
+        for r in range(d):
+            W[r] = [float(v) for v in next_line().split()]
+        expect("end")
+    except PreconditionError:
+        raise
+    except (IndexError, ValueError) as exc:  # a non-numeric or missing token
+        raise PreconditionError(f"malformed cnn file: {exc}") from exc
     return CnnParams(d, s, layers, W)

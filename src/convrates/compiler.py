@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnn import CnnParams, ConvLayer, _conv_forward, layer_norm, path_norm, rescale
+from .cnn import CnnParams, ConvLayer, _activations, layer_norm_product, path_norm, rescale
 from .errors import PreconditionError, PropertyFailure
 
 # channel roles in 6-channel assemblies (0-based)
@@ -170,17 +170,13 @@ class OpenCnn:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None]
-        a = X[:, :, None]
-        for layer in self.layers:
-            a = np.maximum(_conv_forward(layer.weights, layer.bias, a), 0.0)
+        for a in _activations(self.layers, X):
+            pass
         return a
 
     def norm_product(self):
         """Product of max(layer_norm, 1); the open analogue of the path norm."""
-        out = 1.0
-        for layer in self.layers:
-            out *= max(layer_norm(layer), 1.0)
-        return out
+        return layer_norm_product(self.layers)
 
 
 def _neuron_layers(direction, offset, s):
@@ -303,6 +299,21 @@ def _assemble_sum_layers(net, s, coeff_scale):
     return layers, outs[-1]
 
 
+def _sum_scaling(net, L0):
+    """(N, M, prefactor, coeff_scale) for compiling the N-neuron sum `net`.
+
+    Neurons are compiled with coefficients scaled by coeff_scale = R/M, where
+    R = 3^(1-L0)/N, and the assembled sum is scaled back by prefactor = M/R;
+    both are 0 for a net of zero norm M.
+    """
+    N = net.n_neurons
+    M = shallow_norm(net)
+    R = 3.0 ** (1 - L0) / N
+    prefactor = M / R if M > 0 else 0.0
+    coeff_scale = R / M if M > 0 else 0.0
+    return N, M, prefactor, coeff_scale
+
+
 def shallow_to_cnn(net, s):
     """Compile a shallow net into a 6-channel CNN, exactly, with norm control.
 
@@ -311,11 +322,7 @@ def shallow_to_cnn(net, s):
     """
     d = net.d
     L0 = sweep_depth(d, s)
-    N = net.n_neurons
-    M = shallow_norm(net)
-    R = 3.0 ** (1 - L0) / N
-    prefactor = M / R if M > 0 else 0.0
-    coeff_scale = R / M if M > 0 else 0.0
+    N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
 
     layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     W = np.zeros((d, 6))
@@ -348,11 +355,7 @@ def shallow_to_cnn_open(net, s):
     """
     d = net.d
     L0 = sweep_depth(d, s)
-    N = net.n_neurons
-    M = shallow_norm(net)
-    R = 3.0 ** (1 - L0) / N
-    prefactor = M / R if M > 0 else 0.0
-    coeff_scale = R / M if M > 0 else 0.0
+    N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
 
     layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     layers.append(_expose_layer(s, v_last, prefactor, 0, 1))
@@ -375,14 +378,10 @@ def compose_with_scalar_net(net, g, s):
         raise PreconditionError("link network must have at least one neuron")
     d = net.d
     L0 = sweep_depth(d, s)
-    N = net.n_neurons
+    N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
     K = g.n_neurons
-    M = shallow_norm(net)
     M0 = scalar_norm(g)
 
-    R = 3.0 ** (1 - L0) / N
-    prefactor = M / R if M > 0 else 0.0
-    coeff_scale = R / M if M > 0 else 0.0
     layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     # expose relu(f) / relu(-f) in channels 1 and 2; channel 0 hosts g's neurons
     layers.append(_expose_layer(s, v_last, prefactor, 1, 2))

@@ -1,7 +1,9 @@
 """CLI: config validation, verb outputs, exit codes, determinism."""
 
 import csv
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from convrates import cli, cnn, complexity, learnlab
 from convrates.compiler import ShallowNet
 from convrates.errors import ConfigError
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -294,6 +298,13 @@ class TestOutputHygiene:
         )
         assert cli.main([cfg]) == 0
         assert (outdir / "rel.csv").exists()
+        cfg = write_config(
+            tmp_path,
+            "[run]\nverb = compile\nseed = 0\noutput = net.txt\n"
+            "[compile]\nreport = rel.report\n",
+        )
+        assert cli.main([cfg]) == 0
+        assert (outdir / "net.txt").exists() and (outdir / "rel.report").exists()
 
     def test_error_record_is_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\nverb = nope\nseed = 0\noutput = x\n")
@@ -320,6 +331,43 @@ class TestOutputHygiene:
         assert "missing" in record["detail"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]  # no work done
 
+    @pytest.mark.parametrize(
+        "files, body",
+        [
+            (
+                {"net.txt": "1 0.5 -0.5 0.1\n-2 1.0 0.0\n"},
+                "[run]\nverb = compile\nseed = 0\noutput = {tmp}/out.txt\n"
+                "[compile]\nnet_file = {tmp}/net.txt\n",
+            ),
+            (
+                {},
+                "[run]\nverb = compile\nseed = 0\noutput = {tmp}/out.txt\n"
+                "[compile]\nnet_file = {tmp}/missing.txt\n",
+            ),
+            (
+                {},
+                "[run]\nverb = compile\nseed = 0\noutput = {tmp}/out.txt\n"
+                "[compile]\nlink = log:x\n",
+            ),
+            (
+                {"res.csv": ",".join(cli._RESULT_HEADER) + "\nsquared,64,1,1,1,0,abc,0,0\n"},
+                "[run]\nverb = fit-rate\nseed = 0\noutput = {tmp}/fit.csv\n"
+                "[fit-rate]\ninput = {tmp}/res.csv\nloss = squared\n",
+            ),
+        ],
+        ids=["ragged-net-file", "missing-net-file", "bad-link-argument", "non-numeric-risk"],
+    )
+    def test_malformed_input_is_a_config_error(self, tmp_path, capsys, files, body):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        cfg = write_config(tmp_path, body.format(tmp=tmp_path))
+        assert cli.main([cfg]) == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "config" and record["exit_code"] == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.ini", *files])
+
     def test_training_failure_writes_partial_results(self, tmp_path, capsys):
         out = tmp_path / "exp.csv"
         cfg = write_config(
@@ -336,3 +384,37 @@ class TestOutputHygiene:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == cli._RESULT_HEADER  # partial results file exists
+
+
+class TestScripts:
+    def test_entropy_sweep_config(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONVRATES_OUTDIR", str(tmp_path))
+        assert cli.main([str(SCRIPTS / "entropy_sweep.ini")]) == 0
+        with open(tmp_path / "entropy_sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "d", "s", "J", "L", "M", "eps", "n_params", "param_lipschitz", "entropy_bound"
+        ]
+        assert len(rows) == 1 + 20 * 3
+
+    def test_quick_rate_experiments_read_back_by_fit_rate(self, tmp_path):
+        path = SCRIPTS / "run_rate_experiments.py"
+        spec = importlib.util.spec_from_file_location("run_rate_experiments", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main([str(tmp_path), "--quick"]) == 0
+        for loss in ("squared", "hinge", "logistic"):
+            fit_out = tmp_path / f"fit_{loss}.csv"
+            cfg = write_config(
+                tmp_path,
+                f"[run]\nverb = fit-rate\nseed = 0\noutput = {fit_out}\n"
+                f"[fit-rate]\ninput = {tmp_path}/rates_{loss}.csv\nloss = {loss}\n",
+                name=f"fit_{loss}.ini",
+            )
+            assert cli.main([cfg]) == 0
+            with open(tmp_path / f"rates_{loss}.csv", newline="") as fh:
+                summary = list(csv.DictReader(fh))[-1]
+            with open(fit_out, newline="") as fh:
+                fitted = next(csv.DictReader(fh))
+            assert summary["loss"] == "ratefit"
+            assert float(fitted["slope"]) == pytest.approx(float(summary["M"]), rel=1e-12)

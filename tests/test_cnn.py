@@ -5,6 +5,8 @@ matrix-vector product for convolutions, and central finite differences for
 gradients.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -204,6 +206,19 @@ class TestForward:
         batch = forward(params, X)
         singles = [forward(params, xi) for xi in X]
         assert np.allclose(batch, singles, atol=1e-14)
+
+    def test_memory_does_not_grow_with_depth(self, rng):
+        # forward keeps only the grid it is about to read, not one per layer
+        d, s, J, L, n = 8, 3, 6, 40, 10_000
+        params = random_cnn(rng, d=d, s=s, J=J, L=L, scale=0.3)
+        X = rng.random((n, d))
+        tracemalloc.start()
+        try:
+            forward(params, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * d * J * 8  # five (n, d, J) float64 grids
 
 
 class TestBackward:
@@ -497,6 +512,18 @@ class TestSerialization:
             path.write_text("\n".join(lines[:cut]) + "\n")
             with pytest.raises(PreconditionError, match="unexpected end of file"):
                 load_cnn(path)
+
+    @pytest.mark.parametrize("section", ["d", "filter", "bias", "output"])
+    def test_non_numeric_token_is_a_precondition_error(self, rng, tmp_path, section):
+        path = tmp_path / "net.txt"
+        save_cnn(random_cnn(rng), path)
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split()[0] == section)
+        row += section != "d"  # the header holds its value; the others, the next line
+        lines[row] = " ".join(lines[row].split()[:-1] + ["abc"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PreconditionError, match="malformed cnn file: .*'abc'"):
+            load_cnn(path)
 
 
 class TestValidation:
