@@ -572,7 +572,11 @@ def _run_experiment(p, seed, output):
 
 
 def _run_fit_rate(p, seed, output):
-    with open(p["input"], newline="") as fh:
+    try:
+        fh = open(p["input"], newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read results file {p['input']!r}: {exc}") from exc
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != _RESULT_HEADER:
             raise ConfigError(f"unexpected results header in {p['input']!r}")
@@ -582,6 +586,8 @@ def _run_fit_rate(p, seed, output):
                 continue
             try:
                 n, risk = int(row["n"]), float(row["excess_risk"])
+                if not math.isfinite(risk):
+                    raise ValueError(f"non-finite excess_risk {row['excess_risk']!r}")
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"malformed results row {reader.line_num} in {p['input']!r}: {exc}"

@@ -8,7 +8,11 @@ Architecture conventions used throughout the package:
   (tap index, output channel, input channel) and a bias of shape (J_out,).
   It realizes the map  out[:, j'] = sum_j T(w[:, j', j]) @ x[:, j] + b[j'],
   where T(w) is the upper-banded matrix of `conv_matrix` (one-sided zero
-  padding, stride one).
+  padding, stride one).  A batch of grids is evaluated tap by tap: each tap
+  is one GEMM over the flattened (n*d, J_in) batch, added shifted onto the
+  bias in tap order (`_grid_matmul`).  A tap whose slice is a single grid
+  row keeps numpy's per-sample matmul (gemv) when J_in > 1, so results are
+  bit-identical to the per-sample form.
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
@@ -147,6 +151,22 @@ def conv_matrix(w, d):
     return T
 
 
+def _grid_matmul(a, m, rows):
+    """a[:, rows, :] @ m for an (n, d, K) batch a, bit for bit.
+
+    The product is one GEMM over the flattened (n*d, K) grid, sliced
+    afterwards, instead of numpy's stacked matmul, which makes one small BLAS
+    call per sample.  Each row's sum runs in the same order either way.  The
+    exception is a one-row slice with K > 1: numpy evaluates it with gemv,
+    whose summation order a GEMM does not reproduce, so it stays stacked.
+    """
+    n, d, K = a.shape
+    part = a[:, rows, :]
+    if part.shape[1] == 1 and K > 1:
+        return part @ m
+    return (a.reshape(n * d, K) @ m).reshape(n, d, -1)[:, rows, :]
+
+
 def _conv_forward(weights, bias, x):
     """Batched layer map: x (n, d, J_in) -> (n, d, J_out), pre-activation."""
     s = weights.shape[0]
@@ -154,7 +174,7 @@ def _conv_forward(weights, bias, x):
     out = np.empty((n, d, weights.shape[1]))
     out[...] = bias
     for k in range(s):
-        out[:, : d - k, :] += x[:, k:, :] @ weights[k].T
+        out[:, : d - k, :] += _grid_matmul(x, weights[k].T, slice(k, None))
     return out
 
 
@@ -253,7 +273,7 @@ def backward(params, x, dout=None):
             w = params.layers[i].weights
             ga = np.zeros_like(a_in)
             for k in range(s):
-                ga[:, k:, :] += gz[:, : d - k, :] @ w[k]
+                ga[:, k:, :] += _grid_matmul(gz, w[k], slice(None, d - k))
     return CnnGrad(grad_w, grad_b, g_out, vec)
 
 

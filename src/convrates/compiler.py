@@ -108,8 +108,10 @@ class ScalarNet:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        pre = np.multiply.outer(t, self.slopes) + self.offsets
-        out = np.maximum(pre, 0.0) @ self.coeffs
+        pre = np.multiply.outer(t, self.slopes)
+        pre += self.offsets
+        np.maximum(pre, 0.0, out=pre)
+        out = pre @ self.coeffs
         return float(out) if t.ndim == 0 else out
 
 

@@ -663,6 +663,8 @@ def fit_loglog(ns, errors):
         raise PreconditionError("ns and errors must be equal-length vectors")
     if ns.shape[0] < 4:
         raise PreconditionError("a rate fit needs at least 4 points")
+    if not np.all(np.isfinite(errors)):
+        raise PreconditionError("errors must be finite for a log-log fit")
     if np.any(errors <= 0):
         raise PreconditionError("errors must be positive for a log-log fit")
     logn, loge = np.log(ns), np.log(errors)

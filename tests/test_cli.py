@@ -354,8 +354,30 @@ class TestOutputHygiene:
                 "[run]\nverb = fit-rate\nseed = 0\noutput = {tmp}/fit.csv\n"
                 "[fit-rate]\ninput = {tmp}/res.csv\nloss = squared\n",
             ),
+            (
+                {
+                    "res.csv": ",".join(cli._RESULT_HEADER)
+                    + "".join(f"\nsquared,{n},1,1,1,0,{r},0,0" for n, r in
+                              [(64, 0.5), (128, "nan"), (256, 0.2), (512, 0.1)])
+                    + "\n"
+                },
+                "[run]\nverb = fit-rate\nseed = 0\noutput = {tmp}/fit.csv\n"
+                "[fit-rate]\ninput = {tmp}/res.csv\nloss = squared\n",
+            ),
+            (
+                {},
+                "[run]\nverb = fit-rate\nseed = 0\noutput = {tmp}/fit.csv\n"
+                "[fit-rate]\ninput = {tmp}/nope.csv\nloss = squared\n",
+            ),
         ],
-        ids=["ragged-net-file", "missing-net-file", "bad-link-argument", "non-numeric-risk"],
+        ids=[
+            "ragged-net-file",
+            "missing-net-file",
+            "bad-link-argument",
+            "non-numeric-risk",
+            "nan-risk",
+            "missing-results-file",
+        ],
     )
     def test_malformed_input_is_a_config_error(self, tmp_path, capsys, files, body):
         for name, text in files.items():

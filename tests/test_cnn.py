@@ -346,6 +346,81 @@ class TestBackward:
             assert grad.as_vector().size == param_vector(params).size
 
 
+def stacked_conv_forward(weights, bias, x):
+    """Reference layer map: each tap as numpy's stacked (per-sample) matmul."""
+    s = weights.shape[0]
+    n, d, _ = x.shape
+    out = np.empty((n, d, weights.shape[1]))
+    out[...] = bias
+    for k in range(s):
+        out[:, : d - k, :] += x[:, k:, :] @ weights[k].T
+    return out
+
+
+def stacked_reference(params, X, dout):
+    """Reference forward values, grids and backward vector over stacked-matmul taps."""
+    n, d = X.shape
+    grids, a = [], X[:, :, None]
+    for layer in params.layers:
+        a = np.maximum(stacked_conv_forward(layer.weights, layer.bias, a), 0.0)
+        grids.append(a)
+    inputs = [X[:, :, None]] + grids[:-1]
+    parts = [np.einsum("n,ndj->dj", dout, a).ravel()]
+    ga = dout[:, None, None] * params.output_weights[None, :, :]
+    for i in range(params.depth - 1, -1, -1):
+        gz = ga * (grids[i] > 0.0)
+        w = params.layers[i].weights
+        gw = np.empty_like(w)
+        for k in range(params.s):
+            gw[k] = np.einsum("nio,nij->oj", gz[:, : d - k, :], inputs[i][:, k:, :])
+        parts[:0] = [gw.ravel(), gz.sum(axis=(0, 1))]
+        if i > 0:
+            ga = np.zeros_like(inputs[i])
+            for k in range(params.s):
+                ga[:, k:, :] += gz[:, : d - k, :] @ w[k]
+    values = np.einsum("ndj,dj->n", a, params.output_weights)
+    return values, grids, np.concatenate(parts)
+
+
+class TestTapLowering:
+    """The one-GEMM-per-tap layer map reproduces the stacked matmul bit for bit."""
+
+    SHAPES = [  # (n, d, J, L); every filter size s = 1..d is swept
+        (n, d, J, L)
+        for n in (1, 7, 128)
+        for d in (2, 3, 8)
+        for J in (1, 2, 6)
+        for L in (1, 3)
+    ] + [(10_000, 8, 6, 2)]
+
+    @staticmethod
+    def assert_bitwise(params, X, dout):
+        values, grids, vec = stacked_reference(params, X, dout)
+        assert forward(params, X).tobytes() == values.tobytes()
+        got = activation_grids(params, X)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in grids]
+        assert backward(params, X, dout).as_vector().tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("n, d, J, L", SHAPES)
+    def test_network_matches_stacked_reference(self, rng, n, d, J, L):
+        # s = d gives one-row taps (kept on gemv when J > 1); J = 1 gives J_in = 1
+        for s in ([3] if n == 10_000 else range(1, d + 1)):
+            params = random_cnn(rng, d=d, s=s, J=J, L=L)
+            self.assert_bitwise(params, rng.random((n, d)), rng.standard_normal(n))
+
+    def test_layer_map_matches_stacked_reference(self, rng):
+        # mixed channel counts, J_out = 1 included, through the raw layer map
+        from convrates.cnn import _conv_forward
+
+        for n, d, j_in, j_out in [(1, 2, 6, 5), (5, 3, 2, 1), (300, 8, 6, 2), (4, 4, 1, 3)]:
+            for s in range(1, d + 1):
+                w = rng.standard_normal((s, j_out, j_in))
+                b = rng.standard_normal(j_out)
+                x = rng.standard_normal((n, d, j_in))
+                expected = stacked_conv_forward(w, b, x)
+                assert _conv_forward(w, b, x).tobytes() == expected.tobytes()
+
+
 class TestParamsFromVector:
     def test_round_trip_shares_no_memory(self, rng):
         params = random_cnn(rng)

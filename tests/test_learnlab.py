@@ -375,6 +375,11 @@ class TestFitLoglog:
         with pytest.raises(PreconditionError):
             fit_loglog([1.0, 2.0, 4.0], [1.0, 0.5, 0.25])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_errors(self, bad):
+        with pytest.raises(PreconditionError, match="finite"):
+            fit_loglog([1.0, 2.0, 4.0, 8.0], [1.0, bad, 0.25, 0.125])
+
 
 class TestRunRateExperiment:
     def test_smoke_and_determinism(self):
