@@ -108,6 +108,13 @@ def _parse_float_list(text):
     return out
 
 
+def _parse_seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
 def _parse_str(text):
     return text.strip()
 
@@ -149,7 +156,7 @@ _SCHEMAS = {
         "net_file": (_parse_str, None),
         "neurons": (int, 8),
         "d": (int, 2),
-        "net_seed": (int, 0),
+        "net_seed": (_parse_seed, 0),
         "link": (_parse_str, "none"),
         "report": (_parse_str, None),
     },
@@ -158,7 +165,7 @@ _SCHEMAS = {
         "net_file": (_parse_str, None),
         "neurons": (int, 8),
         "d": (int, 2),
-        "net_seed": (int, 0),
+        "net_seed": (_parse_seed, 0),
         "link": (_parse_str, "none"),
         "points": (int, 10_000),
         "tolerance": (float, 1e-10),
@@ -167,7 +174,7 @@ _SCHEMAS = {
         "loss": (_parse_str, _REQUIRED),
         "target": (_parse_str, _REQUIRED),
         "d": (int, 2),
-        "target_seed": (int, 0),
+        "target_seed": (_parse_seed, 0),
         "steepness": (float, 4.0),  # eta-ramp
         "beta": (float, 1.0),  # eta-svb
         "slope": (float, 4.0),  # coordinate-clamp
@@ -222,7 +229,7 @@ def load_config(path):
     if verb not in VERBS:
         raise ConfigError(f"unknown verb {verb!r}; valid: {', '.join(VERBS)}")
     try:
-        seed = int(run.pop("seed", "0"))
+        seed = _parse_seed(run.pop("seed", "0"))
     except ValueError as exc:
         raise ConfigError(f"[run] seed: {exc}") from exc
     output = run.pop("output", None)

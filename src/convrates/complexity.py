@@ -20,7 +20,15 @@ the output contraction.
 
 `empirical_cover_check` validates the recursion constructively on tiny
 architectures: random parameter vectors are snapped to the grid and the
-realized functions compared on sampled points.
+realized functions compared on sampled points.  Its exhaustive variant finds
+the nearest grid network by an exact pruned search: the distance over a head
+of the sampled points bounds each grid network's distance from below, so only
+networks whose bound beats the best full distance are compared on every
+point, and the result is the same float as a scan of the whole table.
+
+Every constant entering a bound must be finite: non-finite input, or a bound
+that overflows float64, raises PreconditionError instead of flowing on as
+nan or inf.
 """
 
 from __future__ import annotations
@@ -33,6 +41,16 @@ import numpy as np
 from .cnn import forward, params_from_vector
 from .errors import PreconditionError
 from .sampling import spawn_rng, unit_cube_points
+
+
+def _check_budget(M):
+    if not 1 <= M < math.inf:
+        raise PreconditionError(f"norm budget M={M} must be finite and at least 1")
+
+
+def _check_eps(eps):
+    if not 0 < eps < math.inf:
+        raise PreconditionError(f"eps={eps} must be finite and positive")
 
 
 @dataclass
@@ -51,12 +69,14 @@ class LayeredComplexitySpec:
             raise PreconditionError("gammas and lambdas must be equal-length vectors")
         if self.gammas.shape[0] < 1:
             raise PreconditionError("need at least one layer")
+        if not (np.all(np.isfinite(self.gammas)) and np.all(np.isfinite(self.lambdas))):
+            raise PreconditionError("every gamma and lambda must be finite")
         if np.any(self.gammas < 1.0):
             raise PreconditionError("every gamma must be at least 1")
         if np.any(self.lambdas < 0.0):
             raise PreconditionError("every lambda must be nonnegative")
-        if self.param_bound < 0:
-            raise PreconditionError("parameter bound must be nonnegative")
+        if not 0 <= self.param_bound < math.inf:
+            raise PreconditionError("parameter bound must be finite and nonnegative")
 
 
 @dataclass
@@ -74,8 +94,7 @@ class EntropyResult:
 
     def entropy_bound(self, eps):
         """N * log(C * B / eps), the metric entropy guarantee at scale eps."""
-        if eps <= 0:
-            raise PreconditionError("eps must be positive")
+        _check_eps(eps)
         return self.n_params * math.log(self.param_lipschitz * self.param_bound / eps)
 
 
@@ -84,12 +103,16 @@ def covering_recursion(spec):
     g, lam = spec.gammas, spec.lambdas
     c = lam[0]
     prod = g[0]
-    for level in range(1, g.shape[0]):
-        c = g[level] * c + lam[level] * prod
-        prod *= g[level]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for level in range(1, g.shape[0]):
+            c = g[level] * c + lam[level] * prod
+            prod *= g[level]
+        product_bound = lam.sum() * prod
+    if not (math.isfinite(c) and math.isfinite(product_bound)):
+        raise PreconditionError("the covering recursion overflows float64")
     return EntropyResult(
         param_lipschitz=float(c),
-        product_bound=float(lam.sum() * prod),
+        product_bound=float(product_bound),
         n_params=spec.n_params,
         param_bound=spec.param_bound,
     )
@@ -114,8 +137,7 @@ def cnn_complexity_spec(d, s, J, L, M):
         raise PreconditionError(f"filter size s={s} outside [2, d={d}]")
     if J < 1 or L < 1:
         raise PreconditionError("channel count and depth must be at least 1")
-    if M < 1:
-        raise PreconditionError(f"norm budget M={M} must be at least 1")
+    _check_budget(M)
     gammas = np.ones(L + 1)
     gammas[L] = M
     lambdas = np.full(L + 1, float(s * J + 1))
@@ -135,17 +157,20 @@ def cnn_lipschitz_bound(d, s, J, L, M):
 
 def entropy_bound_cnn(d, s, J, L, M, eps):
     """Metric entropy guarantee N * log(3*d*J*L*M^2 / eps) for the CNN class."""
-    if M < 1:
-        raise PreconditionError(f"norm budget M={M} must be at least 1")
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    return param_count(d, s, J, L) * math.log(3 * d * J * L * M * M / eps)
+    _check_budget(M)
+    _check_eps(eps)
+    ratio = 3 * d * J * L * M * M / eps
+    if not math.isfinite(ratio):
+        raise PreconditionError("3*d*J*L*M^2/eps overflows float64")
+    return param_count(d, s, J, L) * math.log(ratio)
 
 
 # -- constructive validation on tiny architectures -------------------------
 
 _COVER_PARAM_GUARD = 8
 _EXHAUSTIVE_GUARD = 300_000
+_GRID_GUARD = 1_000_000  # grid points per parameter
+_HEAD_POINTS = 64  # sampled points behind the exhaustive search's lower bounds
 
 
 @dataclass
@@ -175,14 +200,36 @@ class CoverCheckReport:
 
 
 def _grid_values(B, resolution):
-    if resolution < 2:
-        raise PreconditionError("grid needs at least 2 points per dimension")
+    if not 2 <= resolution <= _GRID_GUARD:
+        raise PreconditionError(
+            f"grid needs between 2 and {_GRID_GUARD} points per dimension, not {resolution}"
+        )
     return np.linspace(-B, B, resolution)
 
 
 def _snap_to_grid(theta, grid):
     idx = np.clip(np.round((theta - grid[0]) / (grid[1] - grid[0])), 0, len(grid) - 1)
     return grid[idx.astype(int)]
+
+
+def _nearest_row_distance(table, head, f):
+    """min over rows of max_j |table[row, j] - f[j]|, exactly.
+
+    `head` is a contiguous copy of the first columns of `table`.  The max over
+    those columns bounds each row's distance from below, the full distance of
+    the row with the smallest bound is an upper bound, and only rows whose
+    bound lies strictly below it are compared on every column.  Each term
+    |g - f| is the same double as in a scan of the whole table and max and
+    min are exact, so the result equals that scan's bit for bit.
+    """
+    lower = np.abs(head - f[: head.shape[1]]).max(axis=1)
+    best = np.abs(table[lower.argmin()] - f).max()
+    rows = table[lower < best]
+    if rows.shape[0] == 0:
+        return best
+    rows -= f
+    np.abs(rows, out=rows)
+    return min(best, rows.max(axis=1).min())
 
 
 def empirical_cover_check(
@@ -204,11 +251,14 @@ def empirical_cover_check(
     nearest grid point (the cover candidate the recursion guarantees), and
     measures the sampled sup distance between the two realized functions.
     With `exhaustive=True` the distance is minimized over every grid network
-    instead.  Every distance must come out at most eps; a failure falsifies
-    the recursion constants.
+    instead, by an exact pruned search over the table of grid-network values
+    (`_nearest_row_distance`): the result is the one a full scan of the table
+    gives.  Every distance must come out at most eps; a failure falsifies the
+    recursion constants.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    _check_eps(eps)
+    if trials < 1:
+        raise PreconditionError(f"trials={trials} must be at least 1")
     if n_points < 1000:
         raise PreconditionError("need at least 1000 sample points")
     n = param_count(d, s, J, L)
@@ -221,6 +271,10 @@ def empirical_cover_check(
     c = result.param_lipschitz
     target_radius = eps / c
     if grid_resolution is None:
+        if target_radius * (_GRID_GUARD - 1) < B:
+            raise PreconditionError(
+                f"eps={eps} needs more than {_GRID_GUARD} grid points per dimension"
+            )
         grid_resolution = math.ceil(B / target_radius) + 1
     grid = _grid_values(B, grid_resolution)
     covering_radius = B / (grid_resolution - 1)
@@ -229,7 +283,6 @@ def empirical_cover_check(
     X = unit_cube_points(d, n_points, seed=seed)
     arch = (d, s, J, L)
 
-    grid_values_all = None
     if exhaustive:
         if candidate_count > _EXHAUSTIVE_GUARD:
             raise PreconditionError(
@@ -238,9 +291,10 @@ def empirical_cover_check(
         thetas = np.stack(
             np.meshgrid(*([grid] * n), indexing="ij"), axis=-1
         ).reshape(-1, n)
-        grid_values_all = np.stack(
-            [forward(params_from_vector(t, *arch), X) for t in thetas]
-        )
+        table = np.empty((candidate_count, n_points))
+        for row, t in zip(table, thetas):
+            row[:] = forward(params_from_vector(t, *arch), X)
+        head = np.ascontiguousarray(table[:, :_HEAD_POINTS])
 
     distances = np.empty(trials)
     for t in range(trials):
@@ -248,7 +302,7 @@ def empirical_cover_check(
         theta = rng.uniform(-B, B, size=n)
         f_trial = forward(params_from_vector(theta, *arch), X)
         if exhaustive:
-            dist = np.abs(grid_values_all - f_trial).max(axis=1).min()
+            dist = _nearest_row_distance(table, head, f_trial)
         else:
             cand = _snap_to_grid(theta, grid)
             f_cand = forward(params_from_vector(cand, *arch), X)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from convrates.cnn import CnnParams, ConvLayer
+
+# the same examples on every run, without the .hypothesis/ example database
+settings.register_profile("convrates", derandomize=True, deadline=None)
+settings.load_profile("convrates")
 
 
 def random_cnn(rng, d=None, s=None, J=None, L=None, scale=1.0):

@@ -1,12 +1,19 @@
 """CLI: config validation, verb outputs, exit codes, determinism."""
 
+import contextlib
 import csv
 import importlib.util
+import io
 import json
+import math
 import pathlib
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrates import cli, cnn, complexity, learnlab
 from convrates.compiler import ShallowNet
@@ -195,6 +202,120 @@ class TestCoverCheckVerb:
             "[cover-check]\neps = 0.5\nJ = 3\nL = 2\nd = 4\n",
         )
         assert cli.main([cfg]) == cli.EXIT_PRECONDITION
+
+
+class TestBadNumbersExitThree:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[cover-check]\neps = 0.5\ntrials = 0\n",
+            "[cover-check]\neps = 0.5\ntrials = -3\n",
+            "[cover-check]\neps = nan\ntrials = 2\n",
+            "[cover-check]\neps = 0.5\nM = inf\ntrials = 2\n",
+            "[entropy]\nd = 4\ns = 2\nJ = 2\nL = 1\nM = 1\neps = inf\n",
+            "[entropy]\nd = 4\ns = 2\nJ = 2\nL = 1\nM = 1\neps = nan\n",
+            "[entropy]\nd = 4\ns = 2\nJ = 2\nL = 1\nM = nan\neps = 0.1\n",
+            "[entropy]\nd = 4\ns = 2\nJ = 2\nL = 1\nM = 1e308\neps = 0.1\n",
+        ],
+    )
+    def test_precondition_record(self, tmp_path, capsys, body):
+        verb = body[1:body.index("]")]
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n" + body)
+        assert cli.main([cfg]) == cli.EXIT_PRECONDITION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "precondition" and record["exit_code"] == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[run]\nverb = cover-check\nseed = -1\noutput = x.csv\n[cover-check]\neps = 0.5\n",
+            "[run]\nverb = compile\nseed = 0\noutput = x.txt\n[compile]\nnet_seed = -1\n",
+            "[run]\nverb = experiment\nseed = 0\noutput = x.csv\n[experiment]\n"
+            "loss = hinge\ntarget = eta-ramp\nn_schedule = 64\ntarget_seed = -2\n",
+        ],
+    )
+    def test_negative_seed_is_a_config_error(self, tmp_path, body):
+        with pytest.raises(ConfigError, match="seed"):
+            cli.load_config(write_config(tmp_path, body))
+
+
+# floats that may be NaN, +-inf, zero, negative, tiny or huge
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+).map(repr)
+_SMALL_INT = st.integers(-3, 8).map(str)
+
+
+def _listed(values):
+    return st.lists(values, min_size=1, max_size=3).map(", ".join)
+
+
+# verb -> key -> (a valid value, strategy for an arbitrary one)
+_FUZZ_KEYS = {
+    "entropy": {
+        "d": ("4", _SMALL_INT),
+        "s": ("2", _SMALL_INT),
+        "J": ("2", _SMALL_INT),
+        "L": ("1, 2", _listed(_SMALL_INT)),
+        "M": ("1.0, 4.0", _listed(_ANY_FLOAT)),
+        "eps": ("0.1", _listed(_ANY_FLOAT)),
+    },
+    "cover-check": {
+        "d": ("2", _SMALL_INT),
+        "s": ("2", _SMALL_INT),
+        "J": ("1", _SMALL_INT),
+        "L": ("1", _SMALL_INT),
+        "M": ("1.0", _ANY_FLOAT),
+        "eps": ("0.5", _listed(_ANY_FLOAT)),
+        "trials": ("2", st.integers(-3, 3).map(str)),
+        "resolution": ("0", _SMALL_INT),
+        "points": ("1000", _SMALL_INT),
+    },
+}
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A valid entropy or non-exhaustive cover-check config with up to three
+    of its numeric keys, and possibly the seed, replaced by arbitrary values."""
+    verb = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
+    keys = _FUZZ_KEYS[verb]
+    values = {key: valid for key, (valid, _) in keys.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(keys)), max_size=3)):
+        values[key] = draw(keys[key][1])
+    seed = draw(st.integers(-1, 3))
+    body = "".join(f"{key} = {value}\n" for key, value in values.items())
+    return f"[run]\nverb = {verb}\nseed = {seed}\noutput = {{out}}\n[{verb}]\n{body}"
+
+
+class TestExitCodeFuzz:
+    """Any numbers in an entropy or cover-check config end in exit 0/2/3/4,
+    and a failure writes exactly one JSON record, never a traceback."""
+
+    @settings(max_examples=200)
+    @given(_fuzzed_configs())
+    def test_exit_code_contract(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "run.ini"
+            cfg.write_text(text.format(out=f"{tmp}/out.csv"))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = cli.main([str(cfg)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_PRECONDITION, cli.EXIT_PROPERTY)
+        lines = err.getvalue().splitlines()
+        if code == cli.EXIT_OK:
+            assert lines == []
+        else:
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["exit_code"] == code
 
 
 class TestApproxLogVerb:

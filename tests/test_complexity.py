@@ -7,16 +7,19 @@ itself the constructive oracle for the recursion constants.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convrates.cnn import param_vector
+from convrates.cnn import forward, param_vector, params_from_vector
 from convrates.complexity import (
+    _HEAD_POINTS,
     CoverCheckReport,
     LayeredComplexitySpec,
+    _nearest_row_distance,
     _snap_to_grid,
     cnn_complexity_spec,
     cnn_lipschitz_bound,
@@ -27,6 +30,7 @@ from convrates.complexity import (
     param_count,
 )
 from convrates.errors import PreconditionError
+from convrates.sampling import spawn_rng, unit_cube_points
 
 from conftest import random_cnn
 
@@ -73,6 +77,21 @@ class TestCoveringRecursion:
         with pytest.raises(PreconditionError):
             LayeredComplexitySpec(np.array([1.0, 1.0]), np.array([-1.0, 1.0]), 1.0, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_constants_rejected(self, bad):
+        ones = np.ones(2)
+        with pytest.raises(PreconditionError):
+            LayeredComplexitySpec(np.array([1.0, bad]), ones, 1.0, 2)
+        with pytest.raises(PreconditionError):
+            LayeredComplexitySpec(ones, np.array([bad, 1.0]), 1.0, 2)
+        with pytest.raises(PreconditionError):
+            LayeredComplexitySpec(ones, ones, bad, 2)
+
+    def test_overflowing_recursion_rejected(self):
+        spec = LayeredComplexitySpec(np.array([1.0, 1e200, 1e200]), np.ones(3), 1.0, 2)
+        with pytest.raises(PreconditionError, match="overflows"):
+            covering_recursion(spec)
+
     def test_entropy_bound_function(self):
         spec = LayeredComplexitySpec(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 3.0, 7)
         res = covering_recursion(spec)
@@ -117,6 +136,11 @@ class TestCnnSpecialization:
     def test_m_below_one_rejected(self):
         with pytest.raises(PreconditionError):
             cnn_complexity_spec(3, 2, 1, 1, 0.5)
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    def test_non_finite_m_rejected(self, M):
+        with pytest.raises(PreconditionError):
+            cnn_complexity_spec(3, 2, 1, 1, M)
 
 
 class TestParamCount:
@@ -172,6 +196,21 @@ class TestEntropyBoundCnn:
         with pytest.raises(PreconditionError):
             entropy_bound_cnn(4, 2, 3, 5, 2.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "M, eps",
+        [
+            (math.nan, 0.3),
+            (math.inf, 0.3),
+            (2.0, math.nan),
+            (2.0, math.inf),
+            (1e200, 0.3),  # M^2 overflows
+            (2.0, 5e-324),  # 1/eps overflows
+        ],
+    )
+    def test_non_finite_inputs_and_overflow_rejected(self, M, eps):
+        with pytest.raises(PreconditionError):
+            entropy_bound_cnn(4, 2, 3, 5, M, eps)
+
 
 class TestEmpiricalCoverCheck:
     def test_candidate_counting(self):
@@ -207,3 +246,128 @@ class TestEmpiricalCoverCheck:
     def test_parameter_guard(self):
         with pytest.raises(PreconditionError):
             empirical_cover_check(3, 2, 2, 2, 1.0, eps=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trials": 0},
+            {"trials": -3},
+            {"eps": math.nan},
+            {"eps": math.inf},
+            {"M": math.inf},
+            {"M": math.nan},
+            {"eps": 1e-300},  # the derived grid would not fit in memory
+            {"M": 1e300},
+            {"grid_resolution": 10**12},
+        ],
+    )
+    def test_bad_numbers_rejected(self, kwargs):
+        args = {"M": 1.0, "eps": 0.5, "trials": 2, **kwargs}
+        with pytest.raises(PreconditionError):
+            empirical_cover_check(2, 2, 1, 1, **args)
+
+
+def _full_scan_distances(M, resolution, trials, seed, n_points):
+    """Exhaustive distances by a scan of the whole candidates x points table,
+    the reference for the pruned search; also returns, per trial, how many
+    grid networks tie at the minimum."""
+    arch = (2, 2, 1, 1)
+    n = param_count(*arch)
+    B = max(M, 1.0)
+    grid = np.linspace(-B, B, resolution)
+    thetas = np.stack(np.meshgrid(*([grid] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    X = unit_cube_points(2, n_points, seed=seed)
+    grid_values_all = np.stack([forward(params_from_vector(t, *arch), X) for t in thetas])
+    distances = np.empty(trials)
+    ties = []
+    for t in range(trials):
+        theta = spawn_rng(seed, t).uniform(-B, B, size=n)
+        f_trial = forward(params_from_vector(theta, *arch), X)
+        per_row = np.abs(grid_values_all - f_trial).max(axis=1)
+        distances[t] = per_row.min()
+        ties.append(int(np.sum(per_row == distances[t])))
+    return distances, ties
+
+
+class TestPrunedNearestGridSearch:
+    """The exhaustive cover check returns the full scan's floats bit for bit."""
+
+    @pytest.mark.parametrize(
+        "M, resolution, seed, n_points",
+        [
+            (1.0, 3, 0, 1000),
+            (1.0, 4, 2, 1537),
+            (1.5, 5, 3, 1000),
+            (1.0, 5, 4, 1537),
+            (1.0, 6, 6, 1537),
+            (1.0, 7, 11, 1000),
+        ],
+    )
+    def test_distances_equal_the_full_scan(self, M, resolution, seed, n_points):
+        report = empirical_cover_check(
+            2, 2, 1, 1, M, eps=1.0, grid_resolution=resolution, trials=8,
+            seed=seed, n_points=n_points, exhaustive=True,
+        )
+        expected, _ = _full_scan_distances(M, resolution, 8, seed, n_points)
+        assert report.distances.tobytes() == expected.tobytes()
+        assert report.worst_distance == expected.max()
+
+    def test_many_tied_rows(self):
+        # at this seed 131 of the 243 grid networks tie for nearest on a
+        # trial whose distance is positive, and others tie at distance 0
+        report = empirical_cover_check(
+            2, 2, 1, 1, 1.0, eps=1.0, grid_resolution=3, trials=6, seed=1, exhaustive=True
+        )
+        expected, ties = _full_scan_distances(1.0, 3, 6, 1, 1000)
+        assert max(t for t, dist in zip(ties, expected) if dist > 0) >= 100
+        assert min(expected) == 0.0
+        assert report.distances.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _search(table, f):
+        head = np.ascontiguousarray(table[:, :_HEAD_POINTS])
+        return _nearest_row_distance(table, head, f)
+
+    def test_random_tables(self, rng):
+        for rows, cols in [(1, 1), (5, 10), (50, 64), (200, 65), (1000, 300)]:
+            for _ in range(20):
+                table = rng.standard_normal((rows, cols))
+                f = rng.standard_normal(cols)
+                got = self._search(table, f)
+                assert got == np.abs(table - f).max(axis=1).min()
+
+    def test_coarse_values_with_many_ties(self, rng):
+        for _ in range(50):
+            table = rng.integers(0, 3, size=(500, 120)).astype(np.float64)
+            f = rng.integers(0, 3, size=120).astype(np.float64)
+            assert self._search(table, f) == np.abs(table - f).max(axis=1).min()
+
+    def test_row_equal_to_f_gives_exactly_zero(self, rng):
+        table = rng.standard_normal((300, 200))
+        f = table[137].copy()
+        assert self._search(table, f) == 0.0
+
+    def test_every_row_ties(self, rng):
+        row = rng.standard_normal(150)
+        table = np.tile(row, (400, 1))
+        f = rng.standard_normal(150)
+        assert self._search(table, f) == np.abs(row - f).max()
+
+    def test_search_leaves_the_table_unchanged(self, rng):
+        table = rng.standard_normal((100, 80))
+        before = table.copy()
+        self._search(table, rng.standard_normal(80))
+        assert np.array_equal(table, before)
+
+    def test_peak_memory_below_twice_the_table(self):
+        tracemalloc.start()
+        try:
+            report = empirical_cover_check(
+                2, 2, 1, 1, 1.0, eps=0.9, trials=20, seed=0, exhaustive=True
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.resolution == 7
+        table_bytes = report.candidate_count * report.n_points * 8
+        assert peak < 2 * table_bytes
