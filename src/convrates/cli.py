@@ -362,6 +362,8 @@ def _run_cover_check(p, seed, output):
 
 
 def _run_approx_log(p, seed, output):
+    if p["grid"] < 1:
+        raise ConfigError(f"[approx-log] grid must be at least 1, not {p['grid']}")
     t = np.linspace(0.0, 1.0, p["grid"])
     rows = []
     ok = True
@@ -417,8 +419,10 @@ def _load_shallow_net(path):
 def _make_net(p, seed):
     if p["net_file"]:
         return _load_shallow_net(p["net_file"])
-    rng = np.random.default_rng([seed, p["net_seed"]])
     n, d = p["neurons"], p["d"]
+    if n < 1 or d < 1:
+        raise PreconditionError(f"a random net needs neurons >= 1 and d >= 1, not {n} and {d}")
+    rng = np.random.default_rng([seed, p["net_seed"]])
     return compiler.ShallowNet(
         rng.standard_normal(n), rng.standard_normal((n, d)), rng.standard_normal(n)
     )
@@ -473,6 +477,10 @@ def _run_compile(p, seed, output):
 
 
 def _run_verify_compile(p, seed, output):
+    if not 0 <= p["tolerance"] < math.inf:
+        raise ConfigError(
+            f"[verify-compile] tolerance must be finite and nonnegative, not {p['tolerance']}"
+        )
     net, params, report, reference = _compile_net(p, seed)
     X = unit_cube_points(net.d, p["points"], seed=seed)
     ref = reference(X)

@@ -11,8 +11,10 @@ Architecture conventions used throughout the package:
   padding, stride one).  A batch of grids is evaluated tap by tap: each tap
   is one GEMM over the flattened (n*d, J_in) batch, added shifted onto the
   bias in tap order (`_grid_matmul`).  A tap whose slice is a single grid
-  row keeps numpy's per-sample matmul (gemv) when J_in > 1, so results are
-  bit-identical to the per-sample form.
+  row keeps numpy's per-sample matmul (gemv) when J_in > 1, and a tap on a
+  single input channel (J_in = 1) is one broadcast product, the GEMM's own
+  one-term sum, so results are bit-identical to the per-sample form.  Each
+  layer's pre-activation grid is fresh, and ReLU overwrites it in place.
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
@@ -170,11 +172,14 @@ def _grid_matmul(a, m, rows):
 def _conv_forward(weights, bias, x):
     """Batched layer map: x (n, d, J_in) -> (n, d, J_out), pre-activation."""
     s = weights.shape[0]
-    n, d, _ = x.shape
+    n, d, K = x.shape
     out = np.empty((n, d, weights.shape[1]))
     out[...] = bias
     for k in range(s):
-        out[:, : d - k, :] += _grid_matmul(x, weights[k].T, slice(k, None))
+        if K == 1:  # a one-term dot: the GEMM's single rounded product
+            out[:, : d - k, :] += x[:, k:, :] * weights[k, :, 0]
+        else:
+            out[:, : d - k, :] += _grid_matmul(x, weights[k].T, slice(k, None))
     return out
 
 
@@ -209,7 +214,8 @@ def _activations(layers, X):
     """
     a = X[:, :, None]
     for layer in layers:
-        a = np.maximum(_conv_forward(layer.weights, layer.bias, a), 0.0)
+        a = _conv_forward(layer.weights, layer.bias, a)
+        np.maximum(a, 0.0, out=a)  # the grid is fresh, so ReLU can overwrite it
         yield a
 
 

@@ -20,7 +20,9 @@ the output contraction.
 
 `empirical_cover_check` validates the recursion constructively on tiny
 architectures: random parameter vectors are snapped to the grid and the
-realized functions compared on sampled points.  Its exhaustive variant finds
+realized functions compared on sampled points.  Its exhaustive variant
+evaluates every grid network through one reused parameter view (the grid
+values are finite by construction, so the view is validated once) and finds
 the nearest grid network by an exact pruned search: the distance over a head
 of the sampled points bounds each grid network's distance from below, so only
 networks whose bound beats the best full distance are compared on every
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnn import forward, params_from_vector
+from .cnn import forward, params_from_vector, params_view
 from .errors import PreconditionError
 from .sampling import spawn_rng, unit_cube_points
 
@@ -253,8 +255,9 @@ def empirical_cover_check(
     With `exhaustive=True` the distance is minimized over every grid network
     instead, by an exact pruned search over the table of grid-network values
     (`_nearest_row_distance`): the result is the one a full scan of the table
-    gives.  Every distance must come out at most eps; a failure falsifies the
-    recursion constants.
+    gives.  The grid networks are evaluated through one `params_view`, whose
+    vector is overwritten before each `forward`.  Every distance must come
+    out at most eps; a failure falsifies the recursion constants.
     """
     _check_eps(eps)
     if trials < 1:
@@ -292,8 +295,11 @@ def empirical_cover_check(
             np.meshgrid(*([grid] * n), indexing="ij"), axis=-1
         ).reshape(-1, n)
         table = np.empty((candidate_count, n_points))
+        vec = thetas[0].copy()
+        net = params_view(vec, *arch)  # validated once; grid values are finite
         for row, t in zip(table, thetas):
-            row[:] = forward(params_from_vector(t, *arch), X)
+            vec[:] = t
+            row[:] = forward(net, X)
         head = np.ascontiguousarray(table[:, :_HEAD_POINTS])
 
     distances = np.empty(trials)

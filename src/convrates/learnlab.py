@@ -309,8 +309,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform"):
             raise PreconditionError(f"unknown noise family: {self.kind!r}")
-        if self.scale < 0:
-            raise PreconditionError("noise scale must be nonnegative")
+        if not 0 <= self.scale < math.inf:
+            raise PreconditionError(f"noise scale {self.scale} must be finite and nonnegative")
 
     def admissible_moment_exponent(self, mean_bound):
         """A c > 0 with E exp(c Y^2) < inf, from the analytic argument."""
@@ -384,12 +384,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise PreconditionError(f"unknown loss: {self.loss!r}")
-        if self.M < 1:
-            raise PreconditionError("norm budget M must be at least 1")
-        if self.trunc_level <= 0:
-            raise PreconditionError("truncation level must be positive")
+        if not 1 <= self.M < math.inf:
+            raise PreconditionError(f"norm budget M={self.M} must be finite and at least 1")
+        if not 0 < self.trunc_level < math.inf:
+            raise PreconditionError(
+                f"truncation level {self.trunc_level} must be finite and positive"
+            )
+        final = self.final_learning_rate or 0.0
+        if not (math.isfinite(self.learning_rate) and math.isfinite(final)):
+            raise PreconditionError("learning rates must be finite")
+        if not 0 <= self.init_scale < math.inf:
+            raise PreconditionError(f"init_scale {self.init_scale} must be finite and nonnegative")
         if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
             raise PreconditionError("epochs, batch size, restarts must be positive")
+        if self.s < 1 or self.J < 1:
+            raise PreconditionError(f"filter size s={self.s} and channels J={self.J} must be >= 1")
 
 
 @dataclass
@@ -616,6 +625,8 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
     logistic: L ~ (n/log n)^(d/((1+b)a+d)),      M ~ (n/log n)^((3d+3+2a)/(2(1+b)a+2d)), B ~ log n
     """
     consts = consts or default_constants(loss)
+    if not all(math.isfinite(c) for c in (consts.l_const, consts.m_const, consts.b_const)):
+        raise PreconditionError(f"schedule constants must be finite, got {consts}")
     if n < 3:
         raise PreconditionError("sample size too small for a schedule")
     ln = math.log(n)
@@ -721,8 +732,8 @@ def run_rate_experiment(
     n_schedule = [int(n) for n in n_schedule]
     if len(n_schedule) < 4 or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise PreconditionError("n_schedule must be increasing with at least 4 values")
-    if repeats < 1:
-        raise PreconditionError("repeats must be positive")
+    if repeats < 1 or mc_samples < 1:
+        raise PreconditionError("repeats and mc_samples must be positive")
     train_options = dict(train_options or {})
     s = int(train_options.pop("s", 2))
     J = int(train_options.pop("J", 6))

@@ -283,14 +283,20 @@ def check_log2_inequality(grid_resolution=500, u_values=None):
     """
     if u_values is None:
         u_values = np.geomspace(1e-6, math.exp(-2.0), 5)
+    if grid_resolution < 2:
+        raise PreconditionError(f"grid resolution {grid_resolution} must be at least 2")
     u_values = np.asarray(u_values, dtype=np.float64)
-    if np.any(u_values <= 0) or np.any(u_values > math.exp(-2.0) + 1e-15):
+    if not np.all((u_values > 0) & (u_values <= math.exp(-2.0) + 1e-15)):  # NaN fails too
         raise PreconditionError("u values must lie in (0, e^-2]")
     p = np.linspace(0.0, 1.0, grid_resolution)
     min_slack = np.inf
     worst = None
     total = 0
     for u in u_values:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            log_u2 = math.log(u**-2)
+        if not math.isfinite(log_u2):
+            raise PreconditionError(f"u={u} is so small that u^-2 overflows float64")
         q = np.linspace(u, 1.0, grid_resolution)
         P, Q = np.meshgrid(p, q, indexing="ij")
         # write both sides through r = (p-q)/q:
@@ -303,7 +309,7 @@ def check_log2_inequality(grid_resolution=500, u_values=None):
             lg = np.log1p(r)
             f_term = np.where(P > 0, (1 + r) * lg - r, 1.0)
             lhs_term = np.where(P > 0, (1 + r) * lg**2, 0.0)
-        slack = Q * (math.log(u**-2) * f_term - lhs_term)
+        slack = Q * (log_u2 * f_term - lhs_term)
         total += slack.size
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
         if slack[i, j] < min_slack:

@@ -9,6 +9,8 @@ Sobol sequence.
 import numpy as np
 from scipy.stats import qmc
 
+from .errors import PreconditionError
+
 
 def _sobol(d, n, seed):
     # draw a power-of-two batch (where Sobol balance holds) and slice
@@ -24,7 +26,7 @@ def unit_cube_points(d, n, seed, method="mixed"):
     (half uniform, half Sobol; default).
     """
     if n < 1:
-        raise ValueError("need at least one point")
+        raise PreconditionError(f"need at least one point, not {n}")
     if method == "uniform":
         rng = np.random.default_rng(seed)
         return rng.random((n, d))

@@ -243,6 +243,53 @@ class TestBadNumbersExitThree:
             cli.load_config(write_config(tmp_path, body))
 
 
+_TINY_EXPERIMENT = (
+    "[experiment]\nloss = squared\ntarget = coordinate-clamp\nn_schedule = 8,12,16,20\n"
+    "repeats = 1\nepochs = 1\nrestarts = 1\nmc_samples = 200\n"
+)
+
+
+class TestNonFiniteAndEmptyInputs:
+    """NaN settings and empty grids end in one JSON record, not a traceback,
+    a silent default or a property failure."""
+
+    @pytest.mark.parametrize(
+        "verb, body, code",
+        [
+            ("experiment", _TINY_EXPERIMENT + "l_const = nan\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "m_const = nan\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "b_const = inf\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "noise_scale = nan\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "learning_rate = nan\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "final_learning_rate = inf\n",
+             cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "init_scale = nan\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT.replace("= 200", "= 0"), cli.EXIT_PRECONDITION),
+            ("verify-compile", "[verify-compile]\npoints = 0\n", cli.EXIT_PRECONDITION),
+            ("verify-compile", "[verify-compile]\ntolerance = nan\n", cli.EXIT_CONFIG),
+            ("compile", "[compile]\nneurons = -1\n", cli.EXIT_PRECONDITION),
+            ("approx-log", "[approx-log]\npieces = 3\ngrid = 0\n", cli.EXIT_CONFIG),
+            ("check-ineq", "[check-ineq]\nresolution = 0\n", cli.EXIT_PRECONDITION),
+            ("check-ineq", "[check-ineq]\nu = nan\n", cli.EXIT_PRECONDITION),
+            ("check-ineq", "[check-ineq]\nu = 1e-200\n", cli.EXIT_PRECONDITION),
+        ],
+        ids=[
+            "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
+            "nan-learning_rate", "inf-final_learning_rate", "nan-init_scale",
+            "zero-mc_samples", "zero-points", "nan-tolerance", "negative-neurons",
+            "zero-grid", "zero-resolution", "nan-u", "u-squared-overflows",
+        ],
+    )
+    def test_one_record(self, tmp_path, capsys, verb, body, code):
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n" + body)
+        assert cli.main([cfg]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_code"] == code
+        assert not out.exists()
+
+
 # floats that may be NaN, +-inf, zero, negative, tiny or huge
 _ANY_FLOAT = st.one_of(
     st.sampled_from([0.5, 1.0, 2.0]),
@@ -277,13 +324,58 @@ _FUZZ_KEYS = {
         "resolution": ("0", _SMALL_INT),
         "points": ("1000", _SMALL_INT),
     },
+    "approx-log": {
+        "pieces": ("3, 5", _listed(_SMALL_INT)),
+        "grid": ("100", _SMALL_INT),
+    },
+    "check-ineq": {
+        "resolution": ("50", _SMALL_INT),
+        "u": ("0.01", _listed(_ANY_FLOAT)),
+    },
+}
+_NET_KEYS = {
+    "d": ("2", _SMALL_INT),
+    "s": ("2", _SMALL_INT),
+    "neurons": ("3", _SMALL_INT),
+    "net_seed": ("0", st.integers(-1, 3).map(str)),
+    "link": ("none", st.one_of(_SMALL_INT.map("log:{}".format), _ANY_FLOAT.map("sign:{}".format))),
+}
+_FUZZ_KEYS["compile"] = _NET_KEYS
+_FUZZ_KEYS["verify-compile"] = {
+    **_NET_KEYS,
+    "points": ("200", _SMALL_INT),
+    "tolerance": ("1e-10", _ANY_FLOAT),
+}
+# a tiny schedule: four sizes, one repeat, one epoch, one restart
+_FUZZ_KEYS["experiment"] = {
+    "loss": ("squared", st.sampled_from(["squared", "hinge", "logistic"])),
+    "target": ("coordinate-clamp", st.sampled_from(["coordinate-clamp", "eta-ramp"])),
+    "n_schedule": ("8, 12, 16, 20", _listed(st.integers(-3, 24).map(str))),
+    "repeats": ("1", st.integers(-3, 2).map(str)),
+    "epochs": ("1", st.integers(-3, 2).map(str)),
+    "restarts": ("1", st.integers(-3, 2).map(str)),
+    "batch_size": ("8", _SMALL_INT),
+    "J": ("2", _SMALL_INT),
+    "s": ("2", _SMALL_INT),
+    "mc_samples": ("200", _SMALL_INT),
+    "noise_scale": ("0.25", _ANY_FLOAT),
+    "slope": ("2.0", _ANY_FLOAT),
+    "steepness": ("4.0", _ANY_FLOAT),
+    "learning_rate": ("0.02", _ANY_FLOAT),
+    "final_learning_rate": ("0.002", _ANY_FLOAT),
+    "init_scale": ("1.0", _ANY_FLOAT),
+    # l_const from a fixed list: a huge finite one asks for astronomically many layers
+    "l_const": ("0", st.sampled_from(["nan", "inf", "-inf", "-1.0", "0.5", "2.0"])),
+    "m_const": ("0", _ANY_FLOAT),
+    "b_const": ("0", _ANY_FLOAT),
 }
 
 
 @st.composite
 def _fuzzed_configs(draw):
-    """A valid entropy or non-exhaustive cover-check config with up to three
-    of its numeric keys, and possibly the seed, replaced by arbitrary values."""
+    """A valid config of one verb (non-exhaustive cover-check, a tiny
+    experiment) with up to three of its keys, and possibly the seed,
+    replaced by arbitrary values."""
     verb = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
     keys = _FUZZ_KEYS[verb]
     values = {key: valid for key, (valid, _) in keys.items()}
@@ -295,10 +387,10 @@ def _fuzzed_configs(draw):
 
 
 class TestExitCodeFuzz:
-    """Any numbers in an entropy or cover-check config end in exit 0/2/3/4,
+    """Any numbers in a config of any verb but fit-rate end in exit 0/2/3/4,
     and a failure writes exactly one JSON record, never a traceback."""
 
-    @settings(max_examples=200)
+    @settings(max_examples=400)
     @given(_fuzzed_configs())
     def test_exit_code_contract(self, text):
         with tempfile.TemporaryDirectory() as tmp:

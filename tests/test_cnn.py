@@ -221,6 +221,37 @@ class TestForward:
         assert peak < 5 * n * d * J * 8  # five (n, d, J) float64 grids
 
 
+class TestPurity:
+    """The forward core writes ReLU into each fresh grid in place; that must
+    leave the arguments alone and give every returned grid its own storage."""
+
+    @staticmethod
+    def snapshot(params, X):
+        arrays = [X, params.output_weights]
+        arrays += [a for layer in params.layers for a in (layer.weights, layer.bias)]
+        return [a.tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("J, L", [(1, 1), (1, 3), (4, 2)])
+    def test_arguments_unchanged(self, rng, J, L):
+        params = random_cnn(rng, d=4, s=2, J=J, L=L)
+        X = rng.random((16, 4)) - 0.5  # negative inputs reach the first ReLU
+        before = self.snapshot(params, X)
+        forward(params, X)
+        forward(params, X[0])
+        activation_grids(params, X)
+        backward(params, X, rng.standard_normal(16))
+        assert self.snapshot(params, X) == before
+
+    @pytest.mark.parametrize("J, L", [(1, 3), (4, 3)])
+    def test_grids_share_no_memory(self, rng, J, L):
+        params = random_cnn(rng, d=4, s=2, J=J, L=L)
+        X = rng.random((16, 4))
+        grids = activation_grids(params, X)
+        for i, grid in enumerate(grids):
+            assert not np.shares_memory(grid, X)
+            assert not any(np.shares_memory(grid, other) for other in grids[i + 1:])
+
+
 class TestBackward:
     def test_output_layer_gradient_is_final_grid(self, rng):
         params = random_cnn(rng)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convrates import complexity
 from convrates.cnn import forward, param_vector, params_from_vector
 from convrates.complexity import (
     _HEAD_POINTS,
@@ -246,6 +247,33 @@ class TestEmpiricalCoverCheck:
     def test_parameter_guard(self):
         with pytest.raises(PreconditionError):
             empirical_cover_check(3, 2, 2, 2, 1.0, eps=0.5)
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_one_forward_per_network(self, monkeypatch, exhaustive):
+        # the benchmark counts one `complexity.forward` per evaluated network;
+        # grid networks share one parameter view, trial networks are built
+        calls = {"forward": 0, "params_from_vector": 0}
+
+        def counting(name):
+            original = getattr(complexity, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(complexity, name, counting(name))
+        trials = 6
+        report = empirical_cover_check(
+            2, 2, 1, 1, 1.0, eps=1.0, grid_resolution=4, trials=trials, exhaustive=exhaustive
+        )
+        if exhaustive:
+            assert report.candidate_count == 4**5
+            assert calls == {"forward": 4**5 + trials, "params_from_vector": trials}
+        else:
+            assert calls == {"forward": 2 * trials, "params_from_vector": 2 * trials}
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -197,6 +197,33 @@ class TestSampleDataset:
         with pytest.raises(PreconditionError):
             NoiseSpec("cauchy", 1.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -0.1])
+    def test_noise_scale_must_be_finite_and_nonnegative(self, scale):
+        with pytest.raises(PreconditionError, match="noise scale"):
+            NoiseSpec("gaussian", scale)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("M", math.nan), ("M", math.inf), ("trunc_level", math.nan),
+            ("trunc_level", math.inf), ("learning_rate", math.nan),
+            ("final_learning_rate", math.inf), ("init_scale", math.nan),
+            ("init_scale", -1.0), ("s", 0), ("J", -2),
+        ],
+    )
+    def test_rejects(self, field, value):
+        with pytest.raises(PreconditionError):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["l_const", "m_const", "b_const"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_schedule_constants_must_be_finite(self, field, value):
+        consts = ScheduleConstants(**{field: value})
+        with pytest.raises(PreconditionError, match="finite"):
+            architecture_schedule("squared", 256, 2, 1.0, consts=consts)
+
 
 class TestTrainErm:
     def test_realizable_linear_target(self):
