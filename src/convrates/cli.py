@@ -179,6 +179,10 @@ _SCHEMAS = {
         "beta": (float, 1.0),  # eta-svb
         "slope": (float, 4.0),  # coordinate-clamp
         "n_terms": (int, 2),  # mixtures
+        "amps": (_parse_float_list, None),  # trig-mixture terms; None -> seeded draw
+        "freqs": (_parse_float_list, None),
+        "coords": (_parse_int_list, None),
+        "phases": (_parse_float_list, None),
         "noise_kind": (_parse_str, "gaussian"),
         "noise_scale": (float, 0.25),
         "n_schedule": (_parse_int_list, _REQUIRED),
@@ -502,11 +506,19 @@ def _run_verify_compile(p, seed, output):
     return EXIT_OK
 
 
+_TRIG_TERMS = ("amps", "freqs", "coords", "phases")
+
+
 def _make_target(p):
     kind = p["target"]
+    if p["d"] < 2 or p["n_terms"] < 1:  # the networks need d >= 2
+        raise ConfigError(f"[experiment] needs d >= 2 and n_terms >= 1: {p['d']}, {p['n_terms']}")
+    terms = {key: p[key] for key in _TRIG_TERMS if p[key] is not None}
+    if terms and kind != "trig-mixture":
+        raise ConfigError(f"{', '.join(terms)} set the terms of a trig-mixture, not {kind!r}")
     if kind in ("trig-mixture", "gaussian-bump-mixture"):
         return learnlab.make_regression_target(
-            kind, {"n_terms": p["n_terms"], "d": p["d"]}, seed=p["target_seed"]
+            kind, {"n_terms": p["n_terms"], "d": p["d"], **terms}, seed=p["target_seed"]
         )
     if kind == "coordinate-clamp":
         return learnlab.make_regression_target(
@@ -539,41 +551,26 @@ def write_results(path, rows, fit=None):
     _write_csv(path, _RESULT_HEADER, out)
 
 
+_TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "init_scale")
+
+
 def _run_experiment(p, seed, output):
     spec = _make_target(p)
     loss = p["loss"]
     if loss not in learnlab.LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")
     consts = learnlab.default_constants(loss)
-    if p["l_const"]:
-        consts.l_const = p["l_const"]
-    if p["m_const"]:
-        consts.m_const = p["m_const"]
-    if p["b_const"]:
-        consts.b_const = p["b_const"]
-    noise = None
-    if spec.kind == "regression":
-        noise = learnlab.NoiseSpec(p["noise_kind"], p["noise_scale"])
+    for key in ("l_const", "m_const", "b_const"):  # 0 keeps the per-loss default
+        if p[key]:
+            setattr(consts, key, p[key])
+    regression = spec.kind == "regression"
+    noise = learnlab.NoiseSpec(p["noise_kind"], p["noise_scale"]) if regression else None
+    train_options = {key: p[key] for key in _TRAIN_KEYS}
+    train_options["final_learning_rate"] = p["final_learning_rate"] or None
     try:
         fit, rows = learnlab.run_rate_experiment(
-            spec,
-            loss,
-            p["n_schedule"],
-            repeats=p["repeats"],
-            base_seed=seed,
-            noise=noise,
-            consts=consts,
-            train_options=dict(
-                s=p["s"],
-                J=p["J"],
-                epochs=p["epochs"],
-                batch_size=p["batch_size"],
-                learning_rate=p["learning_rate"],
-                final_learning_rate=p["final_learning_rate"] or None,
-                restarts=p["restarts"],
-                init_scale=p["init_scale"],
-            ),
-            mc_samples=p["mc_samples"],
+            spec, loss, p["n_schedule"], repeats=p["repeats"], base_seed=seed, noise=noise,
+            consts=consts, train_options=train_options, mc_samples=p["mc_samples"],
         )
     except TrainingFailure as exc:
         write_results(output, getattr(exc, "partial_rows", []))
@@ -600,10 +597,10 @@ def _run_fit_rate(p, seed, output):
             if row["loss"] == "ratefit":
                 continue
             try:
-                n, risk = int(row["n"]), float(row["excess_risk"])
+                n, risk = float(int(row["n"])), float(row["excess_risk"])
                 if not math.isfinite(risk):
                     raise ValueError(f"non-finite excess_risk {row['excess_risk']!r}")
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # overflow: n beyond float64
                 raise ConfigError(
                     f"malformed results row {reader.line_num} in {p['input']!r}: {exc}"
                 ) from exc

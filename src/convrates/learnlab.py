@@ -95,6 +95,16 @@ def make_regression_target(family, params=None, seed=0):
         coords = np.asarray(params.pop("coords", rng.integers(0, d, k)), dtype=int)
         phases = np.asarray(params.pop("phases", rng.uniform(0, 2 * np.pi, k)), dtype=float)
         _reject_unknown(params, family)
+        terms = (amps, freqs, coords, phases)
+        if len({t.shape for t in terms}) > 1 or amps.ndim != 1:
+            raise PreconditionError(
+                f"amps, freqs, coords, phases differ in length: {[t.size for t in terms]}"
+            )
+        if not (all(np.isfinite(t).all() for t in terms) and np.all(freqs != 0)
+                and np.all((coords >= 0) & (coords < d))):
+            raise PreconditionError(
+                f"trig-mixture terms must be finite, with nonzero freqs and coords in [0, {d})"
+            )
 
         def fn(X):
             out = np.zeros(len(X))
@@ -102,7 +112,7 @@ def make_regression_target(family, params=None, seed=0):
                 out += a * np.sin(2 * np.pi * f * X[:, c] + p) / (2 * np.pi * f)
             return out
 
-        sup = float(np.sum(np.abs(amps) / (2 * np.pi * freqs)))
+        sup = float(np.sum(np.abs(amps) / (2 * np.pi * np.abs(freqs))))
         lip = float(np.sum(np.abs(amps)))
         return TargetSpec(
             kind="regression",
@@ -113,7 +123,7 @@ def make_regression_target(family, params=None, seed=0):
             holder_radius=sup + lip,
             sup_bound=sup,
             lipschitz=lip,
-            detail=f"{k} sine terms; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}",
+            detail=f"{len(amps)} sine terms; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}",
         )
 
     if family == "gaussian-bump-mixture":
@@ -391,8 +401,8 @@ class TrainConfig:
                 f"truncation level {self.trunc_level} must be finite and positive"
             )
         final = self.final_learning_rate or 0.0
-        if not (math.isfinite(self.learning_rate) and math.isfinite(final)):
-            raise PreconditionError("learning rates must be finite")
+        if not (0 < self.learning_rate < math.inf and 0 <= final < math.inf):
+            raise PreconditionError("learning rates must be finite, the first > 0, the final >= 0")
         if not 0 <= self.init_scale < math.inf:
             raise PreconditionError(f"init_scale {self.init_scale} must be finite and nonnegative")
         if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
@@ -454,6 +464,8 @@ def _init_cnn(d, s, J, L, M, rng, scale):
 def _project(params, M):
     """Scale the output layer down in place so the path norm is at most M (exact)."""
     k = path_norm(params)
+    if not k < math.inf:  # the layer-norm product overflows float64
+        raise TrainingFailure(f"path norm {k} is not finite")
     if k > M:
         params.output_weights *= M / k
 
@@ -655,15 +667,22 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
 
 def theory_slope(loss, alpha, d, q=1.0, beta=1.0):
     """The predicted excess-risk exponent in n (negative)."""
-    if loss == "squared":
-        return -2 * alpha / (2 * alpha + d)
-    if loss == "hinge":
-        if math.isinf(q):
-            return -1.0
-        return -(q + 1) * alpha / ((q + 2) * alpha + d)
-    if loss == "logistic":
-        return -(1 + beta) * alpha / ((1 + beta) * alpha + d)
-    raise PreconditionError(f"unknown loss: {loss!r}")
+    if loss not in LOSSES:
+        raise PreconditionError(f"unknown loss: {loss!r}")
+    slope = math.nan
+    if alpha > 0 and d >= 1 and q >= 0 and beta >= 0:  # NaN fails too
+        if loss == "squared":
+            slope = -2 * alpha / (2 * alpha + d)
+        elif loss == "hinge":
+            slope = -1.0 if math.isinf(q) else -(q + 1) * alpha / ((q + 2) * alpha + d)
+        else:
+            slope = -(1 + beta) * alpha / ((1 + beta) * alpha + d)
+    if not math.isfinite(slope):  # also an infinite or overflowing alpha, q or beta
+        raise PreconditionError(
+            f"no rate exponent at alpha={alpha}, d={d}, q={q}, beta={beta}: it needs "
+            "finite alpha > 0, d >= 1, q >= 0 and finite beta >= 0"
+        )
+    return slope
 
 
 def fit_loglog(ns, errors):
@@ -674,6 +693,8 @@ def fit_loglog(ns, errors):
         raise PreconditionError("ns and errors must be equal-length vectors")
     if ns.shape[0] < 4:
         raise PreconditionError("a rate fit needs at least 4 points")
+    if not np.all(np.isfinite(ns) & (ns > 0)):
+        raise PreconditionError("sample sizes must be finite and positive for a log-log fit")
     if not np.all(np.isfinite(errors)):
         raise PreconditionError("errors must be finite for a log-log fit")
     if np.any(errors <= 0):
@@ -734,6 +755,11 @@ def run_rate_experiment(
         raise PreconditionError("n_schedule must be increasing with at least 4 values")
     if repeats < 1 or mc_samples < 1:
         raise PreconditionError("repeats and mc_samples must be positive")
+    if loss not in LOSSES:
+        raise PreconditionError(f"unknown loss: {loss!r}")
+    wanted = "regression" if loss == "squared" else "class-probability"
+    if spec.kind != wanted:  # checked here so that no cell trains in vain
+        raise PreconditionError(f"{loss} loss expects a {wanted} target")
     train_options = dict(train_options or {})
     s = int(train_options.pop("s", 2))
     J = int(train_options.pop("J", 6))

@@ -303,11 +303,17 @@ def check_log2_inequality(grid_resolution=500, u_values=None):
         #   lhs = q (1+r) log1p(r)^2
         #   rhs = log(u^-2) q ((1+r) log1p(r) - r)
         # so the cancellation near p = q happens between exactly
-        # representable quantities and the slack stays nonnegative
+        # representable quantities.  For |r| < 1e-4, where (1+r) log1p(r) - r
+        # would still cancel to round-off, f_term is its series
+        # r^2/2 - r^3/6 + r^4/12 - r^5/20 (the first omitted term is below
+        # 1e-17 relative), so the slack stays nonnegative at p, q one ulp apart
         r = (P - Q) / Q
         with np.errstate(divide="ignore", invalid="ignore"):
             lg = np.log1p(r)
-            f_term = np.where(P > 0, (1 + r) * lg - r, 1.0)
+            small = np.abs(r) < 1e-4
+            rs = np.where(small, r, 0.0)  # the series only where it is used
+            series = rs * rs * (0.5 - rs * (1 / 6 - rs * (1 / 12 - rs / 20)))
+            f_term = np.where(P > 0, np.where(small, series, (1 + r) * lg - r), 1.0)
             lhs_term = np.where(P > 0, (1 + r) * lg**2, 0.0)
         slack = Q * (log_u2 * f_term - lhs_term)
         total += slack.size

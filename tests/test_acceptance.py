@@ -8,6 +8,7 @@ minutes; everything else completes in seconds.
 
 import csv
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -39,14 +40,7 @@ from convrates.complexity import (
     covering_recursion,
     empirical_cover_check,
 )
-from convrates.learnlab import (
-    NoiseSpec,
-    ScheduleConstants,
-    make_eta_svb,
-    make_eta_tsybakov,
-    make_regression_target,
-    run_rate_experiment,
-)
+from convrates.learnlab import make_eta_svb, make_eta_tsybakov
 from convrates.links import (
     check_kl_bound,
     check_log2_inequality,
@@ -62,6 +56,8 @@ from convrates.links import (
 from convrates.sampling import unit_cube_points
 
 from conftest import random_cnn
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def report(criterion, detail):
@@ -402,66 +398,43 @@ class TestCriterion10RateExperiments:
     """Schedule trend checks: strictly decreasing mean excess risk up to one
     inversion, negative fitted slope, predicted slope printed alongside.
 
-    The asymptotic exponents themselves concern exact minimizers and n -> inf
-    constants and are not reproducible at this scale, so the exponent is
-    reported for comparison and not asserted.
+    Each study is the shipped config `scripts/rates_<loss>.ini` (seed 42,
+    n = 2^8 .. 2^13, five repeats), run through the CLI.  The asymptotic
+    exponents themselves concern exact minimizers and n -> inf constants and
+    are not reproducible at this scale, so the exponent is reported for
+    comparison and not asserted.
     """
 
-    NS = [2**k for k in range(8, 14)]
-    REPEATS = 5
-
-    def _run(self, spec, loss, opts, consts):
-        fit, _ = run_rate_experiment(
-            spec,
-            loss,
-            self.NS,
-            repeats=self.REPEATS,
-            base_seed=42,
-            noise=NoiseSpec("gaussian", 0.25) if spec.kind == "regression" else None,
-            consts=consts,
-            train_options=opts,
-            mc_samples=20_000,
-        )
-        return fit
-
-    def _check(self, name, fit, t0):
-        errs = " ".join(f"{e:.4f}" for e in fit.mean_errors)
-        assert fit.inversions() <= 1, f"{name}: means not decreasing: {errs}"
-        assert fit.slope < 0, f"{name}: fitted slope {fit.slope} not negative"
+    def _check_study(self, tmp_path, loss, name):
+        t0 = time.perf_counter()
+        config = cli.load_config(SCRIPTS / f"rates_{loss}.ini")
+        config.output = str(tmp_path / f"rates_{loss}.csv")
+        assert cli.run(config) == 0
+        with open(config.output, newline="") as fh:
+            *rows, fit = csv.DictReader(fh)
+        assert fit["loss"] == "ratefit"
+        ns = sorted({int(r["n"]) for r in rows})
+        means = [np.mean([float(r["excess_risk"]) for r in rows if int(r["n"]) == n]) for n in ns]
+        slope, theory = float(fit["M"]), float(fit["excess_risk"])
+        errs = " ".join(f"{e:.4f}" for e in means)
+        inversions = int(np.sum(np.diff(means) > 0))
+        assert inversions <= 1, f"{name}: means not decreasing: {errs}"
+        assert slope < 0, f"{name}: fitted slope {slope} not negative"
         report(
             f"criterion 10: rate experiment ({name})",
-            f"means [{errs}] decreasing with {fit.inversions()} inversion(s); "
-            f"fitted slope {fit.slope:+.3f} vs theory {fit.theory_slope:+.3f} "
+            f"means [{errs}] decreasing with {inversions} inversion(s); "
+            f"fitted slope {slope:+.3f} vs theory {theory:+.3f} "
             f"({time.perf_counter() - t0:.0f}s)",
         )
 
-    def test_regression_rate(self):
-        t0 = time.perf_counter()
-        spec = make_regression_target(
-            "trig-mixture",
-            {"amps": [1.5, 1.0], "freqs": [1, 3], "coords": [0, 1],
-             "phases": [0.3, 1.1], "d": 2},
-        )
-        opts = dict(epochs=60, batch_size=128, learning_rate=0.02,
-                    final_learning_rate=0.002, restarts=2)
-        fit = self._run(spec, "squared", opts, ScheduleConstants(1.0, 5.0, 2.0))
-        self._check("regression, alpha=1, d=2", fit, t0)
+    def test_regression_rate(self, tmp_path):
+        self._check_study(tmp_path, "squared", "regression, alpha=1, d=2")
 
-    def test_hinge_rate(self):
-        t0 = time.perf_counter()
-        spec = make_eta_tsybakov(4.0)
-        opts = dict(epochs=60, batch_size=128, learning_rate=0.03,
-                    final_learning_rate=0.003, restarts=2)
-        fit = self._run(spec, "hinge", opts, ScheduleConstants(0.5, 3.0, 2.0))
-        self._check("hinge, q=1, alpha=1, d=2", fit, t0)
+    def test_hinge_rate(self, tmp_path):
+        self._check_study(tmp_path, "hinge", "hinge, q=1, alpha=1, d=2")
 
-    def test_logistic_rate(self):
-        t0 = time.perf_counter()
-        spec = make_eta_svb(1.0)
-        opts = dict(epochs=60, batch_size=128, learning_rate=0.03,
-                    final_learning_rate=0.003, restarts=2)
-        fit = self._run(spec, "logistic", opts, ScheduleConstants(0.15, 2.0, 2.0))
-        self._check("logistic, beta=1, alpha=1, d=2", fit, t0)
+    def test_logistic_rate(self, tmp_path):
+        self._check_study(tmp_path, "logistic", "logistic, beta=1, alpha=1, d=2")
 
 
 class TestCriterion11Determinism:

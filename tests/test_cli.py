@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import importlib.util
 import io
 import json
 import math
@@ -247,6 +246,7 @@ _TINY_EXPERIMENT = (
     "[experiment]\nloss = squared\ntarget = coordinate-clamp\nn_schedule = 8,12,16,20\n"
     "repeats = 1\nepochs = 1\nrestarts = 1\nmc_samples = 200\n"
 )
+_TINY_TRIG = _TINY_EXPERIMENT.replace("coordinate-clamp", "trig-mixture")
 
 
 class TestNonFiniteAndEmptyInputs:
@@ -272,17 +272,33 @@ class TestNonFiniteAndEmptyInputs:
             ("check-ineq", "[check-ineq]\nresolution = 0\n", cli.EXIT_PRECONDITION),
             ("check-ineq", "[check-ineq]\nu = nan\n", cli.EXIT_PRECONDITION),
             ("check-ineq", "[check-ineq]\nu = 1e-200\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_TRIG + "amps = 1, 2\nfreqs = 1\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_TRIG + "amps = nan, 1\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_TRIG + "coords = 0, 2\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_TRIG + "freqs = 0, 1\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_TRIG + "coords = 0.5, 1\n", cli.EXIT_CONFIG),
+            ("experiment", _TINY_EXPERIMENT + "phases = 0.1, 0.2\n", cli.EXIT_CONFIG),
+            ("fit-rate", "[fit-rate]\ninput = {res}\nloss = squared\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_TRIG + "n_terms = -1\n", cli.EXIT_CONFIG),
+            ("experiment", _TINY_EXPERIMENT + "d = 1\n", cli.EXIT_CONFIG),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
             "nan-learning_rate", "inf-final_learning_rate", "nan-init_scale",
             "zero-mc_samples", "zero-points", "nan-tolerance", "negative-neurons",
             "zero-grid", "zero-resolution", "nan-u", "u-squared-overflows",
+            "ragged-trig-terms", "nan-amp", "coord-out-of-range", "zero-freq",
+            "non-integer-coord", "trig-terms-for-another-target", "non-positive-n",
+            "negative-n_terms", "d-below-2",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
-        out = tmp_path / "out.csv"
-        cfg = write_config(tmp_path, f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n" + body)
+        out, res = tmp_path / "out.csv", tmp_path / "res.csv"  # res: a results file with n <= 0
+        rows = [["squared", n, 1, 1, 1, 0, 0.5, 0, 0] for n in (0, -5, 9, 99)]
+        res.write_text("".join(",".join(map(str, r)) + "\n" for r in [cli._RESULT_HEADER, *rows]))
+        cfg = write_config(
+            tmp_path, f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n" + body.format(res=res)
+        )
         assert cli.main([cfg]) == code
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -349,7 +365,14 @@ _FUZZ_KEYS["verify-compile"] = {
 # a tiny schedule: four sizes, one repeat, one epoch, one restart
 _FUZZ_KEYS["experiment"] = {
     "loss": ("squared", st.sampled_from(["squared", "hinge", "logistic"])),
-    "target": ("coordinate-clamp", st.sampled_from(["coordinate-clamp", "eta-ramp"])),
+    "target": ("trig-mixture", st.sampled_from(["coordinate-clamp", "eta-ramp", "trig-mixture"])),
+    "d": ("2", _SMALL_INT),
+    "n_terms": ("2", _SMALL_INT),
+    # None leaves a key unset: the trig-mixture terms are then drawn from target_seed
+    "amps": (None, _listed(_ANY_FLOAT)),
+    "freqs": (None, _listed(_ANY_FLOAT)),
+    "coords": (None, _listed(_SMALL_INT)),
+    "phases": (None, _listed(_ANY_FLOAT)),
     "n_schedule": ("8, 12, 16, 20", _listed(st.integers(-3, 24).map(str))),
     "repeats": ("1", st.integers(-3, 2).map(str)),
     "epochs": ("1", st.integers(-3, 2).map(str)),
@@ -371,31 +394,68 @@ _FUZZ_KEYS["experiment"] = {
 }
 
 
+_FUZZ_KEYS["fit-rate"] = {
+    "input": ("{res}", st.just("{res}")),
+    "loss": ("squared", st.sampled_from(["squared", "hinge", "logistic", "ratefit"])),
+    "alpha": ("1.0", _ANY_FLOAT),
+    "d": ("2", _SMALL_INT),
+    "q": ("1.0", _ANY_FLOAT),
+    "beta": ("1.0", _ANY_FLOAT),
+}
+_CSV_TOKEN = st.one_of(
+    _ANY_FLOAT,
+    st.integers(-5, 2**1100).map(str),
+    st.sampled_from(["", "nan", "inf", "-inf", "abc", "ratefit", "squared"]),
+)
+
+
+@st.composite
+def _fuzzed_results(draw):
+    """A results CSV of four cells and a ratefit row, with up to four cells
+    replaced by arbitrary tokens, rows made ragged, or the file truncated."""
+    rows = [["squared", str(n), "1", "1", "1", "0", repr(0.5 / n), "0", "0"]
+            for n in (64, 128, 256, 512)]
+    rows.append(["ratefit", "0", "0", "-1", "0", "0", "-0.5", "0", "0"])
+    for _ in range(draw(st.integers(0, 4))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(st.integers(0, len(row)))
+        if col == len(row):  # ragged: one cell more or one less
+            row.append(draw(_CSV_TOKEN)) if draw(st.booleans()) else row.pop()
+        else:
+            row[col] = draw(_CSV_TOKEN)
+    text = "".join(",".join(row) + "\n" for row in [cli._RESULT_HEADER, *rows])
+    return text[:draw(st.one_of(st.just(len(text)), st.integers(0, len(text))))]
+
+
 @st.composite
 def _fuzzed_configs(draw):
     """A valid config of one verb (non-exhaustive cover-check, a tiny
-    experiment) with up to three of its keys, and possibly the seed,
-    replaced by arbitrary values."""
+    experiment, fit-rate over a drawn results CSV) with up to three of its
+    keys, and possibly the seed, replaced by arbitrary values."""
     verb = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
     keys = _FUZZ_KEYS[verb]
     values = {key: valid for key, (valid, _) in keys.items()}
     for key in draw(st.sets(st.sampled_from(sorted(keys)), max_size=3)):
         values[key] = draw(keys[key][1])
     seed = draw(st.integers(-1, 3))
-    body = "".join(f"{key} = {value}\n" for key, value in values.items())
-    return f"[run]\nverb = {verb}\nseed = {seed}\noutput = {{out}}\n[{verb}]\n{body}"
+    body = "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
+    results = draw(_fuzzed_results()) if verb == "fit-rate" else ""
+    return f"[run]\nverb = {verb}\nseed = {seed}\noutput = {{out}}\n[{verb}]\n{body}", results
 
 
 class TestExitCodeFuzz:
-    """Any numbers in a config of any verb but fit-rate end in exit 0/2/3/4,
-    and a failure writes exactly one JSON record, never a traceback."""
+    """Any numbers in a config of any verb, and any corruption of the results
+    CSV that fit-rate reads, end in exit 0/2/3/4, and a failure writes exactly
+    one JSON record, never a traceback."""
 
-    @settings(max_examples=400)
+    @settings(max_examples=500)
     @given(_fuzzed_configs())
-    def test_exit_code_contract(self, text):
+    def test_exit_code_contract(self, case):
+        text, results = case
         with tempfile.TemporaryDirectory() as tmp:
             cfg = pathlib.Path(tmp) / "run.ini"
-            cfg.write_text(text.format(out=f"{tmp}/out.csv"))
+            cfg.write_text(text.format(out=f"{tmp}/out.csv", res=f"{tmp}/res.csv"))
+            (pathlib.Path(tmp) / "res.csv").write_text(results)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 with warnings.catch_warnings():
@@ -633,21 +693,23 @@ class TestScripts:
         assert len(rows) == 1 + 20 * 3
 
     def test_quick_rate_experiments_read_back_by_fit_rate(self, tmp_path):
-        path = SCRIPTS / "run_rate_experiments.py"
-        spec = importlib.util.spec_from_file_location("run_rate_experiments", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.main([str(tmp_path), "--quick"]) == 0
         for loss in ("squared", "hinge", "logistic"):
+            config = cli.load_config(SCRIPTS / f"rates_{loss}.ini")
+            config.output = str(tmp_path / f"rates_{loss}.csv")
+            config.params.update(  # the quick check: small schedule and budgets
+                n_schedule=[64, 128, 256, 512], repeats=2, epochs=10, restarts=1,
+                mc_samples=4000,
+            )
+            assert cli.run(config) == 0
             fit_out = tmp_path / f"fit_{loss}.csv"
             cfg = write_config(
                 tmp_path,
                 f"[run]\nverb = fit-rate\nseed = 0\noutput = {fit_out}\n"
-                f"[fit-rate]\ninput = {tmp_path}/rates_{loss}.csv\nloss = {loss}\n",
+                f"[fit-rate]\ninput = {config.output}\nloss = {loss}\n",
                 name=f"fit_{loss}.ini",
             )
             assert cli.main([cfg]) == 0
-            with open(tmp_path / f"rates_{loss}.csv", newline="") as fh:
+            with open(config.output, newline="") as fh:
                 summary = list(csv.DictReader(fh))[-1]
             with open(fit_out, newline="") as fh:
                 fitted = next(csv.DictReader(fh))

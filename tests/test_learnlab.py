@@ -59,6 +59,8 @@ class TestRegressionTargets:
         assert spec.smoothness == 1.0
         assert spec.holder_radius <= 2.0
         assert sampled_lipschitz(spec, 2, rng) <= spec.lipschitz * (1 + 1e-6)
+        terms = {"amps": [1.0], "freqs": [-1], "coords": [0], "phases": [0.0], "d": 2}
+        assert make_regression_target("trig-mixture", terms).sup_bound == spec.sup_bound
 
     def test_constant_target(self):
         spec = make_regression_target(
@@ -210,7 +212,8 @@ class TestTrainConfigValidation:
             ("M", math.nan), ("M", math.inf), ("trunc_level", math.nan),
             ("trunc_level", math.inf), ("learning_rate", math.nan),
             ("final_learning_rate", math.inf), ("init_scale", math.nan),
-            ("init_scale", -1.0), ("s", 0), ("J", -2),
+            ("init_scale", -1.0), ("s", 0), ("J", -2), ("learning_rate", 0.0),
+            ("learning_rate", -0.1), ("final_learning_rate", -0.001),
         ],
     )
     def test_rejects(self, field, value):
@@ -321,6 +324,11 @@ class TestTrainErm:
                           epochs=3, batch_size=32, learning_rate=1e200, restarts=1, seed=0)
         with pytest.raises(TrainingFailure):
             train_erm(data, cfg)
+        # one step at 6e307 leaves finite weights whose path norm overflows float64
+        cfg = TrainConfig(s=2, J=2, L=2, M=5.0, loss="squared", trunc_level=2.0, epochs=1,
+                          batch_size=8, learning_rate=6e307, final_learning_rate=0.5, restarts=1)
+        with pytest.raises(TrainingFailure, match="path norm"):
+            train_erm(sample_dataset(spec, 8, NoiseSpec("gaussian", 0.25), seed=0), cfg)
 
 
 class TestMeasureExcess:
@@ -407,6 +415,11 @@ class TestFitLoglog:
         with pytest.raises(PreconditionError, match="finite"):
             fit_loglog([1.0, 2.0, 4.0, 8.0], [1.0, bad, 0.25, 0.125])
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_sizes(self, bad):
+        with pytest.raises(PreconditionError, match="sample sizes"):
+            fit_loglog([bad, 2.0, 4.0, 8.0], [1.0, 0.5, 0.25, 0.125])
+
 
 class TestRunRateExperiment:
     def test_smoke_and_determinism(self):
@@ -432,6 +445,13 @@ class TestRunRateExperiment:
         spec = make_regression_target("coordinate-clamp", {"d": 2})
         with pytest.raises(PreconditionError):
             run_rate_experiment(spec, "squared", [64, 32, 128, 256])
+
+    def test_loss_target_mismatch_rejected_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(learnlab, "train_erm", lambda *a, **k: calls.append(a))
+        with pytest.raises(PreconditionError, match="squared loss expects a regression"):
+            run_rate_experiment(make_eta_tsybakov(4.0), "squared", [32, 64, 128, 256])
+        assert calls == []
 
     def test_training_failure_carries_partial_rows(self):
         from convrates.errors import TrainingFailure

@@ -325,6 +325,13 @@ class TestLog2Inequality:
         with pytest.raises(PreconditionError):
             check_log2_inequality(50, u_values=[0.5])
 
+    @pytest.mark.parametrize("u, resolution", [(0.1, 500), (0.1, 50), (0.1, 30), (0.05, 50)])
+    def test_no_round_off_violation_one_ulp_off_the_diagonal(self, u, resolution):
+        # these grids hold p, q pairs one ulp apart, where (1+r) log1p(r) - r
+        # cancels to round-off; the exact slack there is positive
+        report = check_log2_inequality(resolution, u_values=[u])
+        assert report.passed and report.min_slack == 0.0
+
 
 class TestLogisticVarianceBound:
     def test_optimal_score_zero_both_sides(self):
