@@ -39,6 +39,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,8 +413,11 @@ def _run_check_ineq(p, seed, output):
 
 def _load_shallow_net(path):
     try:
-        rows = np.loadtxt(path, ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # loadtxt only warns on a file without data rows; make that an error
+            warnings.simplefilter("error", UserWarning)
+            rows = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"cannot read net file {path!r}: {exc}") from exc
     if rows.shape[1] < 3:
         raise ConfigError("net file rows must be: coeff a_1 ... a_d offset")

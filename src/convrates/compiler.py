@@ -116,10 +116,11 @@ class ScalarNet:
 
 
 def shallow_norm(net):
-    """Constraint value sum_i |c_i| (||a_i||_1 + |b_i|)."""
-    return float(
-        np.sum(np.abs(net.coeffs) * (np.abs(net.directions).sum(axis=1) + np.abs(net.offsets)))
-    )
+    """Constraint value sum_i |c_i| (||a_i||_1 + |b_i|); inf when it overflows float64."""
+    with np.errstate(over="ignore"):
+        return float(
+            np.sum(np.abs(net.coeffs) * (np.abs(net.directions).sum(axis=1) + np.abs(net.offsets)))
+        )
 
 
 def scalar_norm(net):
@@ -306,14 +307,23 @@ def _sum_scaling(net, L0):
 
     Neurons are compiled with coefficients scaled by coeff_scale = R/M, where
     R = 3^(1-L0)/N, and the assembled sum is scaled back by prefactor = M/R;
-    both are 0 for a net of zero norm M.
+    both are 0 for a net of zero norm M.  Raises PreconditionError when the
+    norm bound 3^(L0+1) * N * M overflows float64, before any layer is built.
     """
     N = net.n_neurons
     M = shallow_norm(net)
+    _require_finite_bound(3.0 ** (L0 + 1) * N * M)
     R = 3.0 ** (1 - L0) / N
     prefactor = M / R if M > 0 else 0.0
     coeff_scale = R / M if M > 0 else 0.0
     return N, M, prefactor, coeff_scale
+
+
+def _require_finite_bound(bound):
+    # below a finite bound no weight, path norm or output of the compiled
+    # network overflows; above it the report's guarantee would read inf <= inf
+    if not math.isfinite(bound):
+        raise PreconditionError("the net's norm is too large: its compile bound overflows float64")
 
 
 def shallow_to_cnn(net, s):
@@ -383,6 +393,11 @@ def compose_with_scalar_net(net, g, s):
     N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
     K = g.n_neurons
     M0 = scalar_norm(g)
+    bound = 36.0 * 3.0**L0 * N * M * K * M0
+    if 2 * 3.0 ** (L0 - 1) * N * M < 1.0:
+        # degenerate sum net: the layer-norm floors dominate the M factor
+        bound = max(bound, 18.0 * K * M0 * max(3.0 ** (L0 + 1) * N * M, 3.0))
+    _require_finite_bound(bound)
 
     layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     # expose relu(f) / relu(-f) in channels 1 and 2; channel 0 hosts g's neurons
@@ -417,10 +432,5 @@ def compose_with_scalar_net(net, g, s):
     W[0, 3] = out_scale
     W[0, 4] = -out_scale
     params = CnnParams(d, s, layers, W)
-
-    bound = 36.0 * 3.0**L0 * N * M * K * M0
-    if 2 * 3.0 ** (L0 - 1) * N * M < 1.0:
-        # degenerate sum net: the layer-norm floors dominate the M factor
-        bound = max(bound, 18.0 * K * M0 * max(3.0 ** (L0 + 1) * N * M, 3.0))
     report = CompileReport(N * L0 + K + 1, 6, path_norm(params), bound, L0)
     return params, report

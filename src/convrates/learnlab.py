@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -321,6 +321,8 @@ class NoiseSpec:
             raise PreconditionError(f"unknown noise family: {self.kind!r}")
         if not 0 <= self.scale < math.inf:
             raise PreconditionError(f"noise scale {self.scale} must be finite and nonnegative")
+        if self.kind == "uniform" and not math.isfinite(2 * self.scale):
+            raise PreconditionError(f"uniform noise scale {self.scale} overflows its range")
 
     def admissible_moment_exponent(self, mean_bound):
         """A c > 0 with E exp(c Y^2) < inf, from the analytic argument."""
@@ -351,7 +353,8 @@ def sample_dataset(spec, n, noise=None, seed=0):
 
     Regression labels are h(X) plus the configured noise; classification
     labels are +-1 with P(Y = 1 | X) = eta(X).  Reproducible from
-    (spec, n, noise, seed).
+    (spec, n, noise, seed).  Raises PreconditionError when a noise scale
+    near the float64 limit makes a label non-finite.
     """
     if n < 1:
         raise PreconditionError("need at least one sample")
@@ -361,10 +364,13 @@ def sample_dataset(spec, n, noise=None, seed=0):
         noise = noise or NoiseSpec("gaussian", 0.0)
         y = spec(X)
         if noise.scale > 0:
-            if noise.kind == "gaussian":
-                y = y + noise.scale * rng.standard_normal(n)
-            else:
-                y = y + rng.uniform(-noise.scale, noise.scale, n)
+            with np.errstate(over="ignore"):  # overflowing labels are rejected below
+                if noise.kind == "gaussian":
+                    y = y + noise.scale * rng.standard_normal(n)
+                else:
+                    y = y + rng.uniform(-noise.scale, noise.scale, n)
+            if not np.all(np.isfinite(y)):
+                raise PreconditionError(f"noise scale {noise.scale} makes labels non-finite")
         return Dataset(X, y, spec, noise, seed)
     if spec.kind == "class-probability":
         y = np.where(rng.random(n) < spec(X), 1.0, -1.0)
@@ -629,6 +635,12 @@ def default_constants(loss):
     raise PreconditionError(f"unknown loss: {loss!r}")
 
 
+# deepest network a schedule may ask for; the shipped rate studies stay at or
+# below 5 layers, and a larger depth constant would otherwise build layers
+# until memory runs out
+_DEPTH_GUARD = 10_000
+
+
 def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
     """(L_n, M_n, B_n) for sample size n under the loss's growth orders.
 
@@ -660,7 +672,13 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
     else:
         raise PreconditionError(f"unknown loss: {loss!r}")
     base = max(base, 1.0)
-    L = max(1, round(consts.l_const * base**l_exp))
+    depth = consts.l_const * base**l_exp
+    if not depth <= _DEPTH_GUARD:  # also an overflow to inf
+        raise PreconditionError(
+            f"depth {depth:.3g} at n={n} exceeds the {_DEPTH_GUARD}-layer guard; "
+            "lower l_const"
+        )
+    L = max(1, round(depth))
     M = max(1.0, consts.m_const * base**m_exp)
     return L, M, B
 
@@ -760,31 +778,26 @@ def run_rate_experiment(
     wanted = "regression" if loss == "squared" else "class-probability"
     if spec.kind != wanted:  # checked here so that no cell trains in vain
         raise PreconditionError(f"{loss} loss expects a {wanted} target")
-    train_options = dict(train_options or {})
-    s = int(train_options.pop("s", 2))
-    J = int(train_options.pop("J", 6))
+    # the options and every cell's architecture are validated before any
+    # data is drawn, so bad settings fail without work done
+    train_base = TrainConfig(loss=loss, **(train_options or {}))
     alpha = spec.smoothness if spec.smoothness else 1.0
     q = spec.noise_exponent if spec.noise_exponent is not None else 1.0
     beta = spec.svb_exponent if spec.svb_exponent is not None else 1.0
+    cell_cfgs = []
+    for n in n_schedule:
+        L, M, B = architecture_schedule(loss, n, spec.d, alpha, q=q, beta=beta, consts=consts)
+        cell_cfgs.append(replace(train_base, L=L, M=M, trunc_level=B))
 
     rows = []
     means = []
-    for i, n in enumerate(n_schedule):
-        L, M, B = architecture_schedule(loss, n, spec.d, alpha, q=q, beta=beta, consts=consts)
+    for i, (n, cell_cfg) in enumerate(zip(n_schedule, cell_cfgs)):
+        L, M, B = cell_cfg.L, cell_cfg.M, cell_cfg.trunc_level
         cell_values = []
         for r in range(repeats):
             t0 = time.perf_counter()
             data = sample_dataset(spec, n, noise=noise, seed=_cell_seed(base_seed, i, r, 0))
-            cfg = TrainConfig(
-                s=s,
-                J=J,
-                L=L,
-                M=M,
-                loss=loss,
-                trunc_level=B,
-                seed=_cell_seed(base_seed, i, r, 1),
-                **train_options,
-            )
+            cfg = replace(cell_cfg, seed=_cell_seed(base_seed, i, r, 1))
             try:
                 params, _ = train_erm(data, cfg)
             except TrainingFailure as exc:

@@ -4,15 +4,24 @@ Sup-norm distances between functions are approximated by maxima over sampled
 points.  To reduce the chance that a sampled max badly underestimates the true
 sup, the default point set mixes i.i.d. uniform draws with a low-discrepancy
 Sobol sequence.
+
+Only the Sobol draw needs scipy, so `_sobol` imports `scipy.stats.qmc` on
+first use.  Importing `scipy.stats` costs about 0.5 s and 60 MB, which every
+process importing the package would otherwise pay: training and the rate
+studies never draw a Sobol point, and only `cover-check` and
+`verify-compile` load it.
 """
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import PreconditionError
 
 
 def _sobol(d, n, seed):
+    # imported here, not at module level: scipy.stats costs about 0.5 s and
+    # 60 MB to import, and only Sobol draws need it
+    from scipy.stats import qmc
+
     # draw a power-of-two batch (where Sobol balance holds) and slice
     m = max(1, (n - 1).bit_length())
     pts = qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)

@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -18,7 +21,8 @@ from convrates import cli, cnn, complexity, learnlab
 from convrates.compiler import ShallowNet
 from convrates.errors import ConfigError
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -281,6 +285,8 @@ class TestNonFiniteAndEmptyInputs:
             ("fit-rate", "[fit-rate]\ninput = {res}\nloss = squared\n", cli.EXIT_PRECONDITION),
             ("experiment", _TINY_TRIG + "n_terms = -1\n", cli.EXIT_CONFIG),
             ("experiment", _TINY_EXPERIMENT + "d = 1\n", cli.EXIT_CONFIG),
+            ("experiment", _TINY_EXPERIMENT + "noise_kind = uniform\nnoise_scale = 1e308\n",
+             cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -289,7 +295,7 @@ class TestNonFiniteAndEmptyInputs:
             "zero-grid", "zero-resolution", "nan-u", "u-squared-overflows",
             "ragged-trig-terms", "nan-amp", "coord-out-of-range", "zero-freq",
             "non-integer-coord", "trig-terms-for-another-target", "non-positive-n",
-            "negative-n_terms", "d-below-2",
+            "negative-n_terms", "d-below-2", "overflowing-uniform-noise",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -304,6 +310,24 @@ class TestNonFiniteAndEmptyInputs:
         assert len(lines) == 1
         assert json.loads(lines[0])["exit_code"] == code
         assert not out.exists()
+
+
+class TestValidationBeforeSampling:
+    @pytest.mark.parametrize("extra", ["batch_size = 0\n", "l_const = 1e308\n"])
+    def test_bad_training_setting_draws_no_data(self, tmp_path, capsys, monkeypatch, extra):
+        calls = []
+        draw = learnlab.sample_dataset
+        monkeypatch.setattr(
+            learnlab, "sample_dataset", lambda *a, **k: calls.append(a) or draw(*a, **k)
+        )
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nverb = experiment\nseed = 0\noutput = {tmp_path / 'out.csv'}\n"
+            + _TINY_EXPERIMENT + extra,
+        )
+        assert cli.main([cfg]) == cli.EXIT_PRECONDITION
+        assert calls == []
+        assert json.loads(capsys.readouterr().err)["error"] == "precondition"
 
 
 # floats that may be NaN, +-inf, zero, negative, tiny or huge
@@ -356,6 +380,8 @@ _NET_KEYS = {
     "net_seed": ("0", st.integers(-1, 3).map(str)),
     "link": ("none", st.one_of(_SMALL_INT.map("log:{}".format), _ANY_FLOAT.map("sign:{}".format))),
 }
+# None leaves net_file unset, so the net is drawn from net_seed; {aux} is a drawn net file
+_NET_KEYS["net_file"] = (None, st.just("{aux}"))
 _FUZZ_KEYS["compile"] = _NET_KEYS
 _FUZZ_KEYS["verify-compile"] = {
     **_NET_KEYS,
@@ -387,15 +413,14 @@ _FUZZ_KEYS["experiment"] = {
     "learning_rate": ("0.02", _ANY_FLOAT),
     "final_learning_rate": ("0.002", _ANY_FLOAT),
     "init_scale": ("1.0", _ANY_FLOAT),
-    # l_const from a fixed list: a huge finite one asks for astronomically many layers
-    "l_const": ("0", st.sampled_from(["nan", "inf", "-inf", "-1.0", "0.5", "2.0"])),
+    "l_const": ("0", _ANY_FLOAT),
     "m_const": ("0", _ANY_FLOAT),
     "b_const": ("0", _ANY_FLOAT),
 }
 
 
 _FUZZ_KEYS["fit-rate"] = {
-    "input": ("{res}", st.just("{res}")),
+    "input": ("{aux}", st.just("{aux}")),
     "loss": ("squared", st.sampled_from(["squared", "hinge", "logistic", "ratefit"])),
     "alpha": ("1.0", _ANY_FLOAT),
     "d": ("2", _SMALL_INT),
@@ -407,31 +432,46 @@ _CSV_TOKEN = st.one_of(
     st.integers(-5, 2**1100).map(str),
     st.sampled_from(["", "nan", "inf", "-inf", "abc", "ratefit", "squared"]),
 )
+_NET_TOKEN = st.one_of(
+    _ANY_FLOAT,
+    st.sampled_from(["", "nan", "inf", "-inf", "abc", "1e308", "-1e308", "1e309", "#"]),
+)
 
 
 @st.composite
-def _fuzzed_results(draw):
-    """A results CSV of four cells and a ratefit row, with up to four cells
-    replaced by arbitrary tokens, rows made ragged, or the file truncated."""
-    rows = [["squared", str(n), "1", "1", "1", "0", repr(0.5 / n), "0", "0"]
-            for n in (64, 128, 256, 512)]
-    rows.append(["ratefit", "0", "0", "-1", "0", "0", "-0.5", "0", "0"])
+def _corrupted(draw, rows, token, sep, header=""):
+    """`header` and then `rows` joined by `sep`, with up to four cells replaced
+    by drawn tokens, rows made ragged, or the text truncated."""
+    rows = [list(row) for row in rows]
     for _ in range(draw(st.integers(0, 4))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         col = draw(st.integers(0, len(row)))
         if col == len(row):  # ragged: one cell more or one less
-            row.append(draw(_CSV_TOKEN)) if draw(st.booleans()) else row.pop()
+            row.append(draw(token)) if draw(st.booleans()) else row.pop()
         else:
-            row[col] = draw(_CSV_TOKEN)
-    text = "".join(",".join(row) + "\n" for row in [cli._RESULT_HEADER, *rows])
+            row[col] = draw(token)
+    text = header + "".join(sep.join(row) + "\n" for row in rows)
     return text[:draw(st.one_of(st.just(len(text)), st.integers(0, len(text))))]
+
+
+# a results CSV of four cells and a ratefit row
+_fuzzed_results = _corrupted(
+    [["squared", str(n), "1", "1", "1", "0", repr(0.5 / n), "0", "0"] for n in (64, 128, 256, 512)]
+    + [["ratefit", "0", "0", "-1", "0", "0", "-0.5", "0", "0"]],
+    _CSV_TOKEN, ",", header=",".join(cli._RESULT_HEADER) + "\n",
+)
+# a shallow net file of two neurons in d = 2; rows are: coeff a_1 a_2 offset
+_fuzzed_net_file = _corrupted(
+    [["1.0", "0.5", "-0.5", "0.1"], ["-2.0", "0.0", "1.0", "0.0"]], _NET_TOKEN, " "
+)
 
 
 @st.composite
 def _fuzzed_configs(draw):
     """A valid config of one verb (non-exhaustive cover-check, a tiny
-    experiment, fit-rate over a drawn results CSV) with up to three of its
-    keys, and possibly the seed, replaced by arbitrary values."""
+    experiment, fit-rate over a drawn results CSV, compile from a drawn net
+    file) with up to three of its keys, and possibly the seed, replaced by
+    arbitrary values; returns the config text and the drawn file's text."""
     verb = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
     keys = _FUZZ_KEYS[verb]
     values = {key: valid for key, (valid, _) in keys.items()}
@@ -439,35 +479,67 @@ def _fuzzed_configs(draw):
         values[key] = draw(keys[key][1])
     seed = draw(st.integers(-1, 3))
     body = "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
-    results = draw(_fuzzed_results()) if verb == "fit-rate" else ""
-    return f"[run]\nverb = {verb}\nseed = {seed}\noutput = {{out}}\n[{verb}]\n{body}", results
+    aux = ""
+    if verb == "fit-rate":
+        aux = draw(_fuzzed_results)
+    elif "net_file" in keys:
+        aux = draw(_fuzzed_net_file)
+    return f"[run]\nverb = {verb}\nseed = {seed}\noutput = {{out}}\n[{verb}]\n{body}", aux
+
+
+def _exit_code_of(text, aux):
+    """Run a config whose `{out}` and `{aux}` name files in a fresh directory,
+    `aux` holding the given text.  Asserts the exit-code contract: exit
+    0/2/3/4, no warning, nothing on stderr on success and exactly one JSON
+    record on failure.  Returns the exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "run.ini"
+        cfg.write_text(text.format(out=f"{tmp}/out.csv", aux=f"{tmp}/aux.txt"))
+        (pathlib.Path(tmp) / "aux.txt").write_text(aux)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main([str(cfg)])
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_PRECONDITION, cli.EXIT_PROPERTY)
+    lines = err.getvalue().splitlines()
+    if code == cli.EXIT_OK:
+        assert lines == []
+    else:
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["exit_code"] == code
+    return code
 
 
 class TestExitCodeFuzz:
     """Any numbers in a config of any verb, and any corruption of the results
-    CSV that fit-rate reads, end in exit 0/2/3/4, and a failure writes exactly
-    one JSON record, never a traceback."""
+    CSV that fit-rate reads or the net file that compile reads, end in exit
+    0/2/3/4 without a warning, and a failure writes exactly one JSON record,
+    never a traceback."""
 
     @settings(max_examples=500)
     @given(_fuzzed_configs())
     def test_exit_code_contract(self, case):
-        text, results = case
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = pathlib.Path(tmp) / "run.ini"
-            cfg.write_text(text.format(out=f"{tmp}/out.csv", res=f"{tmp}/res.csv"))
-            (pathlib.Path(tmp) / "res.csv").write_text(results)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    code = cli.main([str(cfg)])
-        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_PRECONDITION, cli.EXIT_PROPERTY)
-        lines = err.getvalue().splitlines()
-        if code == cli.EXIT_OK:
-            assert lines == []
-        else:
-            assert len(lines) == 1, lines
-            assert json.loads(lines[0])["exit_code"] == code
+        _exit_code_of(*case)
+
+    @pytest.mark.parametrize("verb", ["compile", "verify-compile"])
+    @pytest.mark.parametrize(
+        "net, code",
+        [
+            ("", cli.EXIT_CONFIG),
+            ("# no rows\n", cli.EXIT_CONFIG),
+            ("1 0.5 abc 0.1\n", cli.EXIT_CONFIG),
+            ("1 0.5 nan 0.1\n", cli.EXIT_PRECONDITION),
+            ("1 0.5 -0.5 inf\n", cli.EXIT_PRECONDITION),
+            ("1e308 1e308 1e308 1e308\n", cli.EXIT_PRECONDITION),
+            ("1 1e308 -0.5 0.1\n-2 1.0 0.0 0.0\n", cli.EXIT_PRECONDITION),
+        ],
+        ids=["empty", "comment-only", "junk-token", "nan", "inf", "all-1e308", "one-1e308"],
+    )
+    def test_malformed_net_file(self, verb, net, code):
+        text = f"[run]\nverb = {verb}\nseed = 0\noutput = {{out}}\n[{verb}]\nnet_file = {{aux}}\n"
+        assert _exit_code_of(text, net) == code
 
 
 class TestApproxLogVerb:
@@ -715,3 +787,42 @@ class TestScripts:
                 fitted = next(csv.DictReader(fh))
             assert summary["loss"] == "ratefit"
             assert float(fitted["slope"]) == pytest.approx(float(summary["M"]), rel=1e-12)
+
+
+_IMPORT_PROBE = """
+import json, sys
+stages = []
+import convrates, convrates.cli, convrates.learnlab
+stages.append("scipy.stats" in sys.modules)
+for config in sys.argv[1:]:
+    code = convrates.cli.main([config])
+    stages.append(("scipy.stats" in sys.modules, code))
+print(json.dumps(stages))
+"""
+
+
+class TestImportBoundary:
+    """scipy.stats costs about 0.5 s and 60 MB to import, and only Sobol
+    point sets need it: importing the package, an entropy sweep and a rate
+    experiment leave it unloaded; an exhaustive cover-check loads it."""
+
+    def test_scipy_stats_loads_only_for_sobol_points(self, tmp_path):
+        configs = []
+        for verb, body in [
+            ("entropy", "[entropy]\nd = 3\ns = 2\nJ = 2\nL = 1:3\nM = 2\neps = 0.5\n"),
+            ("experiment", _TINY_EXPERIMENT),
+            ("cover-check", "[cover-check]\neps = 2.0\ntrials = 2\nexhaustive = true\n"),
+        ]:
+            configs.append(write_config(
+                tmp_path,
+                f"[run]\nverb = {verb}\nseed = 0\noutput = {tmp_path / verb}.csv\n" + body,
+                name=f"{verb}.ini",
+            ))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *configs],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        stages = json.loads(done.stdout.splitlines()[-1])
+        assert stages == [False, [False, 0], [False, 0], [True, 0]]

@@ -204,6 +204,13 @@ class TestSampleDataset:
         with pytest.raises(PreconditionError, match="noise scale"):
             NoiseSpec("gaussian", scale)
 
+    def test_overflowing_labels_are_a_precondition_error(self):
+        spec = make_regression_target("coordinate-clamp", {"d": 2})
+        with pytest.raises(PreconditionError, match="non-finite"):
+            sample_dataset(spec, 1000, NoiseSpec("gaussian", 6.5e307), seed=0)
+        with pytest.raises(PreconditionError, match="overflows"):
+            NoiseSpec("uniform", 1e308)
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
@@ -386,6 +393,16 @@ class TestSchedules:
                 assert all(b == 1.0 for b in B)
             else:
                 assert B[0] < B[1] < B[2]
+
+    @pytest.mark.parametrize("l_const", [1e308, 1e5])
+    def test_depth_guard(self, l_const):
+        with pytest.raises(PreconditionError, match="guard"):
+            architecture_schedule("squared", 256, 2, 1.0, consts=ScheduleConstants(l_const=l_const))
+
+    def test_default_schedules_stay_far_below_the_depth_guard(self):
+        for loss in ("squared", "hinge", "logistic"):
+            L, _, _ = architecture_schedule(loss, 2**20, 2, 1.0)
+            assert L <= learnlab._DEPTH_GUARD // 100
 
     def test_theory_slopes(self):
         assert theory_slope("squared", 1.0, 2) == pytest.approx(-0.5)
