@@ -40,7 +40,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -537,22 +537,20 @@ def _make_target(p):
     raise ConfigError(f"unknown target {kind!r}")
 
 
-_RESULT_HEADER = ["loss", "n", "L", "M", "B", "seed", "excess_risk", "stderr", "wall_time"]
+_RESULT_HEADER = [f.name for f in fields(learnlab.ExperimentRow)]
 
 
 def write_results(path, rows, fit=None):
     """Write rate-experiment rows as a results CSV, plus a summary row for `fit`.
 
-    The summary row is labelled "ratefit" and carries the slope, intercept
-    and theory slope in the M, B and excess_risk columns.
+    The columns are the fields of `learnlab.ExperimentRow`.  The summary row
+    is labelled "ratefit" and carries the slope, intercept and theory slope
+    in the M, B and excess_risk columns.
     """
-    out = [
-        (r.loss, r.n, r.L, r.M, r.B, r.seed, r.excess_risk, r.stderr, r.wall_time)
-        for r in rows
-    ]
     if fit is not None:
-        out.append(("ratefit", 0, 0, fit.slope, fit.intercept, 0, fit.theory_slope, 0.0, 0.0))
-    _write_csv(path, _RESULT_HEADER, out)
+        summary = ("ratefit", 0, 0, fit.slope, fit.intercept, 0, fit.theory_slope, 0.0, 0.0)
+        rows = [*rows, learnlab.ExperimentRow(*summary)]
+    _write_csv(path, _RESULT_HEADER, map(astuple, rows))
 
 
 _TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "init_scale")
@@ -577,7 +575,7 @@ def _run_experiment(p, seed, output):
             consts=consts, train_options=train_options, mc_samples=p["mc_samples"],
         )
     except TrainingFailure as exc:
-        write_results(output, getattr(exc, "partial_rows", []))
+        write_results(output, exc.partial_rows)
         raise
     write_results(output, rows, fit)
     print(
@@ -596,7 +594,7 @@ def _run_fit_rate(p, seed, output):
         reader = csv.DictReader(fh)
         if reader.fieldnames != _RESULT_HEADER:
             raise ConfigError(f"unexpected results header in {p['input']!r}")
-        cells = {}
+        cells = []
         for row in reader:
             if row["loss"] == "ratefit":
                 continue
@@ -608,19 +606,18 @@ def _run_fit_rate(p, seed, output):
                 raise ConfigError(
                     f"malformed results row {reader.line_num} in {p['input']!r}: {exc}"
                 ) from exc
-            cells.setdefault(n, []).append(risk)
+            cells.append((n, risk))
     if not cells:
         raise ConfigError("no data rows in results file")
-    ns = sorted(cells)
-    means = [float(np.mean(cells[n])) for n in ns]
-    slope, intercept, _ = learnlab.fit_loglog(ns, means)
     theory = learnlab.theory_slope(p["loss"], p["alpha"], p["d"], q=p["q"], beta=p["beta"])
+    fit = learnlab.fit_rate(cells, theory)
     _write_csv(
         output,
         ["slope", "intercept", "theory_slope"],
-        [(slope, intercept, theory)],
+        [(fit.slope, fit.intercept, fit.theory_slope)],
     )
-    print(f"fitted slope {slope:+.4f}, intercept {intercept:+.4f}, theory {theory:+.4f}")
+    print(f"fitted slope {fit.slope:+.4f}, intercept {fit.intercept:+.4f}, "
+          f"theory {fit.theory_slope:+.4f}")
     return EXIT_OK
 
 

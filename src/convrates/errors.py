@@ -24,8 +24,10 @@ class PropertyFailure(RuntimeError):
 
 
 class TrainingFailure(RuntimeError):
-    """Training diverged (non-finite loss); carries the partial trace."""
+    """Training diverged (non-finite loss); carries the partial trace and, in
+    a rate experiment, the rows of the cells completed before the failure."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+        self.partial_rows = []  # filled in by learnlab.run_rate_experiment

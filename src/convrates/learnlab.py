@@ -569,13 +569,12 @@ def train_erm(data, cfg):
 # -- evaluation -------------------------------------------------------------
 
 
-def truncated_net(params, level):
-    """Callable evaluating the truncated network on (n, d) batches."""
-
-    def f(X):
-        return truncate(level, forward(params, X))
-
-    return f
+def _check_target_kind(loss, spec):
+    # squared loss is measured against a regression function, every other
+    # loss against a class probability
+    wanted = "regression" if loss == "squared" else "class-probability"
+    if spec.kind != wanted:
+        raise PreconditionError(f"{loss} loss expects a {wanted} target")
 
 
 def measure_excess(params, spec, loss, m, seed, trunc_level):
@@ -583,27 +582,15 @@ def measure_excess(params, spec, loss, m, seed, trunc_level):
 
     squared -> L2(mu) distance to the regression function; hinge/logistic ->
     the corresponding surrogate excess risks of the truncated network;
-    classification -> the 0-1 excess risk of its sign.
+    classification -> the 0-1 excess risk of its sign.  The estimate is
+    `links.<loss>_excess_risk` on m points uniform on [0,1]^d, looked up at
+    each call.
     """
-    sampler = links.uniform_sampler(spec.d)
-    f = truncated_net(params, trunc_level)
-    if loss == "squared":
-        if spec.kind != "regression":
-            raise PreconditionError("squared loss expects a regression target")
-        rng = spawn_rng(seed, 0)
-        X = sampler(m, rng)
-        vals = (f(X) - spec(X)) ** 2
-        se = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-        return links.RiskEstimate(float(vals.mean()), se, m, seed)
-    if spec.kind != "class-probability":
-        raise PreconditionError(f"{loss} loss expects a class-probability target")
-    if loss == "hinge":
-        return links.hinge_excess_risk(f, spec, sampler, m, seed)
-    if loss == "logistic":
-        return links.logistic_excess_risk(f, spec, sampler, m, seed)
-    if loss == "classification":
-        return links.classification_excess_risk(f, spec, sampler, m, seed)
-    raise PreconditionError(f"unknown loss: {loss!r}")
+    if loss not in (*LOSSES, "classification"):
+        raise PreconditionError(f"unknown loss: {loss!r}")
+    _check_target_kind(loss, spec)
+    estimate = getattr(links, f"{loss}_excess_risk")
+    return estimate(lambda X: truncate(trunc_level, forward(params, X)), spec, spec.d, m, seed)
 
 
 # -- schedules and rate fits ------------------------------------------------
@@ -639,6 +626,10 @@ def default_constants(loss):
 # below 5 layers, and a larger depth constant would otherwise build layers
 # until memory runs out
 _DEPTH_GUARD = 10_000
+# largest sample a schedule may ask for; the shipped rate studies stop at
+# 8192, 10^7 points in d = 2 take 160 MB, and a larger n would otherwise
+# ask `sample_dataset` for terabytes or overflow the schedule's float math
+_SAMPLE_GUARD = 10_000_000
 
 
 def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
@@ -737,6 +728,21 @@ class RateFit:
         return int(np.sum(np.diff(self.mean_errors) > 0))
 
 
+def fit_rate(cells, theory):
+    """Fit the log-log slope of the mean excess risk in n.
+
+    `cells` are (n, risk) pairs, one per repeat; the repeats of each n are
+    averaged in the order given and the sizes sorted ascending before
+    `fit_loglog`.  Returns a RateFit carrying `theory` as its theory slope.
+    """
+    by_n = {}
+    for n, risk in cells:
+        by_n.setdefault(n, []).append(risk)
+    ns = sorted(by_n)
+    means = [float(np.mean(by_n[n])) for n in ns]
+    return RateFit(np.asarray(ns, dtype=float), np.asarray(means), *fit_loglog(ns, means), theory)
+
+
 @dataclass
 class ExperimentRow:
     loss: str
@@ -771,29 +777,30 @@ def run_rate_experiment(
     n_schedule = [int(n) for n in n_schedule]
     if len(n_schedule) < 4 or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise PreconditionError("n_schedule must be increasing with at least 4 values")
+    if n_schedule[-1] > _SAMPLE_GUARD:
+        raise PreconditionError(
+            f"sample size {n_schedule[-1]} exceeds the {_SAMPLE_GUARD}-point guard"
+        )
     if repeats < 1 or mc_samples < 1:
         raise PreconditionError("repeats and mc_samples must be positive")
     if loss not in LOSSES:
         raise PreconditionError(f"unknown loss: {loss!r}")
-    wanted = "regression" if loss == "squared" else "class-probability"
-    if spec.kind != wanted:  # checked here so that no cell trains in vain
-        raise PreconditionError(f"{loss} loss expects a {wanted} target")
+    _check_target_kind(loss, spec)  # checked here so that no cell trains in vain
     # the options and every cell's architecture are validated before any
     # data is drawn, so bad settings fail without work done
     train_base = TrainConfig(loss=loss, **(train_options or {}))
     alpha = spec.smoothness if spec.smoothness else 1.0
     q = spec.noise_exponent if spec.noise_exponent is not None else 1.0
     beta = spec.svb_exponent if spec.svb_exponent is not None else 1.0
+    theory = theory_slope(loss, alpha, spec.d, q=q, beta=beta)
     cell_cfgs = []
     for n in n_schedule:
         L, M, B = architecture_schedule(loss, n, spec.d, alpha, q=q, beta=beta, consts=consts)
         cell_cfgs.append(replace(train_base, L=L, M=M, trunc_level=B))
 
     rows = []
-    means = []
     for i, (n, cell_cfg) in enumerate(zip(n_schedule, cell_cfgs)):
         L, M, B = cell_cfg.L, cell_cfg.M, cell_cfg.trunc_level
-        cell_values = []
         for r in range(repeats):
             t0 = time.perf_counter()
             data = sample_dataset(spec, n, noise=noise, seed=_cell_seed(base_seed, i, r, 0))
@@ -806,32 +813,12 @@ def run_rate_experiment(
             est = measure_excess(
                 params, spec, loss, mc_samples, _cell_seed(base_seed, i, r, 2), B
             )
-            rows.append(
-                ExperimentRow(
-                    loss=loss,
-                    n=n,
-                    L=L,
-                    M=M,
-                    B=B,
-                    seed=_cell_seed(base_seed, i, r, 1),
-                    excess_risk=est.value,
-                    stderr=est.standard_error,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-            cell_values.append(est.value)
-        means.append(float(np.mean(cell_values)))
+            rows.append(ExperimentRow(
+                loss, n, L, M, B, cfg.seed, est.value, est.standard_error,
+                time.perf_counter() - t0,
+            ))
 
-    slope, intercept, residuals = fit_loglog(n_schedule, means)
-    fit = RateFit(
-        ns=np.asarray(n_schedule, dtype=float),
-        mean_errors=np.asarray(means),
-        slope=slope,
-        intercept=intercept,
-        residuals=residuals,
-        theory_slope=theory_slope(loss, alpha, spec.d, q=q, beta=beta),
-    )
-    return fit, rows
+    return fit_rate([(row.n, row.excess_risk) for row in rows], theory), rows
 
 
 def _cell_seed(base, *path):

@@ -11,16 +11,19 @@ scores:
   antisymmetrizing; pushing its output through the logistic function
   recovers t up to 3/n_pieces.
 
-Excess risks for the hinge, logistic and 0-1 losses are estimated by Monte
-Carlo using their pointwise closed forms:
+Excess risks for the squared, hinge, logistic and 0-1 losses are estimated by
+Monte Carlo using their pointwise closed forms:
 
+    squared : E (f - h)^2                                  (h the regression function)
     hinge   : E |f - sign(2 eta - 1)| |2 eta - 1|          (for |f| <= 1)
     logistic: E KL(eta, logistic(f))
     0-1     : E 1{sign f != sign(2 eta - 1)} |2 eta - 1|
 
-with sign(0) taken as +1.  The inequality checkers validate exact pointwise
-or in-expectation bounds, allowing three standard errors of slack for the
-Monte Carlo ones.
+with sign(0) taken as +1.  Every estimate draws X uniform on [0,1]^d, the one
+law the lab's targets certify their margin and small-value conditions
+under, and rejects non-finite scores f(X).  The inequality checkers validate
+exact pointwise or in-expectation bounds, allowing three standard errors of
+slack for the Monte Carlo ones.
 """
 
 from __future__ import annotations
@@ -182,43 +185,51 @@ class RiskEstimate:
             raise PreconditionError("standard error must be nonnegative")
 
 
-def uniform_sampler(d):
-    """Sampler for the uniform distribution on [0,1]^d."""
-
-    def sample(n, rng):
-        return rng.random((n, d))
-
-    return sample
-
-
 def _estimate(values, samples, seed):
     values = np.asarray(values, dtype=np.float64)
     if np.any(np.isinf(values)):
         return RiskEstimate(float("inf"), float("inf"), samples, seed)
-    se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return RiskEstimate(float(values.mean()), se, samples, seed)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        mean = float(values.mean())
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise PreconditionError(
+            f"the mean or spread of {samples} Monte Carlo values is not finite"
+        )
+    return RiskEstimate(mean, se, samples, seed)
 
 
-def _draw(x_sampler, m, seed):
+def _draw(d, m, seed):
+    """m points uniform on [0,1]^d from the (seed, 0) stream."""
     if m < 1:
         raise PreconditionError("need at least one Monte Carlo draw")
-    return x_sampler(m, spawn_rng(seed, 0))
+    return spawn_rng(seed, 0).random((m, d))
 
 
 def _finite_scores(values):
     fv = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(fv)):
-        raise PreconditionError("scores f(X) must be finite on the sample")
+        raise PreconditionError("scores must be finite on the sample")
     return fv
 
 
-def hinge_excess_risk(f, eta, x_sampler, m, seed):
+def squared_excess_risk(f, h, d, m, seed):
+    """Monte Carlo estimate of E (f - h)^2.
+
+    Equals the squared risk of f minus that of the regression function h.
+    """
+    X = _draw(d, m, seed)
+    vals = (_finite_scores(f(X)) - h(X)) ** 2
+    return _estimate(vals, m, seed)
+
+
+def hinge_excess_risk(f, eta, d, m, seed):
     """Monte Carlo estimate of E |f - sign(2 eta - 1)| |2 eta - 1|.
 
     Valid for finite |f| <= 1 (checked on the sample); equals the hinge risk of f
     minus the Bayes hinge risk.
     """
-    X = _draw(x_sampler, m, seed)
+    X = _draw(d, m, seed)
     fv = _finite_scores(f(X))
     if np.max(np.abs(fv)) > 1 + 1e-9:
         raise PreconditionError("hinge excess risk requires |f| <= 1 on the sample")
@@ -228,19 +239,17 @@ def hinge_excess_risk(f, eta, x_sampler, m, seed):
     return _estimate(vals, m, seed)
 
 
-def logistic_excess_risk(f, eta, x_sampler, m, seed):
+def logistic_excess_risk(f, eta, d, m, seed):
     """Monte Carlo estimate of E KL(eta, logistic(f))."""
-    X = _draw(x_sampler, m, seed)
-    vals = kl_divergence(np.asarray(eta(X), dtype=np.float64), logistic(f(X)))
+    X = _draw(d, m, seed)
+    fv = _finite_scores(f(X))
+    vals = kl_divergence(np.asarray(eta(X), dtype=np.float64), logistic(fv))
     return _estimate(vals, m, seed)
 
 
-def classification_excess_risk(f, eta, x_sampler, m, seed):
-    """Monte Carlo estimate of E 1{sign f != sign(2 eta - 1)} |2 eta - 1|.
-
-    The scores f(X) must be finite on the sample.
-    """
-    X = _draw(x_sampler, m, seed)
+def classification_excess_risk(f, eta, d, m, seed):
+    """Monte Carlo estimate of E 1{sign f != sign(2 eta - 1)} |2 eta - 1|."""
+    X = _draw(d, m, seed)
     fv = _finite_scores(f(X))
     ev = np.asarray(eta(X), dtype=np.float64)
     margin = 2 * ev - 1
@@ -324,7 +333,7 @@ def check_log2_inequality(grid_resolution=500, u_values=None):
     return GridCheckReport(min_slack, worst, total, bool(min_slack >= 0))
 
 
-def check_logistic_variance_bound(f, eta, bound_level, x_sampler, m, seed):
+def check_logistic_variance_bound(f, eta, bound_level, d, m, seed):
     """Check E[(phi(Yf) - phi(Yf*))^2] <= 3 B R_phi(f) for the logistic loss.
 
     f must satisfy |f| <= B with B >= 2 (checked on the sample).  Both sides
@@ -335,8 +344,8 @@ def check_logistic_variance_bound(f, eta, bound_level, x_sampler, m, seed):
     B = float(bound_level)
     if B < 2:
         raise PreconditionError("the variance bound requires B >= 2")
-    X = _draw(x_sampler, m, seed)
-    fv = np.asarray(f(X), dtype=np.float64)
+    X = _draw(d, m, seed)
+    fv = _finite_scores(f(X))
     if np.max(np.abs(fv)) > B + 1e-9:
         raise PreconditionError("sampled |f| exceeds the declared bound B")
     ev = np.asarray(eta(X), dtype=np.float64)
@@ -371,7 +380,7 @@ def kl_small_value_bound(u, C, beta, C_beta):
     return 2 * C_beta * (C + 1) ** 3 * u**2 * math.log(1.0 / u)
 
 
-def check_kl_bound(eta, h, u, C, beta, C_beta, x_sampler, m, seed):
+def check_kl_bound(eta, h, u, C, beta, C_beta, d, m, seed):
     """Check E KL(eta, h) against the small-value-bound ceiling.
 
     Requires h to map into [u, 1-u] with |h - eta| <= C u (checked on the
@@ -379,8 +388,8 @@ def check_kl_bound(eta, h, u, C, beta, C_beta, x_sampler, m, seed):
     P(eta <= t) <= C_beta t^beta and P(1 - eta <= t) <= C_beta t^beta.
     """
     ceiling = kl_small_value_bound(u, C, beta, C_beta)
-    X = _draw(x_sampler, m, seed)
-    hv = np.asarray(h(X), dtype=np.float64)
+    X = _draw(d, m, seed)
+    hv = _finite_scores(h(X))
     ev = np.asarray(eta(X), dtype=np.float64)
     if np.min(hv) < u - 1e-12 or np.max(hv) > 1 - u + 1e-12:
         raise PreconditionError("h must map into [u, 1-u]")

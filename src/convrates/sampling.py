@@ -2,7 +2,7 @@
 
 Sup-norm distances between functions are approximated by maxima over sampled
 points.  To reduce the chance that a sampled max badly underestimates the true
-sup, the default point set mixes i.i.d. uniform draws with a low-discrepancy
+sup, the point set mixes i.i.d. uniform draws with a low-discrepancy
 Sobol sequence.
 
 Only the Sobol draw needs scipy, so `_sobol` imports `scipy.stats.qmc` on
@@ -28,28 +28,17 @@ def _sobol(d, n, seed):
     return pts[:n]
 
 
-def unit_cube_points(d, n, seed, method="mixed"):
-    """Return an (n, d) array of points in [0,1]^d.
-
-    method: "uniform" (i.i.d.), "sobol" (scrambled Sobol), or "mixed"
-    (half uniform, half Sobol; default).
-    """
+def unit_cube_points(d, n, seed):
+    """Return an (n, d) array of points in [0,1]^d: ceil(n/2) i.i.d. uniform
+    draws followed by floor(n/2) scrambled Sobol points."""
     if n < 1:
         raise PreconditionError(f"need at least one point, not {n}")
-    if method == "uniform":
-        rng = np.random.default_rng(seed)
-        return rng.random((n, d))
-    if method == "sobol":
-        return _sobol(d, n, seed)
-    if method == "mixed":
-        n_sob = n // 2
-        n_uni = n - n_sob
-        rng = np.random.default_rng(seed)
-        pts = [rng.random((n_uni, d))]
-        if n_sob > 0:
-            pts.append(_sobol(d, n_sob, seed))
-        return np.concatenate(pts, axis=0)
-    raise ValueError(f"unknown sampling method: {method!r}")
+    n_sob = n // 2
+    rng = np.random.default_rng(seed)
+    pts = [rng.random((n - n_sob, d))]
+    if n_sob > 0:
+        pts.append(_sobol(d, n_sob, seed))
+    return np.concatenate(pts, axis=0)
 
 
 def spawn_rng(seed, *path):

@@ -51,7 +51,6 @@ from convrates.links import (
     log_link_net,
     logistic,
     logistic_excess_risk,
-    uniform_sampler,
 )
 from convrates.sampling import unit_cube_points
 
@@ -243,7 +242,7 @@ class TestCriterion07VarianceAndKlBounds:
             lambda X: np.full(len(X), 2.0),
             lambda X: np.full(len(X), 0.5),
             2.0,
-            uniform_sampler(2),
+            2,
             self.M,
             0,
         )
@@ -259,7 +258,7 @@ class TestCriterion07VarianceAndKlBounds:
             a = rng.uniform(0.5, 5.0)
             f = lambda X, w=w, b=b, B=B: np.clip(2 * (X @ w) + b, -B, B)
             eta = lambda X, a=a: logistic(a * (X[:, 1] - 0.3))
-            rep = check_logistic_variance_bound(f, eta, B, uniform_sampler(2), self.M, trial)
+            rep = check_logistic_variance_bound(f, eta, B, 2, self.M, trial)
             assert rep.passed
         report(
             "criterion 7a: logistic variance bound",
@@ -279,7 +278,7 @@ class TestCriterion07VarianceAndKlBounds:
             1.0,
             1.0,
             1.0,
-            uniform_sampler(2),
+            2,
             self.M,
             1,
         )
@@ -291,7 +290,7 @@ class TestCriterion07VarianceAndKlBounds:
             spec = make_eta_svb(beta)
             h = lambda X, spec=spec, u=u: np.clip(spec(X), u, 1 - u)
             rep = check_kl_bound(
-                spec, h, u, 1.0, beta, spec.svb_constant, uniform_sampler(2), self.M, trial
+                spec, h, u, 1.0, beta, spec.svb_constant, 2, self.M, trial
             )
             assert rep.passed
         report(
@@ -311,8 +310,8 @@ class TestCriterion08Calibrations:
             c = rng.uniform(0.5, 6.0)
             f = lambda X, w=w, b=b: np.clip(X @ w + b, -1, 1)
             eta = make_eta_tsybakov(c)
-            cls = classification_excess_risk(f, eta, uniform_sampler(2), 40_000, trial)
-            hin = hinge_excess_risk(f, eta, uniform_sampler(2), 40_000, trial)
+            cls = classification_excess_risk(f, eta, 2, 40_000, trial)
+            hin = hinge_excess_risk(f, eta, 2, 40_000, trial)
             joint = math.hypot(cls.standard_error, hin.standard_error)
             assert cls.value <= hin.value + 3 * joint
         report(
@@ -331,8 +330,8 @@ class TestCriterion08Calibrations:
             w = rng.standard_normal(2)
             b = 0.3 * rng.standard_normal()
             f = lambda X, w=w, b=b: np.clip(X @ w + b, -3, 3)
-            cls = classification_excess_risk(f, eta, uniform_sampler(2), 40_000, trial)
-            log_est = logistic_excess_risk(f, eta, uniform_sampler(2), 40_000, trial)
+            cls = classification_excess_risk(f, eta, 2, 40_000, trial)
+            log_est = logistic_excess_risk(f, eta, 2, 40_000, trial)
             rhs = 4 * c_q ** (1 / (q + 2)) * (
                 log_est.value + 3 * log_est.standard_error
             ) ** ((q + 1) / (q + 2))

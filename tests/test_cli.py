@@ -287,6 +287,8 @@ class TestNonFiniteAndEmptyInputs:
             ("experiment", _TINY_EXPERIMENT + "d = 1\n", cli.EXIT_CONFIG),
             ("experiment", _TINY_EXPERIMENT + "noise_kind = uniform\nnoise_scale = 1e308\n",
              cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT.replace(",20", f",{10**12}"), cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT.replace(",20", f",{10**400}"), cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -296,6 +298,7 @@ class TestNonFiniteAndEmptyInputs:
             "ragged-trig-terms", "nan-amp", "coord-out-of-range", "zero-freq",
             "non-integer-coord", "trig-terms-for-another-target", "non-positive-n",
             "negative-n_terms", "d-below-2", "overflowing-uniform-noise",
+            "n-past-sample-guard", "n-past-float64",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -399,7 +402,11 @@ _FUZZ_KEYS["experiment"] = {
     "freqs": (None, _listed(_ANY_FLOAT)),
     "coords": (None, _listed(_SMALL_INT)),
     "phases": (None, _listed(_ANY_FLOAT)),
-    "n_schedule": ("8, 12, 16, 20", _listed(st.integers(-3, 24).map(str))),
+    # rarely a valid schedule whose last size is past the sample-size guard
+    "n_schedule": ("8, 12, 16, 20", st.one_of(
+        _listed(st.integers(-3, 24).map(str)),
+        st.sampled_from([10**12, 10**400]).map("8, 12, 16, {}".format),
+    )),
     "repeats": ("1", st.integers(-3, 2).map(str)),
     "epochs": ("1", st.integers(-3, 2).map(str)),
     "restarts": ("1", st.integers(-3, 2).map(str)),

@@ -381,6 +381,18 @@ class TestMeasureExcess:
         with pytest.raises(PreconditionError):
             measure_excess(params, spec, "squared", 100, 0, trunc_level=1.0)
 
+    def test_estimator_looked_up_on_links_per_call(self, monkeypatch):
+        # a rebinding of links.<loss>_excess_risk after import is the one used
+        calls = []
+        monkeypatch.setattr(
+            learnlab.links, "hinge_excess_risk", lambda *args: calls.append(args) or "est"
+        )
+        zero = ShallowNet([0.0], [[0.0, 0.0]], [0.0])
+        params, _ = shallow_to_cnn(zero, 2)
+        assert measure_excess(params, make_eta_svb(1.0), "hinge", 100, 7, 1.0) == "est"
+        (f, eta, d, m, seed), = calls
+        assert (d, m, seed) == (2, 100, 7)
+
 
 class TestSchedules:
     def test_growth_in_n(self):
@@ -398,6 +410,15 @@ class TestSchedules:
     def test_depth_guard(self, l_const):
         with pytest.raises(PreconditionError, match="guard"):
             architecture_schedule("squared", 256, 2, 1.0, consts=ScheduleConstants(l_const=l_const))
+
+    @pytest.mark.parametrize("n_max", [10**12, 10**400])
+    def test_sample_guard(self, monkeypatch, n_max):
+        calls = []
+        monkeypatch.setattr(learnlab, "sample_dataset", lambda *a, **k: calls.append(a))
+        spec = make_regression_target("coordinate-clamp", {"d": 2})
+        with pytest.raises(PreconditionError, match="guard"):
+            run_rate_experiment(spec, "squared", [64, 128, 256, n_max])
+        assert calls == []
 
     def test_default_schedules_stay_far_below_the_depth_guard(self):
         for loss in ("squared", "hinge", "logistic"):

@@ -27,8 +27,9 @@ from convrates.links import (
     logistic_excess_risk,
     sign_link_net,
     sign_plus,
-    uniform_sampler,
+    squared_excess_risk,
 )
+from convrates.sampling import spawn_rng
 
 
 class TestLogistic:
@@ -166,14 +167,14 @@ class TestHingeExcessRisk:
     def test_bayes_function_has_zero_excess(self, rng):
         eta = lambda X: X[:, 0]
         f = lambda X: sign_plus(2 * X[:, 0] - 1)
-        est = hinge_excess_risk(f, eta, uniform_sampler(2), 5000, 3)
+        est = hinge_excess_risk(f, eta, 2, 5000, 3)
         assert est.value == 0.0
 
     def test_constant_integrand(self):
         est = hinge_excess_risk(
             lambda X: -np.ones(len(X)),
             lambda X: np.ones(len(X)),
-            uniform_sampler(2),
+            2,
             100,
             0,
         )
@@ -184,7 +185,7 @@ class TestHingeExcessRisk:
         exact = quad(lambda x: 2 * (1 - 2 * x), 0, 0.5)[0]
         assert exact == pytest.approx(0.5, abs=1e-12)
         est = hinge_excess_risk(
-            lambda X: np.ones(len(X)), lambda X: X[:, 0], uniform_sampler(2), 400_000, 11
+            lambda X: np.ones(len(X)), lambda X: X[:, 0], 2, 400_000, 11
         )
         assert est.value == pytest.approx(exact, abs=4 * est.standard_error)
 
@@ -193,7 +194,7 @@ class TestHingeExcessRisk:
             hinge_excess_risk(
                 lambda X: 2 * np.ones(len(X)),
                 lambda X: X[:, 0],
-                uniform_sampler(2),
+                2,
                 100,
                 0,
             )
@@ -205,7 +206,7 @@ class TestHingeExcessRisk:
             hinge_excess_risk(
                 lambda X: np.full(len(X), np.nan),
                 lambda X: X[:, 0],
-                uniform_sampler(2),
+                2,
                 100,
                 0,
             )
@@ -215,14 +216,14 @@ class TestLogisticExcessRisk:
     def test_optimal_score_has_zero_excess(self):
         eta = lambda X: 0.25 + 0.5 * X[:, 0]
         f_star = lambda X: np.log(eta(X) / (1 - eta(X)))
-        est = logistic_excess_risk(f_star, eta, uniform_sampler(2), 5000, 1)
+        est = logistic_excess_risk(f_star, eta, 2, 5000, 1)
         assert est.value == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_zero(self):
         est = logistic_excess_risk(
             lambda X: np.zeros(len(X)),
             lambda X: np.full(len(X), 0.5),
-            uniform_sampler(2),
+            2,
             100,
             0,
         )
@@ -232,26 +233,57 @@ class TestLogisticExcessRisk:
         est = logistic_excess_risk(
             lambda X: np.full(len(X), math.log(3.0)),
             lambda X: np.full(len(X), 0.5),
-            uniform_sampler(2),
+            2,
             100,
             0,
         )
         assert est.value == pytest.approx(kl_divergence(0.5, 0.75), rel=1e-13)
         assert est.standard_error == pytest.approx(0.0, abs=1e-16)
 
+    def test_nan_scores_rejected(self):
+        # logistic(NaN) is NaN, which kl_divergence would carry into the mean
+        scores = lambda X: np.where(X[:, 1] < 0.5, np.nan, 1.0)
+        with pytest.raises(PreconditionError, match="finite"):
+            logistic_excess_risk(scores, lambda X: X[:, 0], 2, 100, 0)
+
+
+class TestSquaredExcessRisk:
+    def test_regression_function_has_zero_excess(self):
+        h = lambda X: np.sin(3 * X[:, 0]) + X[:, 1]
+        est = squared_excess_risk(h, h, 2, 1000, 4)
+        assert est.value == 0.0 and est.standard_error == 0.0
+
+    def test_draws_the_uniform_stream_of_the_seed(self):
+        # f - h = x1, so the estimate is the sample mean of x1^2 over the
+        # points spawn_rng(seed, 0) draws uniformly on [0,1]^3
+        est = squared_excess_risk(lambda X: X[:, 0], lambda X: np.zeros(len(X)), 3, 500, 9)
+        X = spawn_rng(9, 0).random((500, 3))
+        assert est.value == float(np.mean(X[:, 0] ** 2))
+        assert est.value == pytest.approx(1 / 3, abs=4 * est.standard_error)
+
+    def test_nan_scores_rejected(self):
+        scores = lambda X: np.where(X[:, 1] < 0.5, np.nan, 1.0)
+        with pytest.raises(PreconditionError, match="finite"):
+            squared_excess_risk(scores, lambda X: X[:, 0], 2, 100, 0)
+
+    def test_overflowing_spread_rejected(self):
+        # finite values near 1e306 whose sum of squared deviations overflows
+        with pytest.raises(PreconditionError, match="not finite"):
+            squared_excess_risk(lambda X: 1e153 * X[:, 0], lambda X: np.zeros(len(X)), 2, 100, 0)
+
 
 class TestClassificationExcessRisk:
     def test_correct_signs_give_zero(self, rng):
         eta = lambda X: logistic(3 * (X[:, 0] - 0.5))
         f = lambda X: X[:, 0] - 0.5
-        est = classification_excess_risk(f, eta, uniform_sampler(2), 2000, 0)
+        est = classification_excess_risk(f, eta, 2, 2000, 0)
         assert est.value == 0.0
 
     def test_always_wrong(self):
         est = classification_excess_risk(
             lambda X: -np.ones(len(X)),
             lambda X: np.ones(len(X)),
-            uniform_sampler(2),
+            2,
             100,
             0,
         )
@@ -261,7 +293,7 @@ class TestClassificationExcessRisk:
         # sign_plus would read NaN as -1 and return a plausible risk
         scores = lambda X: np.where(X[:, 1] < 0.5, np.nan, 1.0)
         with pytest.raises(PreconditionError, match="finite"):
-            classification_excess_risk(scores, lambda X: X[:, 0], uniform_sampler(2), 100, 0)
+            classification_excess_risk(scores, lambda X: X[:, 0], 2, 100, 0)
 
 
 class TestHingeCalibration:
@@ -273,8 +305,8 @@ class TestHingeCalibration:
             c = rng.uniform(0.5, 4.0)
             f = lambda X, w=w, b=b: np.clip(X @ w + b, -1, 1)
             eta = lambda X, c=c: logistic(c * (X[:, 0] - 0.5))
-            cls = classification_excess_risk(f, eta, uniform_sampler(2), 20_000, trial)
-            hin = hinge_excess_risk(f, eta, uniform_sampler(2), 20_000, trial)
+            cls = classification_excess_risk(f, eta, 2, 20_000, trial)
+            hin = hinge_excess_risk(f, eta, 2, 20_000, trial)
             joint_se = math.hypot(cls.standard_error, hin.standard_error)
             assert cls.value <= hin.value + 3 * joint_se
 
@@ -290,8 +322,8 @@ class TestLogisticCalibration:
             w = rng.standard_normal(2)
             b = 0.3 * rng.standard_normal()
             f = lambda X, w=w, b=b: np.clip(X @ w + b, -3, 3)
-            cls = classification_excess_risk(f, eta, uniform_sampler(2), 40_000, trial)
-            log_est = logistic_excess_risk(f, eta, uniform_sampler(2), 40_000, trial)
+            cls = classification_excess_risk(f, eta, 2, 40_000, trial)
+            log_est = logistic_excess_risk(f, eta, 2, 40_000, trial)
             rhs = 4 * c_q ** (1 / (q + 2)) * (
                 log_est.value + 3 * log_est.standard_error
             ) ** ((q + 1) / (q + 2))
@@ -338,7 +370,7 @@ class TestLogisticVarianceBound:
         eta = lambda X: 0.3 + 0.4 * X[:, 0]
         f_star = lambda X: np.log(eta(X) / (1 - eta(X)))
         report = check_logistic_variance_bound(
-            f_star, eta, 2.0, uniform_sampler(2), 2000, 0
+            f_star, eta, 2.0, 2, 2000, 0
         )
         assert report.lhs == pytest.approx(0.0, abs=1e-12)
         assert report.passed
@@ -348,7 +380,7 @@ class TestLogisticVarianceBound:
             lambda X: np.full(len(X), 2.0),
             lambda X: np.full(len(X), 0.5),
             2.0,
-            uniform_sampler(2),
+            2,
             500,
             0,
         )
@@ -384,7 +416,7 @@ class TestLogisticVarianceBound:
             a = rng.uniform(0.5, 5.0)
             eta = lambda X, a=a: logistic(a * (X[:, 1] - 0.3))
             report = check_logistic_variance_bound(
-                f, eta, B, uniform_sampler(2), 4000, trial
+                f, eta, B, 2, 4000, trial
             )
             assert report.passed
 
@@ -394,7 +426,7 @@ class TestLogisticVarianceBound:
                 lambda X: np.zeros(len(X)),
                 lambda X: np.full(len(X), 0.5),
                 1.0,
-                uniform_sampler(2),
+                2,
                 100,
                 0,
             )
@@ -405,7 +437,7 @@ class TestKlBound:
         u = 0.05
         eta = lambda X: 0.3 + 0.4 * X[:, 0]  # already in [u, 1-u]
         h = lambda X: np.clip(eta(X), u, 1 - u)
-        report = check_kl_bound(eta, h, u, 1.0, 1.0, 1.0, uniform_sampler(2), 2000, 0)
+        report = check_kl_bound(eta, h, u, 1.0, 1.0, 1.0, 2, 2000, 0)
         assert report.lhs == 0.0 and report.passed
 
     def test_quadrature_oracle_beta_one(self):
@@ -413,7 +445,7 @@ class TestKlBound:
         u = 0.01
         eta = lambda X: X[:, 0]
         h = lambda X: np.clip(X[:, 0], u, 1 - u)
-        report = check_kl_bound(eta, h, u, 1.0, 1.0, 1.0, uniform_sampler(2), 400_000, 7)
+        report = check_kl_bound(eta, h, u, 1.0, 1.0, 1.0, 2, 400_000, 7)
         exact = (
             quad(lambda t: kl_divergence(t, u), 0, u)[0]
             + quad(lambda t: kl_divergence(t, 1 - u), 1 - u, 1)[0]
@@ -438,7 +470,7 @@ class TestKlBound:
                 1.0,
                 1.0,
                 1.0,
-                uniform_sampler(2),
+                2,
                 1000,
                 0,
             )
