@@ -21,12 +21,16 @@ the output contraction.
 `empirical_cover_check` validates the recursion constructively on tiny
 architectures: random parameter vectors are snapped to the grid and the
 realized functions compared on sampled points.  Its exhaustive variant
-evaluates every grid network through one reused parameter view (the grid
-values are finite by construction, so the view is validated once) and finds
-the nearest grid network by an exact pruned search: the distance over a head
-of the sampled points bounds each grid network's distance from below, so only
-networks whose bound beats the best full distance are compared on every
-point, and the result is the same float as a scan of the whole table.
+evaluates the trial networks first, then streams the grid networks through
+one reused block of rows: each block is filled through one reused parameter
+view (the grid values are finite by construction, so the view is validated
+once), and the nearest grid network of each block is found by an exact pruned
+search: the distance over a head of the sampled points bounds each grid
+network's distance from below, so only networks whose bound beats the best
+full distance are compared on every point.  The minimum over blocks of each
+block's exact minimum is the same float as a scan of the whole table, which
+is never held: peak memory is about (trials + block rows) x points floats,
+whatever the number of grid networks.
 
 Every constant entering a bound must be finite: non-finite input, or a bound
 that overflows float64, raises PreconditionError instead of flowing on as
@@ -173,6 +177,7 @@ _COVER_PARAM_GUARD = 8
 _EXHAUSTIVE_GUARD = 300_000
 _GRID_GUARD = 1_000_000  # grid points per parameter
 _HEAD_POINTS = 64  # sampled points behind the exhaustive search's lower bounds
+_BLOCK_BYTES = 4 << 20  # one block of grid-network values in the exhaustive search
 
 
 @dataclass
@@ -253,11 +258,15 @@ def empirical_cover_check(
     nearest grid point (the cover candidate the recursion guarantees), and
     measures the sampled sup distance between the two realized functions.
     With `exhaustive=True` the distance is minimized over every grid network
-    instead, by an exact pruned search over the table of grid-network values
-    (`_nearest_row_distance`): the result is the one a full scan of the table
-    gives.  The grid networks are evaluated through one `params_view`, whose
-    vector is overwritten before each `forward`.  Every distance must come
-    out at most eps; a failure falsifies the recursion constants.
+    instead.  The trial networks are evaluated first and held as one
+    trials x points array; the grid networks are then evaluated block by
+    block into one reused buffer of about `_BLOCK_BYTES`, each through one
+    `params_view` whose vector is overwritten before each `forward`, and an
+    exact pruned search (`_nearest_row_distance`) lowers each trial's running
+    minimum by the block's nearest distance.  The result is the one a full
+    scan of the candidates x points table gives, at a peak of about
+    (trials + block rows) x points floats.  Every distance must come out at
+    most eps; a failure falsifies the recursion constants.
     """
     _check_eps(eps)
     if trials < 1:
@@ -283,37 +292,45 @@ def empirical_cover_check(
     covering_radius = B / (grid_resolution - 1)
     candidate_count = grid_resolution**n
 
-    X = unit_cube_points(d, n_points, seed=seed)
-    arch = (d, s, J, L)
-
     if exhaustive:
         if candidate_count > _EXHAUSTIVE_GUARD:
             raise PreconditionError(
                 f"{candidate_count} grid networks exceed the exhaustive-search guard"
             )
-        thetas = np.stack(
+        # the trial values are held at once; allow them the table size the
+        # candidate guard allows at the default 1000 points
+        if trials * n_points > _EXHAUSTIVE_GUARD * 1000:
+            raise PreconditionError(
+                f"{trials} trials x {n_points} points exceed the exhaustive-search guard"
+            )
+
+    X = unit_cube_points(d, n_points, seed=seed)
+    arch = (d, s, J, L)
+    thetas = (spawn_rng(seed, t).uniform(-B, B, size=n) for t in range(trials))
+
+    if exhaustive:
+        trial_values = np.stack([forward(params_from_vector(th, *arch), X) for th in thetas])
+        distances = np.full(trials, np.inf)
+        grid_thetas = np.stack(
             np.meshgrid(*([grid] * n), indexing="ij"), axis=-1
         ).reshape(-1, n)
-        table = np.empty((candidate_count, n_points))
-        vec = thetas[0].copy()
+        block = np.empty((max(1, _BLOCK_BYTES // (8 * n_points)), n_points))
+        vec = grid_thetas[0].copy()
         net = params_view(vec, *arch)  # validated once; grid values are finite
-        for row, t in zip(table, thetas):
-            vec[:] = t
-            row[:] = forward(net, X)
-        head = np.ascontiguousarray(table[:, :_HEAD_POINTS])
-
-    distances = np.empty(trials)
-    for t in range(trials):
-        rng = spawn_rng(seed, t)
-        theta = rng.uniform(-B, B, size=n)
-        f_trial = forward(params_from_vector(theta, *arch), X)
-        if exhaustive:
-            dist = _nearest_row_distance(table, head, f_trial)
-        else:
-            cand = _snap_to_grid(theta, grid)
-            f_cand = forward(params_from_vector(cand, *arch), X)
-            dist = np.abs(f_cand - f_trial).max()
-        distances[t] = dist
+        for start in range(0, candidate_count, block.shape[0]):
+            rows = block[: candidate_count - start]
+            for row, t in zip(rows, grid_thetas[start:]):
+                vec[:] = t
+                row[:] = forward(net, X)
+            head = np.ascontiguousarray(rows[:, :_HEAD_POINTS])
+            for i, f_trial in enumerate(trial_values):
+                distances[i] = min(distances[i], _nearest_row_distance(rows, head, f_trial))
+    else:
+        distances = np.empty(trials)
+        for t, theta in enumerate(thetas):
+            f_trial = forward(params_from_vector(theta, *arch), X)
+            f_cand = forward(params_from_vector(_snap_to_grid(theta, grid), *arch), X)
+            distances[t] = np.abs(f_cand - f_trial).max()
 
     worst = float(distances.max())
     return CoverCheckReport(

@@ -41,7 +41,7 @@ from .cnn import (
     truncate,
 )
 from .errors import PreconditionError, TrainingFailure
-from .sampling import spawn_rng
+from .sampling import _SAMPLE_GUARD, spawn_rng
 
 LOSSES = ("squared", "hinge", "logistic")
 
@@ -626,10 +626,6 @@ def default_constants(loss):
 # below 5 layers, and a larger depth constant would otherwise build layers
 # until memory runs out
 _DEPTH_GUARD = 10_000
-# largest sample a schedule may ask for; the shipped rate studies stop at
-# 8192, 10^7 points in d = 2 take 160 MB, and a larger n would otherwise
-# ask `sample_dataset` for terabytes or overflow the schedule's float math
-_SAMPLE_GUARD = 10_000_000
 
 
 def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
@@ -644,6 +640,8 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
         raise PreconditionError(f"schedule constants must be finite, got {consts}")
     if n < 3:
         raise PreconditionError("sample size too small for a schedule")
+    if n > _SAMPLE_GUARD:  # also keeps n / ln**3 below float64 overflow
+        raise PreconditionError(f"sample size {n} exceeds the {_SAMPLE_GUARD}-point guard")
     ln = math.log(n)
     if loss == "squared":
         base = n / ln**3
@@ -777,10 +775,6 @@ def run_rate_experiment(
     n_schedule = [int(n) for n in n_schedule]
     if len(n_schedule) < 4 or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise PreconditionError("n_schedule must be increasing with at least 4 values")
-    if n_schedule[-1] > _SAMPLE_GUARD:
-        raise PreconditionError(
-            f"sample size {n_schedule[-1]} exceeds the {_SAMPLE_GUARD}-point guard"
-        )
     if repeats < 1 or mc_samples < 1:
         raise PreconditionError("repeats and mc_samples must be positive")
     if loss not in LOSSES:

@@ -289,6 +289,10 @@ class TestNonFiniteAndEmptyInputs:
              cli.EXIT_PRECONDITION),
             ("experiment", _TINY_EXPERIMENT.replace(",20", f",{10**12}"), cli.EXIT_PRECONDITION),
             ("experiment", _TINY_EXPERIMENT.replace(",20", f",{10**400}"), cli.EXIT_PRECONDITION),
+            ("cover-check", f"[cover-check]\neps = 1.0\npoints = {10**9}\n", cli.EXIT_PRECONDITION),
+            ("cover-check", f"[cover-check]\neps = 1.0\npoints = {10**30}\n", cli.EXIT_PRECONDITION),
+            ("verify-compile", f"[verify-compile]\npoints = {10**9}\n", cli.EXIT_PRECONDITION),
+            ("verify-compile", f"[verify-compile]\npoints = {10**30}\n", cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -298,7 +302,9 @@ class TestNonFiniteAndEmptyInputs:
             "ragged-trig-terms", "nan-amp", "coord-out-of-range", "zero-freq",
             "non-integer-coord", "trig-terms-for-another-target", "non-positive-n",
             "negative-n_terms", "d-below-2", "overflowing-uniform-noise",
-            "n-past-sample-guard", "n-past-float64",
+            "n-past-sample-guard", "n-past-float64", "cover-points-past-sample-guard",
+            "cover-points-past-int64", "verify-points-past-sample-guard",
+            "verify-points-past-int64",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -482,7 +488,9 @@ def _fuzzed_configs(draw):
     verb = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
     keys = _FUZZ_KEYS[verb]
     values = {key: valid for key, (valid, _) in keys.items()}
-    for key in draw(st.sets(st.sampled_from(sorted(keys)), max_size=3)):
+    # sorted: a set's order follows PYTHONHASHSEED, which would make the draws
+    # that follow differ between processes
+    for key in sorted(draw(st.sets(st.sampled_from(sorted(keys)), max_size=3))):
         values[key] = draw(keys[key][1])
     seed = draw(st.integers(-1, 3))
     body = "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
@@ -519,6 +527,23 @@ def _exit_code_of(text, aux):
     return code
 
 
+_DRAW_PROBE = """
+import hashlib, sys
+from hypothesis import given, settings
+sys.path.insert(0, sys.argv[1])
+from test_cli import _fuzzed_configs
+digest = hashlib.sha256()
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_fuzzed_configs())
+def draw(case):
+    digest.update(repr(case).encode())
+
+draw()
+print(digest.hexdigest())
+"""
+
+
 class TestExitCodeFuzz:
     """Any numbers in a config of any verb, and any corruption of the results
     CSV that fit-rate reads or the net file that compile reads, end in exit
@@ -529,6 +554,20 @@ class TestExitCodeFuzz:
     @given(_fuzzed_configs())
     def test_exit_code_contract(self, case):
         _exit_code_of(*case)
+
+    def test_draws_do_not_depend_on_the_hash_seed(self):
+        # a derandomized fuzz failure must reproduce in every process
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for hash_seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-c", _DRAW_PROBE, str(ROOT / "tests")],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.split()[-1])
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("verb", ["compile", "verify-compile"])
     @pytest.mark.parametrize(

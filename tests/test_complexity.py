@@ -399,3 +399,53 @@ class TestPrunedNearestGridSearch:
         assert report.resolution == 7
         table_bytes = report.candidate_count * report.n_points * 8
         assert peak < 2 * table_bytes
+
+
+class TestBlockStreaming:
+    """The exhaustive check streams the grid networks through one reused
+    block of rows: the distances stay the full scan's, and memory stays far
+    below the table's."""
+
+    @pytest.mark.parametrize(
+        "block_bytes, resolution, n_points",
+        [
+            (None, 3, 20_000),  # 26-row blocks, 243 candidates
+            (13 * 8 * 1000, 4, 1000),  # 13-row blocks, 1024 candidates
+            (2 * 8 * 1000, 3, 1000),  # 2-row blocks; the last holds one row
+        ],
+    )
+    def test_distances_equal_the_full_scan(self, monkeypatch, block_bytes, resolution, n_points):
+        if block_bytes is not None:
+            monkeypatch.setattr(complexity, "_BLOCK_BYTES", block_bytes)
+        block_rows = max(1, complexity._BLOCK_BYTES // (8 * n_points))
+        assert resolution**5 % block_rows != 0  # the last block is partial
+        report = empirical_cover_check(
+            2, 2, 1, 1, 1.0, eps=1.0, grid_resolution=resolution, trials=6,
+            seed=7, n_points=n_points, exhaustive=True,
+        )
+        expected, _ = _full_scan_distances(1.0, resolution, 6, 7, n_points)
+        assert report.distances.tobytes() == expected.tobytes()
+
+    def test_peak_memory_below_an_eighth_of_the_table(self):
+        unit_cube_points(2, 1000, seed=0)  # imports scipy.stats outside the trace
+        tracemalloc.start()
+        try:
+            report = empirical_cover_check(
+                2, 2, 1, 1, 1.0, eps=0.9, trials=20, seed=0, exhaustive=True
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_bytes = report.candidate_count * report.n_points * 8
+        assert peak < table_bytes / 8
+
+    def test_trial_values_past_the_guard_exit_before_any_network(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(complexity, "forward", lambda *a: calls.append(a))
+        trials = complexity._EXHAUSTIVE_GUARD // 10 + 1
+        with pytest.raises(PreconditionError, match="trials"):
+            empirical_cover_check(
+                2, 2, 1, 1, 1.0, eps=1.0, grid_resolution=3, trials=trials,
+                n_points=10_000, exhaustive=True,
+            )
+        assert calls == []

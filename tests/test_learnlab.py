@@ -420,6 +420,12 @@ class TestSchedules:
             run_rate_experiment(spec, "squared", [64, 128, 256, n_max])
         assert calls == []
 
+    @pytest.mark.parametrize("n", [10**7 + 1, 10**12, 10**400], ids=["1e7+1", "1e12", "1e400"])
+    def test_schedule_sample_guard(self, n):
+        for loss in learnlab.LOSSES:
+            with pytest.raises(PreconditionError, match="guard"):
+                architecture_schedule(loss, n, 2, 1.0)
+
     def test_default_schedules_stay_far_below_the_depth_guard(self):
         for loss in ("squared", "hinge", "logistic"):
             L, _, _ = architecture_schedule(loss, 2**20, 2, 1.0)
