@@ -20,6 +20,13 @@ are controlled:
 All constructions come with explicit path-norm bounds; compile reports carry
 the achieved and guaranteed values and the guarantee is asserted on every
 call.
+
+`ShallowNet` and `ScalarNet` (the references the compiled networks are
+checked against, and the surrogate links) evaluate their points in row
+blocks through one reused pre-activation buffer of about `_BLOCK_BYTES`.  The
+inner products and the neuron sum are formed in a fixed order without BLAS,
+so a value does not depend on the block size, the number of points or the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -44,6 +51,36 @@ def _as_1d(x, name):
     if not np.all(np.isfinite(arr)):
         raise PreconditionError(f"{name} must be finite")
     return arr
+
+
+_BLOCK_BYTES = 256 << 10  # one block of pre-activations in `_relu_sum`
+
+
+def _relu_sum(X, directions, offsets, coeffs):
+    """sum_k coeffs[k] * relu(directions[k] . X[i] + offsets[k]) for each row i of X.
+
+    The rows are taken in blocks whose pre-activations fill one reused buffer
+    of about `_BLOCK_BYTES` (at least one row).  Each inner product adds its d
+    products in coordinate order and each row's neuron sum is one einsum over
+    that row, neither through BLAS: a row's value is the same double whatever
+    the block size, the number of rows or the BLAS thread count.
+    """
+    n, d = X.shape
+    cols = np.ascontiguousarray(directions.T)
+    out = np.empty(n)
+    rows = max(1, _BLOCK_BYTES // (8 * coeffs.shape[0]))
+    pre = np.empty((min(rows, n), coeffs.shape[0]))
+    term = np.empty_like(pre)
+    for start in range(0, n, rows):
+        x = X[start : start + rows]
+        p, q = pre[: len(x)], term[: len(x)]
+        np.multiply(x[:, :1], cols[0], out=p)
+        for j in range(1, d):
+            p += np.multiply(x[:, j : j + 1], cols[j], out=q)
+        p += offsets
+        np.maximum(p, 0.0, out=p)
+        np.einsum("ij,j->i", p, coeffs, out=out[start : start + rows])
+    return out
 
 
 @dataclass
@@ -77,12 +114,18 @@ class ShallowNet:
         return self.directions.shape[1]
 
     def __call__(self, x):
+        """The net's value at one point x of shape (d,), as a float, or at each
+        row of X of shape (n, d), as an array of shape (n,).
+
+        Evaluated by `_relu_sum`: in row blocks, without BLAS, so a row's value
+        does not depend on how many rows come with it or on the BLAS thread
+        count.
+        """
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[None] if single else x
-        pre = X @ self.directions.T + self.offsets
-        out = np.maximum(pre, 0.0) @ self.coeffs
-        return float(out[0]) if single else out
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise PreconditionError(f"points must have shape (d,) or (n, d) with d={self.d}")
+        out = _relu_sum(x.reshape(-1, self.d), self.directions, self.offsets, self.coeffs)
+        return float(out[0]) if x.ndim == 1 else out
 
 
 @dataclass
@@ -107,12 +150,15 @@ class ScalarNet:
         return self.coeffs.shape[0]
 
     def __call__(self, t):
+        """The net's value at each entry of t: a float for a scalar t, else an
+        array of t's shape.
+
+        Evaluated by `_relu_sum` as a one-dimensional shallow net, so an
+        entry's value does not depend on t's size or on the BLAS thread count.
+        """
         t = np.asarray(t, dtype=np.float64)
-        pre = np.multiply.outer(t, self.slopes)
-        pre += self.offsets
-        np.maximum(pre, 0.0, out=pre)
-        out = pre @ self.coeffs
-        return float(out) if t.ndim == 0 else out
+        out = _relu_sum(t.reshape(-1, 1), self.slopes[:, None], self.offsets, self.coeffs)
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def shallow_norm(net):

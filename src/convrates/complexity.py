@@ -27,10 +27,11 @@ view (the grid values are finite by construction, so the view is validated
 once), and the nearest grid network of each block is found by an exact pruned
 search: the distance over a head of the sampled points bounds each grid
 network's distance from below, so only networks whose bound beats the best
-full distance are compared on every point.  The minimum over blocks of each
-block's exact minimum is the same float as a scan of the whole table, which
-is never held: peak memory is about (trials + block rows) x points floats,
-whatever the number of grid networks.
+full distance so far (over this and earlier blocks) are compared on every
+point, and a block with no such network is skipped.  The running minimum
+over blocks is the same float as a scan of the whole table, which is never
+held: peak memory is about (trials + block rows) x points floats, whatever
+the number of grid networks.
 
 Every constant entering a bound must be finite: non-finite input, or a bound
 that overflows float64, raises PreconditionError instead of flowing on as
@@ -219,18 +220,24 @@ def _snap_to_grid(theta, grid):
     return grid[idx.astype(int)]
 
 
-def _nearest_row_distance(table, head, f):
-    """min over rows of max_j |table[row, j] - f[j]|, exactly.
+def _nearest_row_distance(table, head, f, upper=math.inf):
+    """min(upper, min over rows of max_j |table[row, j] - f[j]|), exactly.
 
     `head` is a contiguous copy of the first columns of `table`.  The max over
-    those columns bounds each row's distance from below, the full distance of
-    the row with the smallest bound is an upper bound, and only rows whose
-    bound lies strictly below it are compared on every column.  Each term
-    |g - f| is the same double as in a scan of the whole table and max and
-    min are exact, so the result equals that scan's bit for bit.
+    those columns bounds each row's distance from below.  When no bound lies
+    below `upper` (the running minimum of earlier blocks) the result is
+    `upper` and no row is compared on every column.  Otherwise the full
+    distance of the row with the smallest bound, or `upper` if smaller, is an
+    upper bound, and only rows whose bound lies strictly below it are compared
+    on every column.  Each term |g - f| is the same double as in a scan of the
+    whole table and max and min are exact, so the result equals that scan's
+    bit for bit.
     """
     lower = np.abs(head - f[: head.shape[1]]).max(axis=1)
-    best = np.abs(table[lower.argmin()] - f).max()
+    nearest = lower.argmin()
+    if lower[nearest] >= upper:
+        return upper
+    best = min(upper, np.abs(table[nearest] - f).max())
     rows = table[lower < best]
     if rows.shape[0] == 0:
         return best
@@ -263,10 +270,12 @@ def empirical_cover_check(
     block into one reused buffer of about `_BLOCK_BYTES`, each through one
     `params_view` whose vector is overwritten before each `forward`, and an
     exact pruned search (`_nearest_row_distance`) lowers each trial's running
-    minimum by the block's nearest distance.  The result is the one a full
-    scan of the candidates x points table gives, at a peak of about
-    (trials + block rows) x points floats.  Every distance must come out at
-    most eps; a failure falsifies the recursion constants.
+    minimum by the block's nearest distance, skipping a block that cannot
+    lower it.  The result is the one a full scan of the candidates x points
+    table gives, at a peak of about (trials + block rows) x points floats.
+    Either variant rejects trials x points above `_EXHAUSTIVE_GUARD * 1000`
+    before any point is drawn.  Every distance must come out at most eps; a
+    failure falsifies the recursion constants.
     """
     _check_eps(eps)
     if trials < 1:
@@ -292,17 +301,14 @@ def empirical_cover_check(
     covering_radius = B / (grid_resolution - 1)
     candidate_count = grid_resolution**n
 
-    if exhaustive:
-        if candidate_count > _EXHAUSTIVE_GUARD:
-            raise PreconditionError(
-                f"{candidate_count} grid networks exceed the exhaustive-search guard"
-            )
-        # the trial values are held at once; allow them the table size the
-        # candidate guard allows at the default 1000 points
-        if trials * n_points > _EXHAUSTIVE_GUARD * 1000:
-            raise PreconditionError(
-                f"{trials} trials x {n_points} points exceed the exhaustive-search guard"
-            )
+    if exhaustive and candidate_count > _EXHAUSTIVE_GUARD:
+        raise PreconditionError(
+            f"{candidate_count} grid networks exceed the exhaustive-search guard"
+        )
+    # the exhaustive search holds the trial values at once; allow either
+    # variant the table size the candidate guard allows at the default 1000 points
+    if trials * n_points > _EXHAUSTIVE_GUARD * 1000:
+        raise PreconditionError(f"{trials} trials x {n_points} points exceed the trial guard")
 
     X = unit_cube_points(d, n_points, seed=seed)
     arch = (d, s, J, L)
@@ -324,7 +330,7 @@ def empirical_cover_check(
                 row[:] = forward(net, X)
             head = np.ascontiguousarray(rows[:, :_HEAD_POINTS])
             for i, f_trial in enumerate(trial_values):
-                distances[i] = min(distances[i], _nearest_row_distance(rows, head, f_trial))
+                distances[i] = _nearest_row_distance(rows, head, f_trial, distances[i])
     else:
         distances = np.empty(trials)
         for t, theta in enumerate(thetas):

@@ -293,6 +293,10 @@ class TestNonFiniteAndEmptyInputs:
             ("cover-check", f"[cover-check]\neps = 1.0\npoints = {10**30}\n", cli.EXIT_PRECONDITION),
             ("verify-compile", f"[verify-compile]\npoints = {10**9}\n", cli.EXIT_PRECONDITION),
             ("verify-compile", f"[verify-compile]\npoints = {10**30}\n", cli.EXIT_PRECONDITION),
+            ("cover-check", f"[cover-check]\neps = 1.0\ntrials = {10**12}\n",
+             cli.EXIT_PRECONDITION),
+            ("cover-check", f"[cover-check]\neps = 1.0\ntrials = {10**30}\n",
+             cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -304,7 +308,7 @@ class TestNonFiniteAndEmptyInputs:
             "negative-n_terms", "d-below-2", "overflowing-uniform-noise",
             "n-past-sample-guard", "n-past-float64", "cover-points-past-sample-guard",
             "cover-points-past-int64", "verify-points-past-sample-guard",
-            "verify-points-past-int64",
+            "verify-points-past-int64", "cover-trials-past-guard", "cover-trials-past-int64",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -479,18 +483,28 @@ _fuzzed_net_file = _corrupted(
 )
 
 
+# verbs drawn twice as often, each with a key it draws in about half its
+# cases on top of the three: the net file the compile verbs read, and the
+# l_const that scales a rate schedule
+_FOCUS_KEYS = {"compile": "net_file", "verify-compile": "net_file", "experiment": "l_const"}
+
+
 @st.composite
 def _fuzzed_configs(draw):
     """A valid config of one verb (non-exhaustive cover-check, a tiny
     experiment, fit-rate over a drawn results CSV, compile from a drawn net
-    file) with up to three of its keys, and possibly the seed, replaced by
-    arbitrary values; returns the config text and the drawn file's text."""
-    verb = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
+    file) with up to three of its keys, possibly its focus key, and possibly
+    the seed replaced by arbitrary values; returns the config text and the
+    drawn file's text."""
+    verb = draw(st.sampled_from(sorted(_FUZZ_KEYS) + sorted(_FOCUS_KEYS)))
     keys = _FUZZ_KEYS[verb]
     values = {key: valid for key, (valid, _) in keys.items()}
+    drawn = set(draw(st.sets(st.sampled_from(sorted(keys)), max_size=3)))
+    if verb in _FOCUS_KEYS and draw(st.booleans()):
+        drawn.add(_FOCUS_KEYS[verb])
     # sorted: a set's order follows PYTHONHASHSEED, which would make the draws
     # that follow differ between processes
-    for key in sorted(draw(st.sets(st.sampled_from(sorted(keys)), max_size=3))):
+    for key in sorted(drawn):
         values[key] = draw(keys[key][1])
     seed = draw(st.integers(-1, 3))
     body = "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
@@ -603,6 +617,33 @@ class TestApproxLogVerb:
         for r in rows:
             assert float(r["max_deviation"]) <= float(r["bound"])
             assert float(r["constraint_norm"]) <= float(r["norm_limit"])
+
+
+_THREAD_COUNT_CONFIGS = {
+    "approx-log": "[approx-log]\npieces = 3:200\ngrid = 10001\n",
+    "verify-compile": "[verify-compile]\nneurons = 32\nd = 8\ns = 3\nlink = log:50\n",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_THREAD_COUNT_CONFIGS))
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, verb):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}.csv"
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n" + _THREAD_COUNT_CONFIGS[verb],
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "convrates.cli", cfg],
+            env={**os.environ, "PYTHONPATH": path,
+                 "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestExperimentVerb:

@@ -3,9 +3,12 @@ shallow-net arithmetic (the reference path never touches the conv code),
 and every compile call is checked against its guaranteed norm bound.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from convrates import cli, compiler, links
 from convrates.cnn import activation_grids, forward, layer_norm, path_norm, rescale
 from convrates.compiler import (
     CompileReport,
@@ -257,3 +260,71 @@ class TestCompilationExactnessSweep:
             ref = net(X)
             dev = np.max(np.abs(forward(params, X) - ref) / (1 + np.abs(ref)))
             assert dev < 1e-10
+
+
+def _direct_shallow(net, X):
+    return np.maximum(X @ net.directions.T + net.offsets, 0.0) @ net.coeffs
+
+
+class TestBlockedEvaluation:
+    """Shallow and scalar nets are evaluated in row blocks with a fixed-order
+    neuron sum: a value is the same double whatever the block size, and only
+    one block of pre-activations is held."""
+
+    @pytest.mark.parametrize("size", [1, 7, 1001, 10_001])
+    @pytest.mark.parametrize("link", ["log:50", "sign:0.2"])
+    def test_scalar_net_bytes_do_not_depend_on_the_block(self, monkeypatch, rng, size, link):
+        net = cli._make_link(link)
+        t = rng.uniform(-0.5, 1.5, size)
+        full = net(t)
+        monkeypatch.setattr(compiler, "_BLOCK_BYTES", 8)  # one row per block
+        assert net(t).tobytes() == full.tobytes()
+        assert np.array([net(v) for v in t[:50]]).tobytes() == full[:50].tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 1001, 10_001])
+    @pytest.mark.parametrize("d, neurons", [(2, 3), (8, 32)])
+    def test_shallow_net_bytes_do_not_depend_on_the_block(self, monkeypatch, rng, size, d, neurons):
+        net = random_shallow(rng, d, neurons)
+        X = rng.random((size, d))
+        full = net(X)
+        monkeypatch.setattr(compiler, "_BLOCK_BYTES", 8)
+        assert net(X).tobytes() == full.tobytes()
+        assert np.array([net(x) for x in X[:50]]).tobytes() == full[:50].tobytes()
+
+    def test_values_match_the_direct_formula(self, rng):
+        net = random_shallow(rng, 8, 32)
+        X = rng.random((3000, 8))
+        ref = _direct_shallow(net, X)
+        assert np.max(np.abs(net(X) - ref) / (1 + np.abs(ref))) < 1e-13
+        g = links.log_link_net(200)
+        t = np.linspace(0.0, 1.0, 10_001)
+        assert np.max(np.abs(g(t) - g.closed(t))) < 1e-11
+
+    def test_return_types_and_shapes(self, rng):
+        g = links.log_link_net(5).net
+        assert isinstance(g(0.25), float)
+        assert g(np.float64(0.25)) == g(0.25)
+        assert g(rng.random(6)).shape == (6,)
+        t = rng.random((3, 4))
+        assert g(t).shape == (3, 4)
+        assert g(t).tobytes() == g(t.ravel()).tobytes()
+        assert g(np.empty(0)).shape == (0,)
+        net = random_shallow(rng, 3, 4)
+        assert isinstance(net(rng.random(3)), float)
+        assert net(rng.random((5, 3))).shape == (5,)
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.5])
+    def test_points_of_another_dimension_rejected(self, rng, x):
+        with pytest.raises(PreconditionError):
+            random_shallow(rng, 2, 3)(x)
+
+    def test_peak_memory_is_one_block(self):
+        g = links.log_link_net(200)  # 400 neurons: a 32 MB table at 10 000 points
+        t = np.linspace(0.0, 1.0, 10_000)
+        tracemalloc.start()
+        try:
+            g(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20

@@ -287,6 +287,8 @@ class TestEmpiricalCoverCheck:
             {"eps": 1e-300},  # the derived grid would not fit in memory
             {"M": 1e300},
             {"grid_resolution": 10**12},
+            {"trials": 10**12},  # trials x points past the guard, before any draw
+            {"trials": 10**30},
         ],
     )
     def test_bad_numbers_rejected(self, kwargs):
@@ -438,6 +440,44 @@ class TestBlockStreaming:
             tracemalloc.stop()
         table_bytes = report.candidate_count * report.n_points * 8
         assert peak < table_bytes / 8
+
+    def test_running_minimum_prunes_whole_blocks(self, monkeypatch):
+        # 2-row blocks: once a near grid network is found, most later blocks
+        # have no head bound below the running minimum and are skipped
+        monkeypatch.setattr(complexity, "_BLOCK_BYTES", 2 * 8 * 1000)
+        search = complexity._nearest_row_distance
+        calls = []
+
+        def spy(table, head, f, upper=math.inf):
+            lower = np.abs(head - f[: head.shape[1]]).max(axis=1)
+            calls.append(bool(lower.min() >= upper))
+            return search(table, head, f, upper)
+
+        monkeypatch.setattr(complexity, "_nearest_row_distance", spy)
+        report = empirical_cover_check(
+            2, 2, 1, 1, 1.0, eps=1.0, grid_resolution=3, trials=6, seed=7, exhaustive=True
+        )
+        expected, _ = _full_scan_distances(1.0, 3, 6, 7, 1000)
+        assert report.distances.tobytes() == expected.tobytes()
+        assert len(calls) == 6 * 122 and sum(calls) > len(calls) // 2
+
+    def test_a_skipped_block_is_never_compared_in_full(self, rng):
+        table = rng.standard_normal((4, 300))
+        f = rng.standard_normal(300)
+        table[:, _HEAD_POINTS:] = np.nan  # any full comparison would give nan
+        head = np.ascontiguousarray(table[:, :_HEAD_POINTS])
+        bound = np.abs(head - f[:_HEAD_POINTS]).max(axis=1).min()
+        assert _nearest_row_distance(table, head, f, bound) == bound
+        assert _nearest_row_distance(table, head, f, bound / 2) == bound / 2
+
+    def test_upper_below_the_nearest_row_is_returned(self, rng):
+        for _ in range(20):
+            table = rng.standard_normal((50, 200))
+            f = rng.standard_normal(200)
+            head = np.ascontiguousarray(table[:, :_HEAD_POINTS])
+            full = np.abs(table - f).max(axis=1).min()
+            for upper in (full / 2, full, np.nextafter(full, np.inf), 2 * full, math.inf):
+                assert _nearest_row_distance(table, head, f, upper) == min(upper, full)
 
     def test_trial_values_past_the_guard_exit_before_any_network(self, monkeypatch):
         calls = []
