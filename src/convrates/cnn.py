@@ -37,7 +37,7 @@ from .errors import PreconditionError, ShapeError
 
 def _as_float_array(x, name):
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise PreconditionError(f"{name} must have finite entries")
     return arr
 

@@ -524,7 +524,7 @@ def train_erm(data, cfg):
 
             def batch_loss_grad(f_vals):
                 g = _loss_grad(cfg.loss, f_vals, y_batch, level) / len(y_batch)
-                if not np.all(np.isfinite(g)):
+                if not np.isfinite(g).all():
                     raise fail("non-finite loss gradient")
                 return g
 
@@ -549,7 +549,7 @@ def train_erm(data, cfg):
                     hat1 = m1 / (1 - beta1**step)
                     hat2 = m2 / (1 - beta2**step)
                     vec -= lr * hat1 / (np.sqrt(hat2) + eps)
-                    if not np.all(np.isfinite(vec)):
+                    if not np.isfinite(vec).all():
                         raise fail("parameters diverged")
                     _project(params, cfg.M)
                 risk = empirical_risk(params, X, y, cfg.loss, level)

@@ -297,6 +297,8 @@ class TestNonFiniteAndEmptyInputs:
              cli.EXIT_PRECONDITION),
             ("cover-check", f"[cover-check]\neps = 1.0\ntrials = {10**30}\n",
              cli.EXIT_PRECONDITION),
+            ("verify-compile", "[verify-compile]\nneurons = 1\nd = 21202\ns = 21202\n"
+             "points = 1000\n", cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -309,6 +311,7 @@ class TestNonFiniteAndEmptyInputs:
             "n-past-sample-guard", "n-past-float64", "cover-points-past-sample-guard",
             "cover-points-past-int64", "verify-points-past-sample-guard",
             "verify-points-past-int64", "cover-trials-past-guard", "cover-trials-past-int64",
+            "verify-d-past-sobol-table",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -889,16 +892,18 @@ print(json.dumps(stages))
 
 
 class TestImportBoundary:
-    """scipy.stats costs about 0.5 s and 60 MB to import, and only Sobol
-    point sets need it: importing the package, an entropy sweep and a rate
-    experiment leave it unloaded; an exhaustive cover-check loads it."""
+    """scipy.stats costs about 0.5 s and 60 MB to import, and no verb needs
+    it: Sobol points are drawn in numpy, so importing the package, an entropy
+    sweep, a rate experiment, an exhaustive cover-check and a verify-compile
+    all leave it unloaded."""
 
-    def test_scipy_stats_loads_only_for_sobol_points(self, tmp_path):
+    def test_scipy_stats_never_loads(self, tmp_path):
         configs = []
         for verb, body in [
             ("entropy", "[entropy]\nd = 3\ns = 2\nJ = 2\nL = 1:3\nM = 2\neps = 0.5\n"),
             ("experiment", _TINY_EXPERIMENT),
             ("cover-check", "[cover-check]\neps = 2.0\ntrials = 2\nexhaustive = true\n"),
+            ("verify-compile", "[verify-compile]\nneurons = 4\nd = 3\npoints = 1000\n"),
         ]:
             configs.append(write_config(
                 tmp_path,
@@ -912,4 +917,4 @@ class TestImportBoundary:
         )
         assert done.returncode == 0, done.stderr
         stages = json.loads(done.stdout.splitlines()[-1])
-        assert stages == [False, [False, 0], [False, 0], [True, 0]]
+        assert stages == [False, [False, 0], [False, 0], [False, 0], [False, 0]]

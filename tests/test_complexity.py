@@ -429,7 +429,7 @@ class TestBlockStreaming:
         assert report.distances.tobytes() == expected.tobytes()
 
     def test_peak_memory_below_an_eighth_of_the_table(self):
-        unit_cube_points(2, 1000, seed=0)  # imports scipy.stats outside the trace
+        unit_cube_points(2, 1000, seed=0)  # builds the Sobol direction table outside the trace
         tracemalloc.start()
         try:
             report = empirical_cover_check(
