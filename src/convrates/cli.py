@@ -20,10 +20,13 @@ parameters.  Unknown sections or keys are errors.  Example:
     eps = 0.1
 
 Verbs: compile, verify-compile, entropy, cover-check, approx-log,
-check-ineq, experiment, fit-rate.  All CSV output is written with a fixed
-header and 17-significant-digit floats, so identical configs and seeds
-reproduce byte-identical files (the wall_time column of experiment results
-is the one documented exception).  Relative output paths resolve against
+check-ineq, experiment, fit-rate.  A verb is one entry of the `_VERBS`
+table: its handler, registered with `@_verb` together with the keys of its
+section.  A CSV verb's handler builds its rows as dicts, so its columns are
+its rows' keys.  All CSV output is written with a fixed header and
+17-significant-digit floats, so identical configs and seeds reproduce
+byte-identical files (the wall_time column of experiment results is the
+one documented exception).  Relative output paths resolve against
 $CONVRATES_OUTDIR when it is set; the output's directory must exist.
 
 Exit codes: 0 success, 2 config error, 3 precondition violation, 4 property
@@ -40,24 +43,13 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import cnn, compiler, complexity, learnlab, links
 from .errors import ConfigError, PreconditionError, PropertyFailure, TrainingFailure
-from .sampling import unit_cube_points
-
-VERBS = (
-    "compile",
-    "verify-compile",
-    "entropy",
-    "cover-check",
-    "approx-log",
-    "check-ineq",
-    "experiment",
-    "fit-rate",
-)
+from .sampling import _SAMPLE_GUARD, unit_cube_points
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,16 +77,22 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# entries in one 'a:b' range; the longest shipped range has 198
+_MAX_RANGE = 1_000_000
+
+
 def _parse_int_list(text):
-    """Comma list of integers; 'a:b' expands to the inclusive range."""
+    """Comma list of integers; 'a:b' with a <= b expands to the inclusive range."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         if ":" in piece:
-            lo, hi = piece.split(":")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, piece.split(":"))
+            if not 0 <= hi - lo < _MAX_RANGE:
+                raise ValueError(f"range {piece!r} must ascend, with at most {_MAX_RANGE} values")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(piece))
     if not out:
@@ -120,96 +118,46 @@ def _parse_str(text):
     return text.strip()
 
 
-# field name -> (parser, default); _REQUIRED means the key must be present
+# a schema maps each key of a section to (parser, default); _REQUIRED means
+# the key must be present
 _REQUIRED = object()
 
-_SCHEMAS = {
-    "entropy": {
-        "d": (int, _REQUIRED),
-        "s": (int, _REQUIRED),
-        "J": (int, _REQUIRED),
-        "L": (_parse_int_list, _REQUIRED),
-        "M": (_parse_float_list, _REQUIRED),
-        "eps": (_parse_float_list, _REQUIRED),
-    },
-    "cover-check": {
-        "d": (int, 2),
-        "s": (int, 2),
-        "J": (int, 1),
-        "L": (int, 1),
-        "M": (float, 1.0),
-        "eps": (_parse_float_list, _REQUIRED),
-        "trials": (int, 100),
-        "resolution": (int, 0),  # 0 -> derived from eps and the recursion
-        "points": (int, 1000),
-        "exhaustive": (_parse_bool, False),
-    },
-    "approx-log": {
-        "pieces": (_parse_int_list, _REQUIRED),
-        "grid": (int, 10_000),
-    },
-    "check-ineq": {
-        "resolution": (int, 500),
-        "u": (_parse_float_list, None),
-    },
-    "compile": {
-        "s": (int, 2),
-        "net_file": (_parse_str, None),
-        "neurons": (int, 8),
-        "d": (int, 2),
-        "net_seed": (_parse_seed, 0),
-        "link": (_parse_str, "none"),
-        "report": (_parse_str, None),
-    },
-    "verify-compile": {
-        "s": (int, 2),
-        "net_file": (_parse_str, None),
-        "neurons": (int, 8),
-        "d": (int, 2),
-        "net_seed": (_parse_seed, 0),
-        "link": (_parse_str, "none"),
-        "points": (int, 10_000),
-        "tolerance": (float, 1e-10),
-    },
-    "experiment": {
-        "loss": (_parse_str, _REQUIRED),
-        "target": (_parse_str, _REQUIRED),
-        "d": (int, 2),
-        "target_seed": (_parse_seed, 0),
-        "steepness": (float, 4.0),  # eta-ramp
-        "beta": (float, 1.0),  # eta-svb
-        "slope": (float, 4.0),  # coordinate-clamp
-        "n_terms": (int, 2),  # mixtures
-        "amps": (_parse_float_list, None),  # trig-mixture terms; None -> seeded draw
-        "freqs": (_parse_float_list, None),
-        "coords": (_parse_int_list, None),
-        "phases": (_parse_float_list, None),
-        "noise_kind": (_parse_str, "gaussian"),
-        "noise_scale": (float, 0.25),
-        "n_schedule": (_parse_int_list, _REQUIRED),
-        "repeats": (int, 5),
-        "l_const": (float, 0.0),  # 0 -> per-loss default
-        "m_const": (float, 0.0),
-        "b_const": (float, 0.0),
-        "s": (int, 2),
-        "J": (int, 6),
-        "epochs": (int, 60),
-        "batch_size": (int, 128),
-        "learning_rate": (float, 0.02),
-        "final_learning_rate": (float, 0.002),
-        "restarts": (int, 2),
-        "init_scale": (float, 1.0),
-        "mc_samples": (int, 20_000),
-    },
-    "fit-rate": {
-        "input": (_parse_str, _REQUIRED),
-        "loss": (_parse_str, _REQUIRED),
-        "alpha": (float, 1.0),
-        "d": (int, 2),
-        "q": (float, 1.0),
-        "beta": (float, 1.0),
-    },
+_RUN_SCHEMA = {
+    "verb": (_parse_str, _REQUIRED),
+    "seed": (_parse_seed, 0),
+    "output": (_parse_str, _REQUIRED),
 }
+
+_VERBS = {}  # verb -> (schema, handler), in the order of `VERBS`
+
+
+def _verb(name, **schema):
+    """Register the decorated handler(params, seed, output) as verb `name`."""
+
+    def register(handler):
+        _VERBS[name] = (schema, handler)
+        return handler
+
+    return register
+
+
+def _parse_section(parser, section, schema):
+    raw = dict(parser[section]) if section in parser else {}
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
+    params = {}
+    for key, (parse, default) in schema.items():
+        if key in raw:
+            try:
+                params[key] = parse(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        elif default is _REQUIRED:
+            raise ConfigError(f"[{section}] missing required key {key!r}")
+        else:
+            params[key] = default
+    return params
 
 
 def load_config(path):
@@ -224,46 +172,15 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    if "run" not in parser:
-        raise ConfigError("missing [run] section")
-    run = dict(parser["run"])
-    try:
-        verb = run.pop("verb")
-    except KeyError:
-        raise ConfigError("[run] must set verb") from None
+    run = _parse_section(parser, "run", _RUN_SCHEMA)
+    verb = run["verb"]
     if verb not in VERBS:
         raise ConfigError(f"unknown verb {verb!r}; valid: {', '.join(VERBS)}")
-    try:
-        seed = _parse_seed(run.pop("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"[run] seed: {exc}") from exc
-    output = run.pop("output", None)
-    if output is None:
-        raise ConfigError("[run] must set output")
-    if run:
-        raise ConfigError(f"unknown [run] keys: {sorted(run)}")
-
     for section in parser.sections():
         if section not in ("run", verb):
             raise ConfigError(f"unexpected section [{section}] for verb {verb!r}")
-
-    schema = _SCHEMAS[verb]
-    raw = dict(parser[verb]) if verb in parser else {}
-    unknown = set(raw) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown [{verb}] keys: {sorted(unknown)}")
-    params = {}
-    for key, (parse, default) in schema.items():
-        if key in raw:
-            try:
-                params[key] = parse(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"[{verb}] {key}: {exc}") from exc
-        elif default is _REQUIRED:
-            raise ConfigError(f"[{verb}] missing required key {key!r}")
-        else:
-            params[key] = default
-    return CliConfig(verb=verb, seed=seed, output=output, params=params)
+    params = _parse_section(parser, verb, _VERBS[verb][0])
+    return CliConfig(verb=verb, seed=run["seed"], output=run["output"], params=params)
 
 
 def _require_directory(path):
@@ -292,123 +209,18 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, header, rows):
+def _write_rows(path, rows, failure=None, header=None):
+    """Write a list of dict rows as CSV under `header` (default: the first
+    row's keys), then raise PropertyFailure(failure) if a row did not pass."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(header or list(rows[0]))
+        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+    if not all(row.get("passed", True) for row in rows):
+        raise PropertyFailure(failure)
 
 
 # -- verb implementations ---------------------------------------------------
-
-
-def _run_entropy(p, seed, output):
-    Ls, Ms, eps_list = p["L"], p["M"], p["eps"]
-    if len(Ms) == 1:
-        Ms = Ms * len(Ls)
-    if len(Ms) != len(Ls):
-        raise ConfigError("M must be a scalar or match the length of L")
-    rows = []
-    for L, M in zip(Ls, Ms):
-        spec = complexity.cnn_complexity_spec(p["d"], p["s"], p["J"], L, M)
-        res = complexity.covering_recursion(spec)
-        for eps in eps_list:
-            bound = complexity.entropy_bound_cnn(p["d"], p["s"], p["J"], L, M, eps)
-            rows.append(
-                (p["d"], p["s"], p["J"], L, M, eps, res.n_params, res.param_lipschitz, bound)
-            )
-    _write_csv(
-        output,
-        ["d", "s", "J", "L", "M", "eps", "n_params", "param_lipschitz", "entropy_bound"],
-        rows,
-    )
-    return EXIT_OK
-
-
-def _run_cover_check(p, seed, output):
-    rows = []
-    all_passed = True
-    for eps in p["eps"]:
-        report = complexity.empirical_cover_check(
-            p["d"],
-            p["s"],
-            p["J"],
-            p["L"],
-            p["M"],
-            eps,
-            grid_resolution=p["resolution"] or None,
-            trials=p["trials"],
-            seed=seed,
-            n_points=p["points"],
-            exhaustive=p["exhaustive"],
-        )
-        all_passed &= report.passed
-        rows.append(
-            (
-                p["d"], p["s"], p["J"], p["L"], p["M"], eps,
-                report.n_params, report.resolution, report.candidate_count,
-                report.covering_radius, report.target_radius,
-                report.worst_distance, report.passed,
-            )
-        )
-    _write_csv(
-        output,
-        [
-            "d", "s", "J", "L", "M", "eps", "n_params", "resolution",
-            "candidates", "covering_radius", "target_radius",
-            "worst_distance", "passed",
-        ],
-        rows,
-    )
-    if not all_passed:
-        raise PropertyFailure("a cover-check trial exceeded eps")
-    return EXIT_OK
-
-
-def _run_approx_log(p, seed, output):
-    if p["grid"] < 1:
-        raise ConfigError(f"[approx-log] grid must be at least 1, not {p['grid']}")
-    t = np.linspace(0.0, 1.0, p["grid"])
-    rows = []
-    ok = True
-    for n in p["pieces"]:
-        link = links.log_link_net(n)
-        dev = float(np.max(np.abs(links.logistic(link(t)) - t)))
-        bound = 3.0 / n
-        norm = link.constraint_norm
-        passed = dev <= bound and norm <= 6 * n
-        ok &= passed
-        rows.append((n, dev, bound, norm, 6 * n, passed))
-    _write_csv(
-        output,
-        ["pieces", "max_deviation", "bound", "constraint_norm", "norm_limit", "passed"],
-        rows,
-    )
-    if not ok:
-        raise PropertyFailure("log-link guarantee violated")
-    return EXIT_OK
-
-
-def _run_check_ineq(p, seed, output):
-    u_values = p["u"] if p["u"] is not None else np.geomspace(1e-6, math.exp(-2.0), 5)
-    rows = []
-    ok = True
-    for u in u_values:
-        report = links.check_log2_inequality(p["resolution"], u_values=[u])
-        ok &= report.passed
-        rows.append(
-            (p["resolution"], u, report.min_slack, report.worst_point[0],
-             report.worst_point[1], report.passed)
-        )
-    _write_csv(
-        output,
-        ["resolution", "u", "min_slack", "worst_p", "worst_q", "passed"],
-        rows,
-    )
-    if not ok:
-        raise PropertyFailure("squared-log inequality violated on the grid")
-    return EXIT_OK
 
 
 def _load_shallow_net(path):
@@ -428,8 +240,11 @@ def _make_net(p, seed):
     if p["net_file"]:
         return _load_shallow_net(p["net_file"])
     n, d = p["neurons"], p["d"]
-    if n < 1 or d < 1:
-        raise PreconditionError(f"a random net needs neurons >= 1 and d >= 1, not {n} and {d}")
+    if not (n >= 1 and d >= 1 and n * d <= _SAMPLE_GUARD):
+        raise PreconditionError(
+            f"a random net needs neurons >= 1, d >= 1 and neurons * d <= {_SAMPLE_GUARD}, "
+            f"not {n} and {d}"
+        )
     rng = np.random.default_rng([seed, p["net_seed"]])
     return compiler.ShallowNet(
         rng.standard_normal(n), rng.standard_normal((n, d)), rng.standard_normal(n)
@@ -463,77 +278,172 @@ def _compile_net(p, seed):
     return net, params, report, reference
 
 
+_NET_KEYS = {
+    "s": (int, 2),
+    "net_file": (_parse_str, None),
+    "neurons": (int, 8),
+    "d": (int, 2),
+    "net_seed": (_parse_seed, 0),
+    "link": (_parse_str, "none"),
+}
+
+
+@_verb("compile", **_NET_KEYS, report=(_parse_str, None))
 def _run_compile(p, seed, output):
     report_path = _resolve_output(p["report"]) if p["report"] else output + ".report"
     _require_directory(report_path)
     _, params, report, _ = _compile_net(p, seed)
     cnn.save_cnn(params, output)
     with open(report_path, "w") as fh:
-        fh.write(
-            "\n".join(
-                [
-                    f"depth {report.depth}",
-                    f"channels {report.channels}",
-                    f"sweep_depth {report.sweep_depth}",
-                    f"norm_achieved {report.norm_achieved:.17g}",
-                    f"norm_bound {report.norm_bound:.17g}",
-                ]
-            )
-            + "\n"
-        )
-    return EXIT_OK
+        for key in ("depth", "channels", "sweep_depth", "norm_achieved", "norm_bound"):
+            fh.write(f"{key} {_fmt(getattr(report, key))}\n")
 
 
+@_verb("verify-compile", **_NET_KEYS, points=(int, 10_000), tolerance=(float, 1e-10))
 def _run_verify_compile(p, seed, output):
-    if not 0 <= p["tolerance"] < math.inf:
+    tolerance = p["tolerance"]
+    if not 0 <= tolerance < math.inf:
         raise ConfigError(
-            f"[verify-compile] tolerance must be finite and nonnegative, not {p['tolerance']}"
+            f"[verify-compile] tolerance must be finite and nonnegative, not {tolerance}"
         )
     net, params, report, reference = _compile_net(p, seed)
     X = unit_cube_points(net.d, p["points"], seed=seed)
     ref = reference(X)
     dev = float(np.max(np.abs(cnn.forward(params, X) - ref) / (1.0 + np.abs(ref))))
-    passed = dev <= p["tolerance"] and report.norm_achieved <= report.norm_bound
-    _write_csv(
-        output,
-        ["neurons", "d", "s", "depth", "max_rel_deviation", "tolerance",
-         "norm_achieved", "norm_bound", "passed"],
-        [(net.n_neurons, net.d, p["s"], report.depth, dev, p["tolerance"],
-          report.norm_achieved, report.norm_bound, passed)],
-    )
     print(
-        f"max relative deviation {dev:.3e} (tolerance {p['tolerance']:.1e}); "
+        f"max relative deviation {dev:.3e} (tolerance {tolerance:.1e}); "
         f"path norm {report.norm_achieved:.6g} <= bound {report.norm_bound:.6g}"
     )
-    if not passed:
-        raise PropertyFailure("compiled network failed verification")
-    return EXIT_OK
+    row = {
+        "neurons": net.n_neurons, "d": net.d, "s": p["s"], "depth": report.depth,
+        "max_rel_deviation": dev, "tolerance": tolerance,
+        "norm_achieved": report.norm_achieved, "norm_bound": report.norm_bound,
+        "passed": dev <= tolerance and report.norm_achieved <= report.norm_bound,
+    }
+    _write_rows(output, [row], "compiled network failed verification")
+
+
+@_verb(
+    "entropy",
+    d=(int, _REQUIRED),
+    s=(int, _REQUIRED),
+    J=(int, _REQUIRED),
+    L=(_parse_int_list, _REQUIRED),
+    M=(_parse_float_list, _REQUIRED),
+    eps=(_parse_float_list, _REQUIRED),
+)
+def _run_entropy(p, seed, output):
+    d, s, J, Ls, Ms = p["d"], p["s"], p["J"], p["L"], p["M"]
+    if len(Ms) == 1:
+        Ms = Ms * len(Ls)
+    if len(Ms) != len(Ls):
+        raise ConfigError("M must be a scalar or match the length of L")
+    rows = []
+    for L, M in zip(Ls, Ms):
+        res = complexity.covering_recursion(complexity.cnn_complexity_spec(d, s, J, L, M))
+        for eps in p["eps"]:
+            rows.append({
+                "d": d, "s": s, "J": J, "L": L, "M": M, "eps": eps,
+                "n_params": res.n_params, "param_lipschitz": res.param_lipschitz,
+                "entropy_bound": complexity.entropy_bound_cnn(d, s, J, L, M, eps),
+            })
+    _write_rows(output, rows)
+
+
+@_verb(
+    "cover-check",
+    d=(int, 2),
+    s=(int, 2),
+    J=(int, 1),
+    L=(int, 1),
+    M=(float, 1.0),
+    eps=(_parse_float_list, _REQUIRED),
+    trials=(int, 100),
+    resolution=(int, 0),  # 0 -> derived from eps and the recursion
+    points=(int, 1000),
+    exhaustive=(_parse_bool, False),
+)
+def _run_cover_check(p, seed, output):
+    arch = {key: p[key] for key in ("d", "s", "J", "L", "M")}
+    rows = []
+    for eps in p["eps"]:
+        report = complexity.empirical_cover_check(
+            **arch,
+            eps=eps,
+            grid_resolution=p["resolution"] or None,
+            trials=p["trials"],
+            seed=seed,
+            n_points=p["points"],
+            exhaustive=p["exhaustive"],
+        )
+        rows.append({
+            **arch, "eps": eps, "n_params": report.n_params, "resolution": report.resolution,
+            "candidates": report.candidate_count, "covering_radius": report.covering_radius,
+            "target_radius": report.target_radius, "worst_distance": report.worst_distance,
+            "passed": report.passed,
+        })
+    _write_rows(output, rows, "a cover-check trial exceeded eps")
+
+
+@_verb("approx-log", pieces=(_parse_int_list, _REQUIRED), grid=(int, 10_000))
+def _run_approx_log(p, seed, output):
+    if not 1 <= p["grid"] <= _SAMPLE_GUARD:
+        raise ConfigError(
+            f"[approx-log] grid must be between 1 and {_SAMPLE_GUARD}, not {p['grid']}"
+        )
+    t = np.linspace(0.0, 1.0, p["grid"])
+    rows = []
+    for n in p["pieces"]:
+        link = links.log_link_net(n)
+        dev = float(np.max(np.abs(links.logistic(link(t)) - t)))
+        bound, norm = 3.0 / n, link.constraint_norm
+        rows.append({
+            "pieces": n, "max_deviation": dev, "bound": bound, "constraint_norm": norm,
+            "norm_limit": 6 * n, "passed": dev <= bound and norm <= 6 * n,
+        })
+    _write_rows(output, rows, "log-link guarantee violated")
+
+
+@_verb("check-ineq", resolution=(int, 500), u=(_parse_float_list, None))
+def _run_check_ineq(p, seed, output):
+    rows = []
+    for u in p["u"] or links.log2_u_values():
+        report = links.check_log2_inequality(p["resolution"], u_values=[u])
+        rows.append({
+            "resolution": p["resolution"], "u": u, "min_slack": report.min_slack,
+            "worst_p": report.worst_point[0], "worst_q": report.worst_point[1],
+            "passed": report.passed,
+        })
+    _write_rows(output, rows, "squared-log inequality violated on the grid")
 
 
 _TRIG_TERMS = ("amps", "freqs", "coords", "phases")
 
 
 def _make_target(p):
-    kind = p["target"]
-    if p["d"] < 2 or p["n_terms"] < 1:  # the networks need d >= 2
-        raise ConfigError(f"[experiment] needs d >= 2 and n_terms >= 1: {p['d']}, {p['n_terms']}")
+    kind, d, n_terms = p["target"], p["d"], p["n_terms"]
+    if not (2 <= d <= _SAMPLE_GUARD and 1 <= n_terms <= _SAMPLE_GUARD):  # the networks need d >= 2
+        raise ConfigError(
+            f"[experiment] needs 2 <= d <= {_SAMPLE_GUARD} and 1 <= n_terms <= {_SAMPLE_GUARD}: "
+            f"{d}, {n_terms}"
+        )
     terms = {key: p[key] for key in _TRIG_TERMS if p[key] is not None}
     if terms and kind != "trig-mixture":
         raise ConfigError(f"{', '.join(terms)} set the terms of a trig-mixture, not {kind!r}")
     if kind in ("trig-mixture", "gaussian-bump-mixture"):
         return learnlab.make_regression_target(
-            kind, {"n_terms": p["n_terms"], "d": p["d"], **terms}, seed=p["target_seed"]
+            kind, {"n_terms": n_terms, "d": d, **terms}, seed=p["target_seed"]
         )
     if kind == "coordinate-clamp":
         return learnlab.make_regression_target(
-            kind, {"slope": p["slope"], "d": p["d"]}, seed=p["target_seed"]
+            kind, {"slope": p["slope"], "d": d}, seed=p["target_seed"]
         )
     if kind == "eta-ramp":
-        return learnlab.make_eta_tsybakov(p["steepness"], d=p["d"])
+        return learnlab.make_eta_tsybakov(p["steepness"], d=d)
     if kind == "eta-step":
-        return learnlab.make_eta_tsybakov(float("inf"), d=p["d"])
+        return learnlab.make_eta_tsybakov(float("inf"), d=d)
     if kind == "eta-svb":
-        return learnlab.make_eta_svb(p["beta"], d=p["d"])
+        return learnlab.make_eta_svb(p["beta"], d=d)
     raise ConfigError(f"unknown target {kind!r}")
 
 
@@ -550,12 +460,43 @@ def write_results(path, rows, fit=None):
     if fit is not None:
         summary = ("ratefit", 0, 0, fit.slope, fit.intercept, 0, fit.theory_slope, 0.0, 0.0)
         rows = [*rows, learnlab.ExperimentRow(*summary)]
-    _write_csv(path, _RESULT_HEADER, map(astuple, rows))
+    _write_rows(path, [asdict(row) for row in rows], header=_RESULT_HEADER)
 
 
 _TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "init_scale")
 
 
+@_verb(
+    "experiment",
+    loss=(_parse_str, _REQUIRED),
+    target=(_parse_str, _REQUIRED),
+    d=(int, 2),
+    target_seed=(_parse_seed, 0),
+    steepness=(float, 4.0),  # eta-ramp
+    beta=(float, 1.0),  # eta-svb
+    slope=(float, 4.0),  # coordinate-clamp
+    n_terms=(int, 2),  # mixtures
+    amps=(_parse_float_list, None),  # trig-mixture terms; None -> seeded draw
+    freqs=(_parse_float_list, None),
+    coords=(_parse_int_list, None),
+    phases=(_parse_float_list, None),
+    noise_kind=(_parse_str, "gaussian"),
+    noise_scale=(float, 0.25),
+    n_schedule=(_parse_int_list, _REQUIRED),
+    repeats=(int, 5),
+    l_const=(float, 0.0),  # 0 -> per-loss default
+    m_const=(float, 0.0),
+    b_const=(float, 0.0),
+    s=(int, 2),
+    J=(int, 6),
+    epochs=(int, 60),
+    batch_size=(int, 128),
+    learning_rate=(float, 0.02),
+    final_learning_rate=(float, 0.002),
+    restarts=(int, 2),
+    init_scale=(float, 1.0),
+    mc_samples=(int, 20_000),
+)
 def _run_experiment(p, seed, output):
     spec = _make_target(p)
     loss = p["loss"]
@@ -582,9 +523,17 @@ def _run_experiment(p, seed, output):
         f"{loss}: fitted slope {fit.slope:+.3f} (theory {fit.theory_slope:+.3f}), "
         f"mean errors {np.array2string(fit.mean_errors, precision=5)}"
     )
-    return EXIT_OK
 
 
+@_verb(
+    "fit-rate",
+    input=(_parse_str, _REQUIRED),
+    loss=(_parse_str, _REQUIRED),
+    alpha=(float, 1.0),
+    d=(int, 2),
+    q=(float, 1.0),
+    beta=(float, 1.0),
+)
 def _run_fit_rate(p, seed, output):
     try:
         fh = open(p["input"], newline="")
@@ -611,33 +560,22 @@ def _run_fit_rate(p, seed, output):
         raise ConfigError("no data rows in results file")
     theory = learnlab.theory_slope(p["loss"], p["alpha"], p["d"], q=p["q"], beta=p["beta"])
     fit = learnlab.fit_rate(cells, theory)
-    _write_csv(
-        output,
-        ["slope", "intercept", "theory_slope"],
-        [(fit.slope, fit.intercept, fit.theory_slope)],
-    )
+    _write_rows(output, [
+        {"slope": fit.slope, "intercept": fit.intercept, "theory_slope": fit.theory_slope}
+    ])
     print(f"fitted slope {fit.slope:+.4f}, intercept {fit.intercept:+.4f}, "
           f"theory {fit.theory_slope:+.4f}")
-    return EXIT_OK
 
 
-_HANDLERS = {
-    "entropy": _run_entropy,
-    "cover-check": _run_cover_check,
-    "approx-log": _run_approx_log,
-    "check-ineq": _run_check_ineq,
-    "compile": _run_compile,
-    "verify-compile": _run_verify_compile,
-    "experiment": _run_experiment,
-    "fit-rate": _run_fit_rate,
-}
+VERBS = tuple(_VERBS)
 
 
 def run(config):
     """Dispatch a validated CliConfig; returns the process exit code."""
     output = _resolve_output(config.output)
     _require_directory(output)
-    return _HANDLERS[config.verb](config.params, config.seed, output)
+    _VERBS[config.verb][1](config.params, config.seed, output)
+    return EXIT_OK
 
 
 def main(argv=None):

@@ -38,6 +38,7 @@ import numpy as np
 
 from .cnn import CnnParams, ConvLayer, _activations, layer_norm_product, path_norm, rescale
 from .errors import PreconditionError, PropertyFailure
+from .sampling import _SAMPLE_GUARD
 
 # channel roles in 6-channel assemblies (0-based)
 _POS, _NEG, _SHIFT = 0, 1, 2
@@ -358,7 +359,8 @@ def _sum_scaling(net, L0):
     """
     N = net.n_neurons
     M = shallow_norm(net)
-    _require_finite_bound(3.0 ** (L0 + 1) * N * M)
+    # 3.0 ** k raises OverflowError past k = 646, where the bound is inf anyway
+    _require_finite_bound(3.0 ** (L0 + 1) * N * M if L0 < 646 else math.inf)
     R = 3.0 ** (1 - L0) / N
     prefactor = M / R if M > 0 else 0.0
     coeff_scale = R / M if M > 0 else 0.0
@@ -369,7 +371,16 @@ def _require_finite_bound(bound):
     # below a finite bound no weight, path norm or output of the compiled
     # network overflows; above it the report's guarantee would read inf <= inf
     if not math.isfinite(bound):
-        raise PreconditionError("the net's norm is too large: its compile bound overflows float64")
+        raise PreconditionError(
+            "the compile bound overflows float64: the net's norm or depth is too large"
+        )
+
+
+def _require_buildable(depth, s):
+    # every layer of a 6-channel assembly holds up to 36 s weights; a deeper
+    # net would otherwise build layers until memory runs out
+    if 36 * s * depth > _SAMPLE_GUARD:
+        raise PreconditionError(f"a compiled net of {depth} layers exceeds {_SAMPLE_GUARD} weights")
 
 
 def shallow_to_cnn(net, s):
@@ -381,6 +392,7 @@ def shallow_to_cnn(net, s):
     d = net.d
     L0 = sweep_depth(d, s)
     N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
+    _require_buildable(N * L0, s)
 
     layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     W = np.zeros((d, 6))
@@ -414,6 +426,7 @@ def shallow_to_cnn_open(net, s):
     d = net.d
     L0 = sweep_depth(d, s)
     N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
+    _require_buildable(N * L0 + 1, s)
 
     layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     layers.append(_expose_layer(s, v_last, prefactor, 0, 1))
@@ -444,6 +457,7 @@ def compose_with_scalar_net(net, g, s):
         # degenerate sum net: the layer-norm floors dominate the M factor
         bound = max(bound, 18.0 * K * M0 * max(3.0 ** (L0 + 1) * N * M, 3.0))
     _require_finite_bound(bound)
+    _require_buildable(N * L0 + K + 1, s)
 
     layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     # expose relu(f) / relu(-f) in channels 1 and 2; channel 0 hosts g's neurons

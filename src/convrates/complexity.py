@@ -47,7 +47,7 @@ import numpy as np
 
 from .cnn import forward, params_from_vector, params_view
 from .errors import PreconditionError
-from .sampling import spawn_rng, unit_cube_points
+from .sampling import _SAMPLE_GUARD, spawn_rng, unit_cube_points
 
 
 def _check_budget(M):
@@ -142,8 +142,8 @@ def cnn_complexity_spec(d, s, J, L, M):
     """Layer constants of the constrained CNN class with norm budget M >= 1."""
     if not 2 <= s <= d:
         raise PreconditionError(f"filter size s={s} outside [2, d={d}]")
-    if J < 1 or L < 1:
-        raise PreconditionError("channel count and depth must be at least 1")
+    if J < 1 or not 1 <= L < _SAMPLE_GUARD:  # L + 1 floats per constant vector
+        raise PreconditionError(f"need J >= 1 and 1 <= L < {_SAMPLE_GUARD}, not {J} and {L}")
     _check_budget(M)
     gammas = np.ones(L + 1)
     gammas[L] = M

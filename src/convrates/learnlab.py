@@ -413,8 +413,11 @@ class TrainConfig:
             raise PreconditionError(f"init_scale {self.init_scale} must be finite and nonnegative")
         if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
             raise PreconditionError("epochs, batch size, restarts must be positive")
-        if self.s < 1 or self.J < 1:
-            raise PreconditionError(f"filter size s={self.s} and channels J={self.J} must be >= 1")
+        if not (self.s >= 1 and self.J >= 1 and self.L * self.s * self.J**2 <= _SAMPLE_GUARD):
+            raise PreconditionError(
+                f"filter size s={self.s} and channels J={self.J} must be >= 1, with "
+                f"L*s*J^2 filter weights at most {_SAMPLE_GUARD} (L={self.L})"
+            )
 
 
 @dataclass
@@ -775,8 +778,10 @@ def run_rate_experiment(
     n_schedule = [int(n) for n in n_schedule]
     if len(n_schedule) < 4 or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise PreconditionError("n_schedule must be increasing with at least 4 values")
-    if repeats < 1 or mc_samples < 1:
-        raise PreconditionError("repeats and mc_samples must be positive")
+    if repeats < 1 or not 1 <= mc_samples * spec.d <= _SAMPLE_GUARD:  # floats of one draw
+        raise PreconditionError(
+            f"repeats must be positive and mc_samples in [1, {_SAMPLE_GUARD} / d]"
+        )
     if loss not in LOSSES:
         raise PreconditionError(f"unknown loss: {loss!r}")
     _check_target_kind(loss, spec)  # checked here so that no cell trains in vain

@@ -35,7 +35,7 @@ import numpy as np
 
 from .compiler import ScalarNet, scalar_norm
 from .errors import PreconditionError
-from .sampling import spawn_rng
+from .sampling import _SAMPLE_GUARD, spawn_rng
 
 
 def logistic(t):
@@ -121,8 +121,8 @@ def log_link_net(n_pieces):
     constraint norm at most 6n.
     """
     n = int(n_pieces)
-    if n < 3:
-        raise PreconditionError("log link needs at least 3 pieces")
+    if not 3 <= n <= _SAMPLE_GUARD // 2:  # the net's 2n neurons within the guard
+        raise PreconditionError(f"log link needs 3 to {_SAMPLE_GUARD // 2} pieces, not {n}")
     knots = np.arange(1, n + 1) / n
     logs = np.log(knots)
     slopes = n * np.diff(logs)  # slope on (i/n, (i+1)/n), i = 1..n-1
@@ -283,6 +283,11 @@ class BoundCheckReport:
     passed: bool
 
 
+def log2_u_values():
+    """The u values `check_log2_inequality` scans by default: five log-spaced in [1e-6, e^-2]."""
+    return np.geomspace(1e-6, math.exp(-2.0), 5)
+
+
 def check_log2_inequality(grid_resolution=500, u_values=None):
     """Grid check of  p log^2(p/q) <= log(u^-2) (p log(p/q) - p + q).
 
@@ -291,9 +296,12 @@ def check_log2_inequality(grid_resolution=500, u_values=None):
     positive elsewhere.
     """
     if u_values is None:
-        u_values = np.geomspace(1e-6, math.exp(-2.0), 5)
-    if grid_resolution < 2:
-        raise PreconditionError(f"grid resolution {grid_resolution} must be at least 2")
+        u_values = log2_u_values()
+    if not (2 <= grid_resolution and grid_resolution**2 <= _SAMPLE_GUARD):  # floats per grid
+        raise PreconditionError(
+            f"grid resolution {grid_resolution} must be at least 2, its square at most "
+            f"{_SAMPLE_GUARD}"
+        )
     u_values = np.asarray(u_values, dtype=np.float64)
     if not np.all((u_values > 0) & (u_values <= math.exp(-2.0) + 1e-15)):  # NaN fails too
         raise PreconditionError("u values must lie in (0, e^-2]")

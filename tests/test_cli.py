@@ -82,6 +82,11 @@ class TestConfigParsing:
 
     def test_range_syntax(self):
         assert cli._parse_int_list("1:4, 9") == [1, 2, 3, 4, 9]
+        assert cli._parse_int_list("3:3") == [3]
+        assert len(cli._parse_int_list(f"1:{cli._MAX_RANGE}")) == cli._MAX_RANGE
+        for text in ("1, 5:2", f"1:{cli._MAX_RANGE + 1}", f"1:{10**15}"):
+            with pytest.raises(ValueError, match="range"):
+                cli._parse_int_list(text)
 
 
 class TestEntropyVerb:
@@ -251,6 +256,7 @@ _TINY_EXPERIMENT = (
     "repeats = 1\nepochs = 1\nrestarts = 1\nmc_samples = 200\n"
 )
 _TINY_TRIG = _TINY_EXPERIMENT.replace("coordinate-clamp", "trig-mixture")
+_BIG = 10**15  # a size numpy refuses to allocate at once
 
 
 class TestNonFiniteAndEmptyInputs:
@@ -299,6 +305,30 @@ class TestNonFiniteAndEmptyInputs:
              cli.EXIT_PRECONDITION),
             ("verify-compile", "[verify-compile]\nneurons = 1\nd = 21202\ns = 21202\n"
              "points = 1000\n", cli.EXIT_PRECONDITION),
+            ("entropy", f"[entropy]\nd = 4\ns = 2\nJ = 2\nL = {_BIG}\nM = 1\neps = 0.1\n",
+             cli.EXIT_PRECONDITION),
+            ("entropy", "[entropy]\nd = 4\ns = 2\nJ = 2\nL = 1, 5:2\nM = 1\neps = 0.1\n",
+             cli.EXIT_CONFIG),
+            ("entropy", f"[entropy]\nd = 4\ns = 2\nJ = 2\nL = 1:{_BIG}\nM = 1\neps = 0.1\n",
+             cli.EXIT_CONFIG),
+            ("approx-log", f"[approx-log]\npieces = 3\ngrid = {_BIG}\n", cli.EXIT_CONFIG),
+            ("approx-log", f"[approx-log]\npieces = {_BIG}\ngrid = 10\n", cli.EXIT_PRECONDITION),
+            ("check-ineq", f"[check-ineq]\nresolution = {_BIG}\n", cli.EXIT_PRECONDITION),
+            ("compile", f"[compile]\nneurons = {_BIG}\n", cli.EXIT_PRECONDITION),
+            ("compile", f"[compile]\nd = {_BIG}\n", cli.EXIT_PRECONDITION),
+            ("compile", f"[compile]\nlink = log:{_BIG}\n", cli.EXIT_PRECONDITION),
+            ("compile", "[compile]\nneurons = 200000\n", cli.EXIT_PRECONDITION),
+            ("compile", "[compile]\nd = 1000\n", cli.EXIT_PRECONDITION),
+            ("compile", "[compile]\nlink = log:100000\n", cli.EXIT_PRECONDITION),
+            ("verify-compile", f"[verify-compile]\nneurons = {_BIG}\n", cli.EXIT_PRECONDITION),
+            ("verify-compile", f"[verify-compile]\nd = {_BIG}\n", cli.EXIT_PRECONDITION),
+            ("verify-compile", f"[verify-compile]\nlink = log:{_BIG}\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + f"J = {_BIG}\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + f"s = {_BIG}\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + f"d = {_BIG}\n", cli.EXIT_CONFIG),
+            ("experiment", _TINY_TRIG + f"n_terms = {_BIG}\n", cli.EXIT_CONFIG),
+            ("experiment", _TINY_EXPERIMENT.replace("= 200", f"= {_BIG}"),
+             cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -311,7 +341,14 @@ class TestNonFiniteAndEmptyInputs:
             "n-past-sample-guard", "n-past-float64", "cover-points-past-sample-guard",
             "cover-points-past-int64", "verify-points-past-sample-guard",
             "verify-points-past-int64", "cover-trials-past-guard", "cover-trials-past-int64",
-            "verify-d-past-sobol-table",
+            "verify-d-past-sobol-table", "entropy-L-past-guard", "descending-range",
+            "range-past-guard", "alog-grid-past-guard", "alog-pieces-past-guard",
+            "ineq-resolution-past-guard", "compile-neurons-past-guard", "compile-d-past-guard",
+            "compile-log-link-past-guard", "compile-depth-past-guard", "compile-3^L0-overflows",
+            "compile-link-depth-past-guard", "verify-neurons-past-guard",
+            "verify-d-past-guard", "verify-log-link-past-guard", "experiment-J-past-guard",
+            "experiment-s-past-guard", "experiment-d-past-guard",
+            "experiment-n_terms-past-guard", "experiment-mc_samples-past-guard",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -352,7 +389,8 @@ _ANY_FLOAT = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
     st.floats(allow_nan=True, allow_infinity=True),
 ).map(repr)
-_SMALL_INT = st.integers(-3, 8).map(str)
+# small ints, and a size no key may allocate (numpy refuses it at once)
+_SMALL_INT = st.one_of(st.integers(-3, 8), st.just(_BIG)).map(str)
 
 
 def _listed(values):
@@ -841,6 +879,47 @@ class TestOutputHygiene:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == cli._RESULT_HEADER  # partial results file exists
+
+
+_HEADER_CASES = {
+    "entropy": (
+        "[entropy]\nd = 3\ns = 2\nJ = 2\nL = 1\nM = 2\neps = 0.5\n",
+        "d,s,J,L,M,eps,n_params,param_lipschitz,entropy_bound",
+    ),
+    "cover-check": (
+        "[cover-check]\neps = 0.5\ntrials = 2\n",
+        "d,s,J,L,M,eps,n_params,resolution,candidates,covering_radius,target_radius,"
+        "worst_distance,passed",
+    ),
+    "approx-log": (
+        "[approx-log]\npieces = 3\ngrid = 10\n",
+        "pieces,max_deviation,bound,constraint_norm,norm_limit,passed",
+    ),
+    "check-ineq": (
+        "[check-ineq]\nresolution = 20\nu = 0.01\n",
+        "resolution,u,min_slack,worst_p,worst_q,passed",
+    ),
+    "verify-compile": (
+        "[verify-compile]\nneurons = 2\npoints = 100\n",
+        "neurons,d,s,depth,max_rel_deviation,tolerance,norm_achieved,norm_bound,passed",
+    ),
+    "experiment": (_TINY_EXPERIMENT, "loss,n,L,M,B,seed,excess_risk,stderr,wall_time"),
+    "fit-rate": ("[fit-rate]\ninput = {res}\nloss = squared\n", "slope,intercept,theory_slope"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_HEADER_CASES))
+def test_csv_header_line(tmp_path, verb):
+    body, header = _HEADER_CASES[verb]
+    out, res = tmp_path / "out.csv", tmp_path / "res.csv"  # res: a results file for fit-rate
+    rows = [["squared", n, 1, 1, 1, 0, 1 / n, 0, 0] for n in (64, 128, 256, 512)]
+    res.write_text("".join(",".join(map(str, r)) + "\n" for r in [cli._RESULT_HEADER, *rows]))
+    cfg = write_config(
+        tmp_path, f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n" + body.format(res=res)
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([cfg]) == cli.EXIT_OK
+    assert out.read_text().splitlines()[0] == header
 
 
 class TestScripts:
