@@ -8,13 +8,15 @@ Architecture conventions used throughout the package:
   (tap index, output channel, input channel) and a bias of shape (J_out,).
   It realizes the map  out[:, j'] = sum_j T(w[:, j', j]) @ x[:, j] + b[j'],
   where T(w) is the upper-banded matrix of `conv_matrix` (one-sided zero
-  padding, stride one).  A batch of grids is evaluated tap by tap: each tap
-  is one GEMM over the flattened (n*d, J_in) batch, added shifted onto the
-  bias in tap order (`_grid_matmul`).  A tap whose slice is a single grid
-  row keeps numpy's per-sample matmul (gemv) when J_in > 1, and a tap on a
-  single input channel (J_in = 1) is one broadcast product, the GEMM's own
-  one-term sum, so results are bit-identical to the per-sample form.  Each
-  layer's pre-activation grid is fresh, and ReLU overwrites it in place.
+  padding, stride one).
+* The forward loop (`_conv_forward`, `_activations`) holds a batch of grids
+  spatial-major, shape (d, n, J): tap k is one GEMM over the contiguous rows
+  x[k:], added onto out[:d-k] in tap order after the bias.  A one-row tap
+  with J_in > 1 keeps numpy's per-sample gemv and a J_in = 1 tap is one
+  broadcast product, so results are bit-identical to the per-sample form.
+  Each layer's pre-activation grid is fresh, and ReLU overwrites it in
+  place.  Every other function takes and returns (n, d, J) batches, and
+  einsums read them C-contiguous: their summation order follows the layout.
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
@@ -156,11 +158,12 @@ def conv_matrix(w, d):
 def _grid_matmul(a, m, rows):
     """a[:, rows, :] @ m for an (n, d, K) batch a, bit for bit.
 
-    The product is one GEMM over the flattened (n*d, K) grid, sliced
-    afterwards, instead of numpy's stacked matmul, which makes one small BLAS
-    call per sample.  Each row's sum runs in the same order either way.  The
-    exception is a one-row slice with K > 1: numpy evaluates it with gemv,
-    whose summation order a GEMM does not reproduce, so it stays stacked.
+    Only `backward`'s input gradient uses it.  The product is one GEMM over
+    the flattened (n*d, K) grid, sliced afterwards, instead of numpy's
+    stacked matmul, which makes one small BLAS call per sample.  Each row's
+    sum runs in the same order either way.  The exception is a one-row slice
+    with K > 1: numpy evaluates it with gemv, whose summation order a GEMM
+    does not reproduce, so it stays stacked.
     """
     n, d, K = a.shape
     part = a[:, rows, :]
@@ -169,17 +172,29 @@ def _grid_matmul(a, m, rows):
     return (a.reshape(n * d, K) @ m).reshape(n, d, -1)[:, rows, :]
 
 
-def _conv_forward(weights, bias, x):
-    """Batched layer map: x (n, d, J_in) -> (n, d, J_out), pre-activation."""
-    s = weights.shape[0]
-    n, d, K = x.shape
-    out = np.empty((n, d, weights.shape[1]))
-    out[...] = bias
+def _conv_forward(weights, bias, x, last=False):
+    """Spatial-major layer map: x (d, n, J_in) -> (d, n, J_out), pre-activation.
+
+    A net's last layer on one input channel has elementwise taps, so it writes
+    (n, d, J_out) storage for free and spares the caller a transposed copy.
+    """
+    s, J, K = weights.shape
+    d, n = x.shape[:2]
+    n_major = last and K == 1
+    out = np.empty((n, d, J)).transpose(1, 0, 2) if n_major else np.empty((d, n, J))
+    buf = np.empty((d - 1, n, J))  # one product buffer, reused by every shifted tap
     for k in range(s):
+        t = out if k == 0 else buf[: d - k]
         if K == 1:  # a one-term dot: the GEMM's single rounded product
-            out[:, : d - k, :] += x[:, k:, :] * weights[k, :, 0]
+            np.multiply(x[k:], weights[k, :, 0], out=t)
+        elif d - k == 1:  # one grid row: numpy's per-sample gemv, not a GEMM
+            t[0] = (x[k][:, None, :] @ weights[k].T)[:, 0]
         else:
-            out[:, : d - k, :] += _grid_matmul(x, weights[k].T, slice(k, None))
+            np.matmul(x[k:].reshape(-1, K), weights[k].T, out=t.reshape(-1, J))
+        if k == 0:  # t0 + b is the same double as b + t0; one (n*J) row per grid row
+            out += bias if n_major else bias[None].repeat(n, 0)
+        else:
+            out[: d - k] += t
     return out
 
 
@@ -194,7 +209,7 @@ def conv_apply(layer, x):
         )
     if x.shape[0] < layer.filter_size:
         raise PreconditionError("signal length shorter than the filter")
-    return _conv_forward(layer.weights, layer.bias, x[None])[0]
+    return _conv_forward(layer.weights, layer.bias, x[:, None, :])[:, 0, :]
 
 
 def _check_input(params, x):
@@ -209,14 +224,15 @@ def _check_input(params, x):
 def _activations(layers, X):
     """Yield the activated grid after each layer for an (n, d) batch X.
 
-    The package's one forward loop.  A caller that keeps only the last grid
-    holds a few grids at a time, whatever the depth.
+    The package's one forward loop.  It yields (n, d, J) views of its
+    spatial-major grids; a caller that keeps only the last one holds a few
+    grids at a time, whatever the depth.
     """
-    a = X[:, :, None]
-    for layer in layers:
-        a = _conv_forward(layer.weights, layer.bias, a)
+    a = X.T[:, :, None]
+    for i, layer in enumerate(layers, 1 - len(layers)):  # i = 0 at the last layer
+        a = _conv_forward(layer.weights, layer.bias, a, last=i == 0)
         np.maximum(a, 0.0, out=a)  # the grid is fresh, so ReLU can overwrite it
-        yield a
+        yield a.transpose(1, 0, 2)
 
 
 def activation_grids(params, x):
@@ -225,7 +241,7 @@ def activation_grids(params, x):
     Returns a list of L arrays of shape (n, d, J); the last one is the grid
     the output weights contract against.
     """
-    return list(_activations(params.layers, _check_input(params, x)))
+    return [np.ascontiguousarray(a) for a in _activations(params.layers, _check_input(params, x))]
 
 
 def forward(params, x):
@@ -233,7 +249,7 @@ def forward(params, x):
     X = _check_input(params, x)
     for a in _activations(params.layers, X):
         pass
-    vals = np.einsum("ndj,dj->n", a, params.output_weights)
+    vals = np.einsum("ndj,dj->n", np.ascontiguousarray(a), params.output_weights)
     if np.ndim(x) == 1:
         return float(vals[0])
     return vals
@@ -253,7 +269,7 @@ def backward(params, x, dout=None):
     """
     X = _check_input(params, x)
     n, d = X.shape
-    grids = list(_activations(params.layers, X))
+    grids = [np.ascontiguousarray(a) for a in _activations(params.layers, X)]
     inputs = [X[:, :, None]] + grids[:-1]
     a = grids[-1]
 

@@ -222,7 +222,7 @@ class OpenCnn:
             X = X[None]
         for a in _activations(self.layers, X):
             pass
-        return a
+        return np.ascontiguousarray(a)
 
     def norm_product(self):
         """Product of max(layer_norm, 1); the open analogue of the path norm."""

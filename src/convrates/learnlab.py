@@ -796,6 +796,9 @@ def run_rate_experiment(
     for n in n_schedule:
         L, M, B = architecture_schedule(loss, n, spec.d, alpha, q=q, beta=beta, consts=consts)
         cell_cfgs.append(replace(train_base, L=L, M=M, trunc_level=B))
+    passes = train_base.restarts * train_base.epochs * repeats
+    if passes * sum(-(-n // min(train_base.batch_size, n)) for n in n_schedule) > _SAMPLE_GUARD:
+        raise PreconditionError(f"more than {_SAMPLE_GUARD} Adam steps in the whole experiment")
 
     rows = []
     for i, (n, cell_cfg) in enumerate(zip(n_schedule, cell_cfgs)):

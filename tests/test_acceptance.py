@@ -356,7 +356,7 @@ class TestCriterion09GradientCheck:
             from convrates.cnn import _conv_forward
 
             def min_pre(p, x):
-                a = x[None, :, None]
+                a = x[:, None, None]  # spatial-major: (d, n = 1, 1)
                 m = np.inf
                 for layer in p.layers:
                     z = _conv_forward(layer.weights, layer.bias, a)

@@ -329,6 +329,12 @@ class TestNonFiniteAndEmptyInputs:
             ("experiment", _TINY_TRIG + f"n_terms = {_BIG}\n", cli.EXIT_CONFIG),
             ("experiment", _TINY_EXPERIMENT.replace("= 200", f"= {_BIG}"),
              cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT.replace("epochs = 1", f"epochs = {_BIG}"),
+             cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT.replace("restarts = 1", f"restarts = {_BIG}"),
+             cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT.replace("repeats = 1", f"repeats = {_BIG}"),
+             cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -349,6 +355,8 @@ class TestNonFiniteAndEmptyInputs:
             "verify-d-past-guard", "verify-log-link-past-guard", "experiment-J-past-guard",
             "experiment-s-past-guard", "experiment-d-past-guard",
             "experiment-n_terms-past-guard", "experiment-mc_samples-past-guard",
+            "experiment-epochs-past-guard", "experiment-restarts-past-guard",
+            "experiment-repeats-past-guard",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -458,9 +466,9 @@ _FUZZ_KEYS["experiment"] = {
         _listed(st.integers(-3, 24).map(str)),
         st.sampled_from([10**12, 10**400]).map("8, 12, 16, {}".format),
     )),
-    "repeats": ("1", st.integers(-3, 2).map(str)),
-    "epochs": ("1", st.integers(-3, 2).map(str)),
-    "restarts": ("1", st.integers(-3, 2).map(str)),
+    "repeats": ("1", _SMALL_INT),
+    "epochs": ("1", _SMALL_INT),
+    "restarts": ("1", _SMALL_INT),
     "batch_size": ("8", _SMALL_INT),
     "J": ("2", _SMALL_INT),
     "s": ("2", _SMALL_INT),
@@ -662,8 +670,21 @@ class TestApproxLogVerb:
 
 _THREAD_COUNT_CONFIGS = {
     "approx-log": "[approx-log]\npieces = 3:200\ngrid = 10001\n",
+    "cover-check": "[cover-check]\neps = 1.0\ntrials = 2\nexhaustive = true\n",
+    # full-sample risks at n = 1024 and the Monte Carlo risk at 20 000 points run threaded GEMMs
+    "experiment": _TINY_EXPERIMENT.replace("8,12,16,20", "128,256,512,1024").replace(
+        "mc_samples = 200", "mc_samples = 20000"
+    ),
     "verify-compile": "[verify-compile]\nneurons = 32\nd = 8\ns = 3\nlink = log:50\n",
 }
+
+
+def _cells_without_wall_time(path):
+    """The CSV's cells, with the one timing column blanked."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    timed = [i for i, name in enumerate(rows[0]) if name == "wall_time"]
+    return [[("" if i in timed else cell) for i, cell in enumerate(row)] for row in rows]
 
 
 @pytest.mark.parametrize("verb", sorted(_THREAD_COUNT_CONFIGS))
@@ -683,7 +704,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, verb):
             capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        outputs.append(out.read_bytes())
+        outputs.append(_cells_without_wall_time(out))
     assert outputs[0] == outputs[1]
 
 

@@ -31,7 +31,9 @@ from convrates.cnn import (
     save_cnn,
     truncate,
 )
+from convrates.compiler import OpenCnn, ShallowNet, compose_with_scalar_net
 from convrates.errors import PreconditionError, ShapeError
+from convrates.links import log_link_net
 
 from conftest import random_cnn
 
@@ -134,7 +136,7 @@ class TestConvNormProperties:
                 rng.standard_normal((s, J_out, J_in)), rng.standard_normal(J_out)
             )
             X = rng.uniform(-3, 3, (100, d, J_in))
-            out = _conv_forward(layer.weights, layer.bias, X)
+            out = _conv_forward(layer.weights, layer.bias, X.transpose(1, 0, 2)).transpose(1, 0, 2)
             lhs = np.abs(out).max(axis=(1, 2))
             rhs = layer_norm(layer) * np.maximum(np.abs(X).max(axis=(1, 2)), 1.0)
             assert np.all(lhs <= rhs + 1e-12)
@@ -149,9 +151,10 @@ class TestConvNormProperties:
             layer = ConvLayer(rng.standard_normal((s, J, J)), rng.standard_normal(J))
             X = rng.uniform(-3, 3, (100, d, J))
             Y = rng.uniform(-3, 3, (100, d, J))
-            diff = _conv_forward(layer.weights, layer.bias, X) - _conv_forward(
-                layer.weights, layer.bias, Y
+            diff = _conv_forward(layer.weights, layer.bias, X.transpose(1, 0, 2)) - _conv_forward(
+                layer.weights, layer.bias, Y.transpose(1, 0, 2)
             )
+            diff = diff.transpose(1, 0, 2)
             lhs = np.abs(diff).max(axis=(1, 2))
             rhs = layer_norm(layer) * np.abs(X - Y).max(axis=(1, 2))
             assert np.all(lhs <= rhs + 1e-12)
@@ -208,17 +211,20 @@ class TestForward:
         assert np.allclose(batch, singles, atol=1e-14)
 
     def test_memory_does_not_grow_with_depth(self, rng):
-        # forward keeps only the grid it is about to read, not one per layer
-        d, s, J, L, n = 8, 3, 6, 40, 10_000
-        params = random_cnn(rng, d=d, s=s, J=J, L=L, scale=0.3)
+        # forward keeps only the grid it is about to read, not one per layer:
+        # a layer's input, its output and the tap buffer with the bias row,
+        # then the last grid and its (n, d, J) copy
+        d, s, J, n = 8, 3, 6, 10_000
         X = rng.random((n, d))
-        tracemalloc.start()
-        try:
-            forward(params, X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * n * d * J * 8  # five (n, d, J) float64 grids
+        for L in (4, 40):
+            params = random_cnn(rng, d=d, s=s, J=J, L=L, scale=0.3)
+            tracemalloc.start()
+            try:
+                forward(params, X)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * n * d * J * 8 + n * 8  # three (n, d, J) grids plus the output
 
 
 class TestPurity:
@@ -283,7 +289,7 @@ class TestBackward:
         from convrates.cnn import _conv_forward
 
         def min_preactivation(params, x):
-            a = x[None, :, None]
+            a = x[:, None, None]  # spatial-major: (d, n = 1, 1)
             worst = np.inf
             for layer in params.layers:
                 z = _conv_forward(layer.weights, layer.bias, a)
@@ -449,7 +455,36 @@ class TestTapLowering:
                 b = rng.standard_normal(j_out)
                 x = rng.standard_normal((n, d, j_in))
                 expected = stacked_conv_forward(w, b, x)
-                assert _conv_forward(w, b, x).tobytes() == expected.tobytes()
+                got = _conv_forward(w, b, x.transpose(1, 0, 2)).transpose(1, 0, 2)
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_one_row_taps(self, rng, n):
+        # s = d: the last tap reads one grid row, which stays on numpy's gemv
+        params = random_cnn(rng, d=4, s=4, J=6, L=2)
+        self.assert_bitwise(params, rng.random((n, 4)), rng.standard_normal(n))
+
+    def test_conv_apply_matches_stacked_reference(self, rng):
+        # d = s = 1 with J_in > 1 makes tap 0 itself a one-row gemv tap
+        for d, j_in, j_out in [(1, 3, 2), (2, 1, 4), (5, 6, 6), (8, 2, 1)]:
+            for s in range(1, d + 1):
+                w, b = rng.standard_normal((s, j_out, j_in)), rng.standard_normal(j_out)
+                layer = ConvLayer(w, b)
+                x = rng.standard_normal((d, j_in))
+                expected = stacked_conv_forward(w, b, x[None])[0]
+                assert conv_apply(layer, x).tobytes() == expected.tobytes()
+
+    def test_open_final_grid_matches_stacked_reference(self, rng):
+        # the verify benchmark's kind of net: a shallow net composed with the log:50 link
+        net = ShallowNet(
+            rng.standard_normal(3), rng.standard_normal((3, 8)), rng.standard_normal(3)
+        )
+        params, _ = compose_with_scalar_net(net, log_link_net(50).net, 3)
+        X = rng.random((200, 8))
+        _, grids, _ = stacked_reference(params, X, np.ones(200))
+        got = OpenCnn(params.d, params.s, params.layers).final_grid(X)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == grids[-1].tobytes()
 
 
 class TestParamsFromVector:
