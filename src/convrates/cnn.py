@@ -169,7 +169,7 @@ def _grid_matmul(a, m, rows):
     part = a[:, rows, :]
     if part.shape[1] == 1 and K > 1:
         return part @ m
-    return (a.reshape(n * d, K) @ m).reshape(n, d, -1)[:, rows, :]
+    return (a.reshape(n * d, K) @ m).reshape(n, d, m.shape[1])[:, rows, :]
 
 
 def _conv_forward(weights, bias, x, last=False):
@@ -244,12 +244,20 @@ def activation_grids(params, x):
     return [np.ascontiguousarray(a) for a in _activations(params.layers, _check_input(params, x))]
 
 
+def final_grid(net, x):
+    """Activated grid after the last layer, C-contiguous, shape (n, d, J).
+
+    `net` is anything with `d` and `layers` (`CnnParams`, `compiler.OpenCnn`);
+    x is checked as `forward` checks it, and a single d-vector gives n = 1.
+    """
+    for a in _activations(net.layers, _check_input(net, x)):
+        pass
+    return np.ascontiguousarray(a)
+
+
 def forward(params, x):
     """Evaluate the network. x may be a single d-vector or an (n, d) batch."""
-    X = _check_input(params, x)
-    for a in _activations(params.layers, X):
-        pass
-    vals = np.einsum("ndj,dj->n", np.ascontiguousarray(a), params.output_weights)
+    vals = np.einsum("ndj,dj->n", final_grid(params, x), params.output_weights)
     if np.ndim(x) == 1:
         return float(vals[0])
     return vals

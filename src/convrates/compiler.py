@@ -9,13 +9,16 @@ are controlled:
   coordinates per layer, the second carries its negation (so the running
   value survives ReLU via t = relu(t) - relu(-t)), and the third translates
   the raw input leftward to feed the sweep;
-* a sum of N neurons needs 6 channels and depth N*L0: neurons are evaluated
+* a sum of N neurons needs 6 channels and depth N*L0, and one assembly
+  (`_sum_layers`) builds it for every construction: neurons are evaluated
   sequentially while channel 4 stores the input and channels 5/6 accumulate
   the positive and negative parts of the partial sums (both nonnegative, so
   they pass through ReLU unchanged);
-* a post-composition with a scalar ReLU network g needs K+1 extra layers:
-  one layer exposes relu(f) and relu(-f), then g's neurons are accumulated
-  the same way.
+* the assembly's readout, a 6-vector on row 0 of the last grid, gives the
+  sum's value.  `shallow_to_cnn` makes it the output weights;
+  `shallow_to_cnn_open` writes it into one layer exposing relu(f) and
+  relu(-f); `compose_with_scalar_net` follows that layer with K layers that
+  accumulate the neurons of a scalar ReLU net g the same way.
 
 All constructions come with explicit path-norm bounds; compile reports carry
 the achieved and guaranteed values and the guarantee is asserted on every
@@ -36,13 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnn import CnnParams, ConvLayer, _activations, layer_norm_product, path_norm, rescale
+from .cnn import CnnParams, ConvLayer, final_grid, layer_norm_product, path_norm, rescale
 from .errors import PreconditionError, PropertyFailure
 from .sampling import _SAMPLE_GUARD
 
 # channel roles in 6-channel assemblies (0-based)
 _POS, _NEG, _SHIFT = 0, 1, 2
 _STORE, _ACC_P, _ACC_N = 3, 4, 5
+_READOUT = [_POS, _ACC_P, _ACC_N]  # the channels a sum's readout weighs
 
 
 def _as_1d(x, name):
@@ -216,13 +220,8 @@ class OpenCnn:
         return len(self.layers)
 
     def final_grid(self, X):
-        """Activated grid after the last layer, shape (n, d, channels)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None]
-        for a in _activations(self.layers, X):
-            pass
-        return np.ascontiguousarray(a)
+        """Activated grid after the last layer, shape (n, d, channels); see `cnn.final_grid`."""
+        return final_grid(self, X)
 
     def norm_product(self):
         """Product of max(layer_norm, 1); the open analogue of the path norm."""
@@ -296,75 +295,51 @@ def neuron_to_cnn(direction, offset, coeff, s):
     return CnnParams(d, s, layers, W)
 
 
-def _rescaled_neuron_blocks(net, s, coeff_scale):
-    """Per-neuron rescaled 3-channel blocks and their scalar output weights."""
-    blocks = []
-    outs = []
-    for i in range(net.n_neurons):
-        sub = neuron_to_cnn(net.directions[i], net.offsets[i], net.coeffs[i] * coeff_scale, s)
-        sub = rescale(sub)
-        blocks.append(sub.layers)
-        outs.append(float(sub.output_weights[0, 0]))
-    return blocks, outs
+def _sum_layers(net, s, extra_layers):
+    """The N*L0 six-channel layers computing the sum `net`, and their readout.
 
-
-def _assemble_sum_layers(net, s, coeff_scale):
-    """The N*L0 six-channel layers computing coeff_scale * net(x) at grid (0, 0).
-
-    Returns (layers, last_neuron_output_weight); partial sums over earlier
-    neurons sit in channels _ACC_P / _ACC_N of row 0.
+    Each neuron is compiled with its coefficient scaled by R/M (R = 3^(1-L0)/N,
+    M = shallow_norm(net)) and rescaled; its output joins _ACC_P or _ACC_N as
+    the next neuron starts.  The readout is the 6-vector whose inner product
+    with row 0 of the last grid is net(x).  Both guards run, for N*L0 +
+    extra_layers layers, before any layer is built.  Returns (layers,
+    readout, N, M, L0).
     """
-    d = net.d
-    L0 = sweep_depth(d, s)
-    blocks, outs = _rescaled_neuron_blocks(net, s, coeff_scale)
-    layers = []
-    for i in range(net.n_neurons):
-        for j in range(L0):
-            block = blocks[i][j]
-            first_of_net = i == 0 and j == 0
-            transition = i > 0 and j == 0
-            in_c = 1 if first_of_net else 6
-            w = np.zeros((s, 6, in_c))
-            b = np.zeros(6)
-            b[:3] = block.bias
-            if first_of_net:
-                w[:, :3, 0] = block.weights[:, :, 0]
-                w[0, _STORE, 0] = 1.0
-            elif transition:
-                w[:, :3, _STORE] = block.weights[:, :, 0]
-                v_prev = outs[i - 1]
-                if v_prev > 0:
-                    w[0, _ACC_P, _POS] = v_prev
-                elif v_prev < 0:
-                    w[0, _ACC_N, _POS] = -v_prev
-                w[0, _STORE, _STORE] = 1.0
-                w[0, _ACC_P, _ACC_P] = 1.0
-                w[0, _ACC_N, _ACC_N] = 1.0
-            else:
-                w[:, :3, :3] = block.weights
-                w[0, _STORE, _STORE] = 1.0
-                w[0, _ACC_P, _ACC_P] = 1.0
-                w[0, _ACC_N, _ACC_N] = 1.0
-            layers.append(ConvLayer(w, b))
-    return layers, outs[-1]
-
-
-def _sum_scaling(net, L0):
-    """(N, M, prefactor, coeff_scale) for compiling the N-neuron sum `net`.
-
-    Neurons are compiled with coefficients scaled by coeff_scale = R/M, where
-    R = 3^(1-L0)/N, and the assembled sum is scaled back by prefactor = M/R;
-    both are 0 for a net of zero norm M.  Raises PreconditionError when the
-    norm bound 3^(L0+1) * N * M overflows float64, before any layer is built.
-    """
+    L0 = sweep_depth(net.d, s)
     N = net.n_neurons
     M = shallow_norm(net)
     # 3.0 ** k raises OverflowError past k = 646, where the bound is inf anyway
     _require_finite_bound(3.0 ** (L0 + 1) * N * M if L0 < 646 else math.inf)
+    _require_buildable(N * L0 + extra_layers, s)
     R = 3.0 ** (1 - L0) / N
-    prefactor = M / R if M > 0 else 0.0
     coeff_scale = R / M if M > 0 else 0.0
-    return N, M, prefactor, coeff_scale
+    layers = []
+    for i in range(N):
+        coeff = net.coeffs[i] * coeff_scale
+        sub = rescale(neuron_to_cnn(net.directions[i], net.offsets[i], coeff, s))
+        for j, block in enumerate(sub.layers):
+            w = np.zeros((s, 6, 1 if i == j == 0 else 6))
+            b = np.zeros(6)
+            b[:3] = block.bias
+            if i == j == 0:
+                w[:, :3, 0] = block.weights[:, :, 0]
+                w[0, _STORE, 0] = 1.0
+            else:
+                if j == 0:  # the next neuron reads the stored input; the last output is banked
+                    w[:, :3, _STORE] = block.weights[:, :, 0]
+                    if v_last > 0:
+                        w[0, _ACC_P, _POS] = v_last
+                    elif v_last < 0:
+                        w[0, _ACC_N, _POS] = -v_last
+                else:
+                    w[:, :3, :3] = block.weights
+                w[0, _STORE, _STORE] = w[0, _ACC_P, _ACC_P] = w[0, _ACC_N, _ACC_N] = 1.0
+            layers.append(ConvLayer(w, b))
+        v_last = float(sub.output_weights[0, 0])
+    prefactor = M / R if M > 0 else 0.0  # scales the sum back
+    readout = np.zeros(6)
+    readout[_READOUT] = prefactor * v_last, prefactor, -prefactor
+    return layers, readout, N, M, L0
 
 
 def _require_finite_bound(bound):
@@ -389,30 +364,19 @@ def shallow_to_cnn(net, s):
     Returns (params, report).  Depth is N*L0; the path norm is guaranteed to
     be at most 3^(L0+1) * N * shallow_norm(net).
     """
-    d = net.d
-    L0 = sweep_depth(d, s)
-    N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
-    _require_buildable(N * L0, s)
-
-    layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
-    W = np.zeros((d, 6))
-    W[0, _POS] = prefactor * v_last
-    W[0, _ACC_P] = prefactor
-    W[0, _ACC_N] = -prefactor
-    params = CnnParams(d, s, layers, W)
-
-    bound = 3.0 ** (L0 + 1) * N * M
-    report = CompileReport(N * L0, 6, path_norm(params), bound, L0)
+    layers, readout, N, M, L0 = _sum_layers(net, s, 0)
+    W = np.zeros((net.d, 6))
+    W[0] = readout
+    params = CnnParams(net.d, s, layers, W)
+    report = CompileReport(N * L0, 6, path_norm(params), 3.0 ** (L0 + 1) * N * M, L0)
     return params, report
 
 
-def _expose_layer(s, v_last, prefactor, pos_channel, neg_channel):
+def _expose_layer(s, readout, pos_channel, neg_channel):
     """Layer writing relu(f) / relu(-f) of the assembled sum into two channels."""
     w = np.zeros((s, 6, 6))
-    for sign, ch in ((1.0, pos_channel), (-1.0, neg_channel)):
-        w[0, ch, _POS] = sign * prefactor * v_last
-        w[0, ch, _ACC_P] = sign * prefactor
-        w[0, ch, _ACC_N] = -sign * prefactor
+    w[0, pos_channel] = readout
+    w[0, neg_channel, _READOUT] = -readout[_READOUT]  # -readout would write -0.0 elsewhere
     return ConvLayer(w, np.zeros(6))
 
 
@@ -423,14 +387,9 @@ def shallow_to_cnn_open(net, s):
     relu(-net(x)) at (row 0, channel 1); channels 2-5 of row 0 are zero.
     f(x) is recovered as the difference of the two entries.
     """
-    d = net.d
-    L0 = sweep_depth(d, s)
-    N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
-    _require_buildable(N * L0 + 1, s)
-
-    layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
-    layers.append(_expose_layer(s, v_last, prefactor, 0, 1))
-    open_net = OpenCnn(d, s, layers)
+    layers, readout, N, M, L0 = _sum_layers(net, s, 1)
+    layers.append(_expose_layer(s, readout, 0, 1))
+    open_net = OpenCnn(net.d, s, layers)
 
     # the max(.,1) floor in norm_product keeps it >= 1 even for a zero net,
     # so the guarantee is the construction bound or 3, whichever is larger
@@ -447,21 +406,17 @@ def compose_with_scalar_net(net, g, s):
     """
     if g.n_neurons < 1:
         raise PreconditionError("link network must have at least one neuron")
-    d = net.d
-    L0 = sweep_depth(d, s)
-    N, M, prefactor, coeff_scale = _sum_scaling(net, L0)
     K = g.n_neurons
+    layers, readout, N, M, L0 = _sum_layers(net, s, K + 1)
     M0 = scalar_norm(g)
+    # after the sum's guard, so L0 < 646 and 3.0**L0 cannot raise OverflowError
     bound = 36.0 * 3.0**L0 * N * M * K * M0
     if 2 * 3.0 ** (L0 - 1) * N * M < 1.0:
         # degenerate sum net: the layer-norm floors dominate the M factor
         bound = max(bound, 18.0 * K * M0 * max(3.0 ** (L0 + 1) * N * M, 3.0))
     _require_finite_bound(bound)
-    _require_buildable(N * L0 + K + 1, s)
-
-    layers, v_last = _assemble_sum_layers(net, s, coeff_scale)
     # expose relu(f) / relu(-f) in channels 1 and 2; channel 0 hosts g's neurons
-    layers.append(_expose_layer(s, v_last, prefactor, 1, 2))
+    layers.append(_expose_layer(s, readout, 1, 2))
 
     R2 = 1.0 / K
     g_scale = R2 / M0 if M0 > 0 else 0.0
@@ -475,10 +430,7 @@ def compose_with_scalar_net(net, g, s):
             w[0, 0, 1] = slope
             w[0, 0, 2] = -slope
             b[0] = g.offsets[k] / (2 * masses[k])
-        w[0, 1, 1] = 1.0
-        w[0, 2, 2] = 1.0
-        w[0, 3, 3] = 1.0
-        w[0, 4, 4] = 1.0
+        w[0, [1, 2, 3, 4], [1, 2, 3, 4]] = 1.0
         if k > 0:
             if cc[k - 1] > 0:
                 w[0, 3, 0] = cc[k - 1]
@@ -487,10 +439,8 @@ def compose_with_scalar_net(net, g, s):
         layers.append(ConvLayer(w, b))
 
     out_scale = 2 * M0 / R2 if M0 > 0 else 0.0
-    W = np.zeros((d, 6))
-    W[0, 0] = out_scale * cc[K - 1]
-    W[0, 3] = out_scale
-    W[0, 4] = -out_scale
-    params = CnnParams(d, s, layers, W)
+    W = np.zeros((net.d, 6))
+    W[0, [0, 3, 4]] = out_scale * cc[K - 1], out_scale, -out_scale
+    params = CnnParams(net.d, s, layers, W)
     report = CompileReport(N * L0 + K + 1, 6, path_norm(params), bound, L0)
     return params, report

@@ -1,0 +1,71 @@
+"""Module boundaries: no module of the package imports another module's
+private (underscore) names.  The one shared private name is
+`sampling._SAMPLE_GUARD`, the package's size policy.
+"""
+
+import ast
+from pathlib import Path
+
+import convrates
+
+PACKAGE = Path(convrates.__file__).parent
+SHARED = {("sampling", "_SAMPLE_GUARD")}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_names(source, own):
+    """(module, name) for each private name the module `own` takes from a sibling.
+
+    Covers `from .m import _x`, `from convrates.m import _x`, and `m._x` after
+    `from . import m`, `from convrates import m` or `import convrates.m as m`.
+    """
+    tree = ast.parse(source)
+    modules = {}  # local name -> sibling module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.module
+            if node.level:  # relative to the package
+                package = "convrates" + ("." + node.module if node.module else "")
+            if package == "convrates":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif package and package.startswith("convrates."):
+                sibling = package.split(".", 1)[1]
+                found += [(sibling, a.name) for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("convrates.") and a.asname:
+                    modules[a.asname] = a.name.split(".", 1)[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append((modules[node.value.id], node.attr))
+    return [(m, name) for m, name in found if m != own]
+
+
+def test_no_module_imports_another_modules_private_names():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = foreign_private_names(path.read_text(), path.stem)
+        offenders += [f"{path.name}: {m}.{n}" for m, n in names if (m, n) not in SHARED]
+    assert offenders == []
+
+
+def test_the_check_sees_each_import_form():
+    source = (
+        "from .cnn import _activations, forward\n"
+        "from convrates.learnlab import _project\n"
+        "from . import compiler as comp, links\n"
+        "import convrates.complexity as cx\n"
+        "from .sampling import _SAMPLE_GUARD\n"
+        "from ._own import _fine\n"
+        "def f():\n"
+        "    return comp._relu_sum, links._CACHE, links.__name__, cx._grid, _local\n"
+    )
+    assert sorted(foreign_private_names(source, "_own")) == [
+        ("cnn", "_activations"), ("compiler", "_relu_sum"), ("complexity", "_grid"),
+        ("learnlab", "_project"), ("links", "_CACHE"), ("sampling", "_SAMPLE_GUARD"),
+    ]

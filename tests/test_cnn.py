@@ -266,6 +266,16 @@ class TestBackward:
         final = activation_grids(params, x)[-1][0]
         assert np.allclose(grad.output_weights, final, atol=1e-14)
 
+    @pytest.mark.parametrize("d, s, J, L", [(3, 2, 4, 2), (4, 4, 6, 3), (2, 1, 1, 1), (8, 3, 6, 2)])
+    def test_empty_batch_gives_the_zero_gradient(self, rng, d, s, J, L):
+        # the gradient of a sum over no samples, as forward gives no values
+        params = random_cnn(rng, d=d, s=s, J=J, L=L)
+        X = np.zeros((0, d))
+        assert forward(params, X).shape == (0,)
+        for dout in (None, np.zeros(0), lambda f: 2.0 * f):
+            vec = backward(params, X, dout).as_vector()
+            assert vec.shape == param_vector(params).shape and not vec.any()
+
     def test_zero_network_output_gradient(self, rng):
         params = random_cnn(rng, scale=0.0)
         x = rng.random(params.d)

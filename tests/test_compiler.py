@@ -3,13 +3,21 @@ shallow-net arithmetic (the reference path never touches the conv code),
 and every compile call is checked against its guaranteed norm bound.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from convrates import cli, compiler, links
-from convrates.cnn import activation_grids, forward, layer_norm, path_norm, rescale
+from convrates.cnn import (
+    activation_grids,
+    forward,
+    layer_norm,
+    param_vector,
+    path_norm,
+    rescale,
+)
 from convrates.compiler import (
     CompileReport,
     ScalarNet,
@@ -22,7 +30,7 @@ from convrates.compiler import (
     shallow_to_cnn_open,
     sweep_depth,
 )
-from convrates.errors import PreconditionError, PropertyFailure
+from convrates.errors import PreconditionError, PropertyFailure, ShapeError
 from convrates.sampling import unit_cube_points
 
 
@@ -181,6 +189,27 @@ class TestShallowToCnnOpen:
         assert np.all(grid[vals > 0, 0, 1] == 0.0)
         assert np.all(grid[vals < 0, 0, 0] == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_batch_rejected(self, rng, bad):
+        open_net, _ = shallow_to_cnn_open(random_shallow(rng, 3, 2), 2)
+        X = rng.random((5, 3))
+        X[2, 1] = bad
+        with pytest.raises(PreconditionError):
+            open_net.final_grid(X)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 2), (5,), (2, 3, 1)])
+    def test_batch_of_another_width_rejected(self, rng, shape):
+        open_net, _ = shallow_to_cnn_open(random_shallow(rng, 3, 2), 2)
+        with pytest.raises(ShapeError):
+            open_net.final_grid(rng.random(shape))
+
+    def test_single_point_gives_one_grid(self, rng):
+        open_net, _ = shallow_to_cnn_open(random_shallow(rng, 3, 2), 2)
+        x = rng.random(3)
+        grid = open_net.final_grid(x)
+        assert grid.shape == (1, 3, 6)
+        assert grid.tobytes() == open_net.final_grid(x[None]).tobytes()
+
 
 class TestComposeWithScalarNet:
     def test_identity_link_recovers_net(self, rng):
@@ -227,6 +256,14 @@ class TestComposeWithScalarNet:
         X = rng.random((500, 3))
         ref = 2 * np.maximum(net(X) + 0.5, 0) - 1.0
         assert np.max(np.abs(forward(params, X) - ref)) < 1e-10
+
+    def test_sweep_depth_past_the_float_range_rejected(self):
+        # L0 = 699: 3^L0 would raise OverflowError if computed before the guard
+        net = ShallowNet([1.0], np.ones((1, 700)), [0.0])
+        for compile_ in (shallow_to_cnn, shallow_to_cnn_open,
+                         lambda net, s: compose_with_scalar_net(net, links.sign_link_net(0.2).net, s)):
+            with pytest.raises(PreconditionError, match="overflows"):
+                compile_(net, 2)
 
     def test_empty_link_rejected(self, rng):
         net = random_shallow(rng, 3, 2)
@@ -328,3 +365,43 @@ class TestBlockedEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+
+def _golden_nets(d, s):
+    """A random net, the same net with a zero coefficient and a zero-mass
+    neuron, and an all-zero-coefficient net, on a seed fixed by (d, s)."""
+    rng = np.random.default_rng(100 * d + s)
+    n = 1 + (d + s) % 4
+    net = random_shallow(rng, d, n)
+    yield net
+    coeffs, directions, offsets = net.coeffs.copy(), net.directions.copy(), net.offsets.copy()
+    coeffs[0] = 0.0
+    directions[-1] = 0.0
+    offsets[-1] = 0.0
+    yield ShallowNet(np.append(coeffs, 1.5), np.vstack([directions, -directions[:1]]),
+                     np.append(offsets, 0.25))
+    yield ShallowNet(np.zeros(n), directions, offsets)
+
+
+class TestGoldenCompile:
+    def test_compiled_bytes(self):
+        # sha256 of every compiled parameter vector, open layer and report repr
+        # on d = 2..8 and every s, recorded before the three constructions
+        # shared one assembly
+        link_nets = [links.log_link_net(7).net, links.sign_link_net(0.2).net]
+        digest = hashlib.sha256()
+        for d in range(2, 9):
+            for s in range(2, d + 1):
+                for net in _golden_nets(d, s):
+                    params, report = shallow_to_cnn(net, s)
+                    digest.update(param_vector(params).tobytes() + repr(report).encode())
+                    open_net, report = shallow_to_cnn_open(net, s)
+                    for layer in open_net.layers:
+                        digest.update(layer.weights.tobytes() + layer.bias.tobytes())
+                    digest.update(repr(report).encode())
+                    for g in link_nets:
+                        params, report = compose_with_scalar_net(net, g, s)
+                        digest.update(param_vector(params).tobytes() + repr(report).encode())
+        assert digest.hexdigest() == (
+            "216552cd1dda2b683321a272c64efc1f3a64ab1721f69cf908afa4056155d46a"
+        )
