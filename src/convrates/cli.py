@@ -48,8 +48,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import cnn, compiler, complexity, learnlab, links
-from .errors import ConfigError, PreconditionError, PropertyFailure, TrainingFailure
-from .sampling import _SAMPLE_GUARD, unit_cube_points
+from .errors import ConfigError, PreconditionError, PropertyFailure, TrainingFailure, check_size
+from .sampling import unit_cube_points
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,8 +90,8 @@ def _parse_int_list(text):
             continue
         if ":" in piece:
             lo, hi = map(int, piece.split(":"))
-            if not 0 <= hi - lo < _MAX_RANGE:
-                raise ValueError(f"range {piece!r} must ascend, with at most {_MAX_RANGE} values")
+            check_size(f"the length of range {piece!r}", hi - lo + 1, limit=_MAX_RANGE,
+                       error=ConfigError)
             out.extend(range(lo, hi + 1))
         else:
             out.append(int(piece))
@@ -240,11 +240,9 @@ def _make_net(p, seed):
     if p["net_file"]:
         return _load_shallow_net(p["net_file"])
     n, d = p["neurons"], p["d"]
-    if not (n >= 1 and d >= 1 and n * d <= _SAMPLE_GUARD):
-        raise PreconditionError(
-            f"a random net needs neurons >= 1, d >= 1 and neurons * d <= {_SAMPLE_GUARD}, "
-            f"not {n} and {d}"
-        )
+    if n < 1 or d < 1:
+        raise PreconditionError(f"a random net needs neurons >= 1 and d >= 1, not {n} and {d}")
+    check_size("a random net's neurons * d", n * d)
     rng = np.random.default_rng([seed, p["net_seed"]])
     return compiler.ShallowNet(
         rng.standard_normal(n), rng.standard_normal((n, d)), rng.standard_normal(n)
@@ -387,10 +385,7 @@ def _run_cover_check(p, seed, output):
 
 @_verb("approx-log", pieces=(_parse_int_list, _REQUIRED), grid=(int, 10_000))
 def _run_approx_log(p, seed, output):
-    if not 1 <= p["grid"] <= _SAMPLE_GUARD:
-        raise ConfigError(
-            f"[approx-log] grid must be between 1 and {_SAMPLE_GUARD}, not {p['grid']}"
-        )
+    check_size("[approx-log] grid", p["grid"], error=ConfigError)
     t = np.linspace(0.0, 1.0, p["grid"])
     rows = []
     for n in p["pieces"]:
@@ -422,11 +417,8 @@ _TRIG_TERMS = ("amps", "freqs", "coords", "phases")
 
 def _make_target(p):
     kind, d, n_terms = p["target"], p["d"], p["n_terms"]
-    if not (2 <= d <= _SAMPLE_GUARD and 1 <= n_terms <= _SAMPLE_GUARD):  # the networks need d >= 2
-        raise ConfigError(
-            f"[experiment] needs 2 <= d <= {_SAMPLE_GUARD} and 1 <= n_terms <= {_SAMPLE_GUARD}: "
-            f"{d}, {n_terms}"
-        )
+    check_size("[experiment] d", d, low=2, error=ConfigError)  # the networks need d >= 2
+    check_size("[experiment] n_terms", n_terms, error=ConfigError)
     terms = {key: p[key] for key in _TRIG_TERMS if p[key] is not None}
     if terms and kind != "trig-mixture":
         raise ConfigError(f"{', '.join(terms)} set the terms of a trig-mixture, not {kind!r}")

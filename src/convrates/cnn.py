@@ -24,8 +24,10 @@ Architecture conventions used throughout the package:
 All values are float64; "exact" claims are meant up to round-off.  Every
 function here is pure: inputs are never mutated and the returned objects
 share no storage with the arguments.  The single exception is
-`params_view`, whose parameters are views of the flat vector it is given;
-`learnlab.train_erm` uses it to update a network in place.
+`params_view`, whose parameters are views of the flat vector it is given:
+`learnlab.train_erm` updates a network in place through it, and
+`complexity.empirical_cover_check`'s exhaustive search overwrites one view's
+vector with each grid network.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
-
-
-def _as_float_array(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise PreconditionError(f"{name} must have finite entries")
-    return arr
+from .errors import PreconditionError, ShapeError, check_finite
 
 
 @dataclass
@@ -52,8 +47,8 @@ class ConvLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = _as_float_array(self.weights, "filter")
-        self.bias = _as_float_array(self.bias, "bias")
+        self.weights = check_finite(self.weights, "filter")
+        self.bias = check_finite(self.bias, "bias")
         if self.weights.ndim != 3:
             raise ShapeError("filter must have shape (s, out_channels, in_channels)")
         if self.bias.ndim != 1 or self.bias.shape[0] != self.weights.shape[1]:
@@ -86,7 +81,7 @@ class CnnParams:
     output_weights: np.ndarray
 
     def __post_init__(self):
-        self.output_weights = _as_float_array(self.output_weights, "output weights")
+        self.output_weights = check_finite(self.output_weights, "output weights")
         if self.d < 2:
             raise PreconditionError("input dimension d must be at least 2")
         if not 1 <= self.s <= self.d:
@@ -142,7 +137,7 @@ def conv_matrix(w, d):
     band is zero, so (T w x)_i = sum_{k : i+k < d} w[k] * x[i+k] in
     0-based indexing.
     """
-    w = _as_float_array(w, "filter")
+    w = check_finite(w, "filter")
     if w.ndim != 1:
         raise ShapeError("filter must be one-dimensional")
     s = w.shape[0]
@@ -182,7 +177,7 @@ def _conv_forward(weights, bias, x, last=False):
     d, n = x.shape[:2]
     n_major = last and K == 1
     out = np.empty((n, d, J)).transpose(1, 0, 2) if n_major else np.empty((d, n, J))
-    buf = np.empty((d - 1, n, J))  # one product buffer, reused by every shifted tap
+    buf = np.empty((d - 1, n, J)) if s > 1 else None  # one product buffer for the shifted taps
     for k in range(s):
         t = out if k == 0 else buf[: d - k]
         if K == 1:  # a one-term dot: the GEMM's single rounded product
@@ -200,7 +195,7 @@ def _conv_forward(weights, bias, x, last=False):
 
 def conv_apply(layer, x):
     """Apply one convolutional layer to a (d, J_in) signal grid."""
-    x = _as_float_array(x, "signal")
+    x = check_finite(x, "signal")
     if x.ndim != 2:
         raise ShapeError("signal grid must have shape (d, channels)")
     if x.shape[1] != layer.in_channels:
@@ -213,7 +208,7 @@ def conv_apply(layer, x):
 
 
 def _check_input(params, x):
-    x = _as_float_array(x, "input")
+    x = check_finite(x, "input")
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.d:

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnn import CnnParams, ConvLayer, final_grid, layer_norm_product, path_norm, rescale
-from .errors import PreconditionError, PropertyFailure
-from .sampling import _SAMPLE_GUARD
+from .errors import PreconditionError, PropertyFailure, check_finite, check_size
 
 # channel roles in 6-channel assemblies (0-based)
 _POS, _NEG, _SHIFT = 0, 1, 2
@@ -50,11 +49,9 @@ _READOUT = [_POS, _ACC_P, _ACC_N]  # the channels a sum's readout weighs
 
 
 def _as_1d(x, name):
-    arr = np.asarray(x, dtype=np.float64)
+    arr = check_finite(x, name)
     if arr.ndim != 1:
         raise PreconditionError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionError(f"{name} must be finite")
     return arr
 
 
@@ -99,11 +96,9 @@ class ShallowNet:
     def __post_init__(self):
         self.coeffs = _as_1d(self.coeffs, "coeffs")
         self.offsets = _as_1d(self.offsets, "offsets")
-        self.directions = np.asarray(self.directions, dtype=np.float64)
+        self.directions = check_finite(self.directions, "directions")
         if self.directions.ndim != 2:
             raise PreconditionError("directions must have shape (neurons, d)")
-        if not np.all(np.isfinite(self.directions)):
-            raise PreconditionError("directions must be finite")
         n = self.coeffs.shape[0]
         if n < 1:
             raise PreconditionError("a shallow net needs at least one neuron")
@@ -310,7 +305,8 @@ def _sum_layers(net, s, extra_layers):
     M = shallow_norm(net)
     # 3.0 ** k raises OverflowError past k = 646, where the bound is inf anyway
     _require_finite_bound(3.0 ** (L0 + 1) * N * M if L0 < 646 else math.inf)
-    _require_buildable(N * L0 + extra_layers, s)
+    # 36 s weights per six-channel layer; past the guard, memory would run out
+    check_size("a compiled net's weights", 36 * s * (N * L0 + extra_layers))
     R = 3.0 ** (1 - L0) / N
     coeff_scale = R / M if M > 0 else 0.0
     layers = []
@@ -349,13 +345,6 @@ def _require_finite_bound(bound):
         raise PreconditionError(
             "the compile bound overflows float64: the net's norm or depth is too large"
         )
-
-
-def _require_buildable(depth, s):
-    # every layer of a 6-channel assembly holds up to 36 s weights; a deeper
-    # net would otherwise build layers until memory runs out
-    if 36 * s * depth > _SAMPLE_GUARD:
-        raise PreconditionError(f"a compiled net of {depth} layers exceeds {_SAMPLE_GUARD} weights")
 
 
 def shallow_to_cnn(net, s):

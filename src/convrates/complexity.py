@@ -46,13 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnn import forward, params_from_vector, params_view
-from .errors import PreconditionError
-from .sampling import _SAMPLE_GUARD, spawn_rng, unit_cube_points
-
-
-def _check_budget(M):
-    if not 1 <= M < math.inf:
-        raise PreconditionError(f"norm budget M={M} must be finite and at least 1")
+from .errors import PreconditionError, check_budget, check_finite, check_size
+from .sampling import spawn_rng, unit_cube_points
 
 
 def _check_eps(eps):
@@ -70,14 +65,12 @@ class LayeredComplexitySpec:
     n_params: int
 
     def __post_init__(self):
-        self.gammas = np.asarray(self.gammas, dtype=np.float64)
-        self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
+        self.gammas = check_finite(self.gammas, "every gamma")
+        self.lambdas = check_finite(self.lambdas, "every lambda")
         if self.gammas.shape != self.lambdas.shape or self.gammas.ndim != 1:
             raise PreconditionError("gammas and lambdas must be equal-length vectors")
         if self.gammas.shape[0] < 1:
             raise PreconditionError("need at least one layer")
-        if not (np.all(np.isfinite(self.gammas)) and np.all(np.isfinite(self.lambdas))):
-            raise PreconditionError("every gamma and lambda must be finite")
         if np.any(self.gammas < 1.0):
             raise PreconditionError("every gamma must be at least 1")
         if np.any(self.lambdas < 0.0):
@@ -142,9 +135,10 @@ def cnn_complexity_spec(d, s, J, L, M):
     """Layer constants of the constrained CNN class with norm budget M >= 1."""
     if not 2 <= s <= d:
         raise PreconditionError(f"filter size s={s} outside [2, d={d}]")
-    if J < 1 or not 1 <= L < _SAMPLE_GUARD:  # L + 1 floats per constant vector
-        raise PreconditionError(f"need J >= 1 and 1 <= L < {_SAMPLE_GUARD}, not {J} and {L}")
-    _check_budget(M)
+    if J < 1:
+        raise PreconditionError(f"channel count J={J} must be at least 1")
+    check_size("L + 1 layer constants", L + 1, low=2)
+    check_budget(M)
     gammas = np.ones(L + 1)
     gammas[L] = M
     lambdas = np.full(L + 1, float(s * J + 1))
@@ -164,7 +158,7 @@ def cnn_lipschitz_bound(d, s, J, L, M):
 
 def entropy_bound_cnn(d, s, J, L, M, eps):
     """Metric entropy guarantee N * log(3*d*J*L*M^2 / eps) for the CNN class."""
-    _check_budget(M)
+    check_budget(M)
     _check_eps(eps)
     ratio = 3 * d * J * L * M * M / eps
     if not math.isfinite(ratio):
@@ -208,10 +202,7 @@ class CoverCheckReport:
 
 
 def _grid_values(B, resolution):
-    if not 2 <= resolution <= _GRID_GUARD:
-        raise PreconditionError(
-            f"grid needs between 2 and {_GRID_GUARD} points per dimension, not {resolution}"
-        )
+    check_size("grid points per dimension", resolution, low=2, limit=_GRID_GUARD)
     return np.linspace(-B, B, resolution)
 
 
@@ -283,32 +274,24 @@ def empirical_cover_check(
     if n_points < 1000:
         raise PreconditionError("need at least 1000 sample points")
     n = param_count(d, s, J, L)
-    if n > _COVER_PARAM_GUARD:
-        raise PreconditionError(
-            f"{n} parameters: grid enumeration is limited to {_COVER_PARAM_GUARD}"
-        )
+    check_size("parameters of a grid enumeration", n, limit=_COVER_PARAM_GUARD)
     result = covering_recursion(cnn_complexity_spec(d, s, J, L, M))
     B = result.param_bound
     c = result.param_lipschitz
     target_radius = eps / c
     if grid_resolution is None:
-        if target_radius * (_GRID_GUARD - 1) < B:
-            raise PreconditionError(
-                f"eps={eps} needs more than {_GRID_GUARD} grid points per dimension"
-            )
-        grid_resolution = math.ceil(B / target_radius) + 1
+        steps = B / target_radius if target_radius > 0 else math.inf  # eps / c may underflow
+        check_size("grid points per dimension", steps + 1, limit=_GRID_GUARD)
+        grid_resolution = math.ceil(steps) + 1
     grid = _grid_values(B, grid_resolution)
     covering_radius = B / (grid_resolution - 1)
     candidate_count = grid_resolution**n
 
-    if exhaustive and candidate_count > _EXHAUSTIVE_GUARD:
-        raise PreconditionError(
-            f"{candidate_count} grid networks exceed the exhaustive-search guard"
-        )
+    if exhaustive:
+        check_size("grid networks to search", candidate_count, limit=_EXHAUSTIVE_GUARD)
     # the exhaustive search holds the trial values at once; allow either
     # variant the table size the candidate guard allows at the default 1000 points
-    if trials * n_points > _EXHAUSTIVE_GUARD * 1000:
-        raise PreconditionError(f"{trials} trials x {n_points} points exceed the trial guard")
+    check_size("trials x points", trials * n_points, limit=_EXHAUSTIVE_GUARD * 1000)
 
     X = unit_cube_points(d, n_points, seed=seed)
     arch = (d, s, J, L)

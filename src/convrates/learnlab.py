@@ -40,8 +40,8 @@ from .cnn import (
     path_norm,
     truncate,
 )
-from .errors import PreconditionError, TrainingFailure
-from .sampling import _SAMPLE_GUARD, spawn_rng
+from .errors import PreconditionError, TrainingFailure, check_budget, check_finite, check_size
+from .sampling import spawn_rng
 
 LOSSES = ("squared", "hinge", "logistic")
 
@@ -400,8 +400,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise PreconditionError(f"unknown loss: {self.loss!r}")
-        if not 1 <= self.M < math.inf:
-            raise PreconditionError(f"norm budget M={self.M} must be finite and at least 1")
+        check_budget(self.M)
         if not 0 < self.trunc_level < math.inf:
             raise PreconditionError(
                 f"truncation level {self.trunc_level} must be finite and positive"
@@ -413,11 +412,9 @@ class TrainConfig:
             raise PreconditionError(f"init_scale {self.init_scale} must be finite and nonnegative")
         if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
             raise PreconditionError("epochs, batch size, restarts must be positive")
-        if not (self.s >= 1 and self.J >= 1 and self.L * self.s * self.J**2 <= _SAMPLE_GUARD):
-            raise PreconditionError(
-                f"filter size s={self.s} and channels J={self.J} must be >= 1, with "
-                f"L*s*J^2 filter weights at most {_SAMPLE_GUARD} (L={self.L})"
-            )
+        if self.L < 1 or self.s < 1 or self.J < 1:
+            raise PreconditionError(f"L={self.L}, s={self.s} and J={self.J} must each be >= 1")
+        check_size("L*s*J^2 filter weights", self.L * self.s * self.J**2)
 
 
 @dataclass
@@ -641,10 +638,7 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
     consts = consts or default_constants(loss)
     if not all(math.isfinite(c) for c in (consts.l_const, consts.m_const, consts.b_const)):
         raise PreconditionError(f"schedule constants must be finite, got {consts}")
-    if n < 3:
-        raise PreconditionError("sample size too small for a schedule")
-    if n > _SAMPLE_GUARD:  # also keeps n / ln**3 below float64 overflow
-        raise PreconditionError(f"sample size {n} exceeds the {_SAMPLE_GUARD}-point guard")
+    check_size("a schedule's sample size n", n, low=3)  # keeps n / ln**3 finite
     ln = math.log(n)
     if loss == "squared":
         base = n / ln**3
@@ -664,13 +658,9 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
     else:
         raise PreconditionError(f"unknown loss: {loss!r}")
     base = max(base, 1.0)
-    depth = consts.l_const * base**l_exp
-    if not depth <= _DEPTH_GUARD:  # also an overflow to inf
-        raise PreconditionError(
-            f"depth {depth:.3g} at n={n} exceeds the {_DEPTH_GUARD}-layer guard; "
-            "lower l_const"
-        )
-    L = max(1, round(depth))
+    depth = max(consts.l_const * base**l_exp, 1.0)  # NaN stays NaN
+    check_size(f"the depth at n={n} (set by l_const)", depth, limit=_DEPTH_GUARD)
+    L = round(depth)
     M = max(1.0, consts.m_const * base**m_exp)
     return L, M, B
 
@@ -698,15 +688,13 @@ def theory_slope(loss, alpha, d, q=1.0, beta=1.0):
 def fit_loglog(ns, errors):
     """Least-squares slope/intercept of log error against log n."""
     ns = np.asarray(ns, dtype=np.float64)
-    errors = np.asarray(errors, dtype=np.float64)
+    errors = check_finite(errors, "errors of a log-log fit")
     if ns.shape != errors.shape or ns.ndim != 1:
         raise PreconditionError("ns and errors must be equal-length vectors")
     if ns.shape[0] < 4:
         raise PreconditionError("a rate fit needs at least 4 points")
     if not np.all(np.isfinite(ns) & (ns > 0)):
         raise PreconditionError("sample sizes must be finite and positive for a log-log fit")
-    if not np.all(np.isfinite(errors)):
-        raise PreconditionError("errors must be finite for a log-log fit")
     if np.any(errors <= 0):
         raise PreconditionError("errors must be positive for a log-log fit")
     logn, loge = np.log(ns), np.log(errors)
@@ -778,10 +766,9 @@ def run_rate_experiment(
     n_schedule = [int(n) for n in n_schedule]
     if len(n_schedule) < 4 or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise PreconditionError("n_schedule must be increasing with at least 4 values")
-    if repeats < 1 or not 1 <= mc_samples * spec.d <= _SAMPLE_GUARD:  # floats of one draw
-        raise PreconditionError(
-            f"repeats must be positive and mc_samples in [1, {_SAMPLE_GUARD} / d]"
-        )
+    if repeats < 1:
+        raise PreconditionError(f"repeats={repeats} must be positive")
+    check_size("mc_samples * d floats of one draw", mc_samples * spec.d)
     if loss not in LOSSES:
         raise PreconditionError(f"unknown loss: {loss!r}")
     _check_target_kind(loss, spec)  # checked here so that no cell trains in vain
@@ -797,8 +784,8 @@ def run_rate_experiment(
         L, M, B = architecture_schedule(loss, n, spec.d, alpha, q=q, beta=beta, consts=consts)
         cell_cfgs.append(replace(train_base, L=L, M=M, trunc_level=B))
     passes = train_base.restarts * train_base.epochs * repeats
-    if passes * sum(-(-n // min(train_base.batch_size, n)) for n in n_schedule) > _SAMPLE_GUARD:
-        raise PreconditionError(f"more than {_SAMPLE_GUARD} Adam steps in the whole experiment")
+    steps = passes * sum(-(-n // min(train_base.batch_size, n)) for n in n_schedule)
+    check_size("Adam steps in the whole experiment", steps)
 
     rows = []
     for i, (n, cell_cfg) in enumerate(zip(n_schedule, cell_cfgs)):

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compiler import ScalarNet, scalar_norm
-from .errors import PreconditionError
-from .sampling import _SAMPLE_GUARD, spawn_rng
+from .errors import PreconditionError, check_finite, check_size
+from .sampling import spawn_rng
 
 
 def logistic(t):
@@ -121,8 +121,7 @@ def log_link_net(n_pieces):
     constraint norm at most 6n.
     """
     n = int(n_pieces)
-    if not 3 <= n <= _SAMPLE_GUARD // 2:  # the net's 2n neurons within the guard
-        raise PreconditionError(f"log link needs 3 to {_SAMPLE_GUARD // 2} pieces, not {n}")
+    check_size("2n, the neuron count of a log link with n pieces,", 2 * n, low=6)
     knots = np.arange(1, n + 1) / n
     logs = np.log(knots)
     slopes = n * np.diff(logs)  # slope on (i/n, (i+1)/n), i = 1..n-1
@@ -206,20 +205,13 @@ def _draw(d, m, seed):
     return spawn_rng(seed, 0).random((m, d))
 
 
-def _finite_scores(values):
-    fv = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(fv)):
-        raise PreconditionError("scores must be finite on the sample")
-    return fv
-
-
 def squared_excess_risk(f, h, d, m, seed):
     """Monte Carlo estimate of E (f - h)^2.
 
     Equals the squared risk of f minus that of the regression function h.
     """
     X = _draw(d, m, seed)
-    vals = (_finite_scores(f(X)) - h(X)) ** 2
+    vals = (check_finite(f(X), "scores on the sample") - h(X)) ** 2
     return _estimate(vals, m, seed)
 
 
@@ -230,7 +222,7 @@ def hinge_excess_risk(f, eta, d, m, seed):
     minus the Bayes hinge risk.
     """
     X = _draw(d, m, seed)
-    fv = _finite_scores(f(X))
+    fv = check_finite(f(X), "scores on the sample")
     if np.max(np.abs(fv)) > 1 + 1e-9:
         raise PreconditionError("hinge excess risk requires |f| <= 1 on the sample")
     ev = np.asarray(eta(X), dtype=np.float64)
@@ -242,7 +234,7 @@ def hinge_excess_risk(f, eta, d, m, seed):
 def logistic_excess_risk(f, eta, d, m, seed):
     """Monte Carlo estimate of E KL(eta, logistic(f))."""
     X = _draw(d, m, seed)
-    fv = _finite_scores(f(X))
+    fv = check_finite(f(X), "scores on the sample")
     vals = kl_divergence(np.asarray(eta(X), dtype=np.float64), logistic(fv))
     return _estimate(vals, m, seed)
 
@@ -250,7 +242,7 @@ def logistic_excess_risk(f, eta, d, m, seed):
 def classification_excess_risk(f, eta, d, m, seed):
     """Monte Carlo estimate of E 1{sign f != sign(2 eta - 1)} |2 eta - 1|."""
     X = _draw(d, m, seed)
-    fv = _finite_scores(f(X))
+    fv = check_finite(f(X), "scores on the sample")
     ev = np.asarray(eta(X), dtype=np.float64)
     margin = 2 * ev - 1
     vals = (sign_plus(fv) != sign_plus(margin)) * np.abs(margin)
@@ -297,11 +289,8 @@ def check_log2_inequality(grid_resolution=500, u_values=None):
     """
     if u_values is None:
         u_values = log2_u_values()
-    if not (2 <= grid_resolution and grid_resolution**2 <= _SAMPLE_GUARD):  # floats per grid
-        raise PreconditionError(
-            f"grid resolution {grid_resolution} must be at least 2, its square at most "
-            f"{_SAMPLE_GUARD}"
-        )
+    check_size("grid resolution", grid_resolution, low=2)
+    check_size("floats per grid (resolution^2)", grid_resolution**2)
     u_values = np.asarray(u_values, dtype=np.float64)
     if not np.all((u_values > 0) & (u_values <= math.exp(-2.0) + 1e-15)):  # NaN fails too
         raise PreconditionError("u values must lie in (0, e^-2]")
@@ -353,7 +342,7 @@ def check_logistic_variance_bound(f, eta, bound_level, d, m, seed):
     if B < 2:
         raise PreconditionError("the variance bound requires B >= 2")
     X = _draw(d, m, seed)
-    fv = _finite_scores(f(X))
+    fv = check_finite(f(X), "scores on the sample")
     if np.max(np.abs(fv)) > B + 1e-9:
         raise PreconditionError("sampled |f| exceeds the declared bound B")
     ev = np.asarray(eta(X), dtype=np.float64)
@@ -397,7 +386,7 @@ def check_kl_bound(eta, h, u, C, beta, C_beta, d, m, seed):
     """
     ceiling = kl_small_value_bound(u, C, beta, C_beta)
     X = _draw(d, m, seed)
-    hv = _finite_scores(h(X))
+    hv = check_finite(h(X), "h on the sample")
     ev = np.asarray(eta(X), dtype=np.float64)
     if np.min(hv) < u - 1e-12 or np.max(hv) > 1 - u + 1e-12:
         raise PreconditionError("h must map into [u, 1-u]")

@@ -19,13 +19,7 @@ import os
 
 import numpy as np
 
-from .errors import PreconditionError
-
-# largest point set or sample the lab draws: the shipped rate studies stop at
-# 8192 points and `verify-compile` defaults to 10^4, 10^7 points in d = 2
-# take 160 MB, and a larger count would otherwise ask for terabytes or
-# overflow float64 arithmetic on the count
-_SAMPLE_GUARD = 10_000_000
+from .errors import check_size
 
 # rows of Joe & Kuo's direction-number table, and the bits of each number
 _SOBOL_MAXDIM = 21201
@@ -98,10 +92,8 @@ def _sobol(d, n, seed):
 def unit_cube_points(d, n, seed):
     """Return an (n, d) array of points in [0,1]^d: ceil(n/2) i.i.d. uniform
     draws followed by floor(n/2) scrambled Sobol points."""
-    if not 1 <= n <= _SAMPLE_GUARD:
-        raise PreconditionError(f"need between 1 and {_SAMPLE_GUARD} points, not {n}")
-    if not 1 <= d <= _SOBOL_MAXDIM:
-        raise PreconditionError(f"Sobol points need 1 <= d <= {_SOBOL_MAXDIM}, not d = {d}")
+    check_size("points", n)
+    check_size("the Sobol dimension d", d, limit=_SOBOL_MAXDIM)
     n_sob = n // 2
     rng = np.random.default_rng(seed)
     pts = [rng.random((n - n_sob, d))]

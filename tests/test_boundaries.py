@@ -1,15 +1,22 @@
 """Module boundaries: no module of the package imports another module's
-private (underscore) names.  The one shared private name is
-`sampling._SAMPLE_GUARD`, the package's size policy.
+private (underscore) names, with no exception.  The input rules several
+modules share (the size guard, the finiteness check and the norm-budget
+check) are public names of `errors`, and their own tests are here.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import pytest
+
 import convrates
+from convrates.errors import (
+    SIZE_LIMIT, ConfigError, PreconditionError, check_finite, check_size,
+)
 
 PACKAGE = Path(convrates.__file__).parent
-SHARED = {("sampling", "_SAMPLE_GUARD")}
+SHARED = set()
 
 
 def _private(name):
@@ -69,3 +76,30 @@ def test_the_check_sees_each_import_form():
         ("cnn", "_activations"), ("compiler", "_relu_sum"), ("complexity", "_grid"),
         ("learnlab", "_project"), ("links", "_CACHE"), ("sampling", "_SAMPLE_GUARD"),
     ]
+
+
+def test_size_guard_accepts_both_ends():
+    check_size("count", 1)
+    check_size("count", SIZE_LIMIT)
+    check_size("count", 2, low=2, limit=2)
+
+
+@pytest.mark.parametrize(
+    "count", [math.nan, math.inf, -math.inf, 0, SIZE_LIMIT + 1, 10**400, -(10**400)],
+    ids=["nan", "inf", "-inf", "zero", "limit+1", "1e400", "-1e400"],
+)
+def test_size_guard_refuses_without_overflow(count):
+    with pytest.raises(PreconditionError, match="count must be between 1 and .*guard"):
+        check_size("count", count)
+
+
+def test_size_guard_raises_the_given_kind():
+    with pytest.raises(ConfigError, match="guard"):
+        check_size("grid", 0, error=ConfigError)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_finiteness_check_names_its_argument(bad):
+    with pytest.raises(PreconditionError, match="offsets must be finite"):
+        check_finite([0.0, bad], "offsets")
+    assert check_finite([1, 2], "offsets").dtype == float

@@ -213,18 +213,20 @@ class TestForward:
     def test_memory_does_not_grow_with_depth(self, rng):
         # forward keeps only the grid it is about to read, not one per layer:
         # a layer's input, its output and the tap buffer with the bias row,
-        # then the last grid and its (n, d, J) copy
-        d, s, J, n = 8, 3, 6, 10_000
+        # then the last grid and its (n, d, J) copy; at s = 1 no tap reads
+        # the buffer, so only the bias row (1/d of a grid) comes on top
+        d, J, n = 8, 6, 10_000
         X = rng.random((n, d))
-        for L in (4, 40):
-            params = random_cnn(rng, d=d, s=s, J=J, L=L, scale=0.3)
-            tracemalloc.start()
-            try:
-                forward(params, X)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 3 * n * d * J * 8 + n * 8  # three (n, d, J) grids plus the output
+        for s, grids in ((3, 3.0), (1, 2.2)):
+            for L in (4, 40):
+                params = random_cnn(rng, d=d, s=s, J=J, L=L, scale=0.3)
+                tracemalloc.start()
+                try:
+                    forward(params, X)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= grids * n * d * J * 8 + n * 8  # (n, d, J) grids plus the output
 
 
 class TestPurity:

@@ -286,6 +286,8 @@ class TestEmpiricalCoverCheck:
             {"M": math.nan},
             {"eps": 1e-300},  # the derived grid would not fit in memory
             {"M": 1e300},
+            {"eps": 5e-324},  # eps / c underflows to 0
+            {"M": 1e300, "eps": 1e-30},
             {"grid_resolution": 10**12},
             {"trials": 10**12},  # trials x points past the guard, before any draw
             {"trials": 10**30},
