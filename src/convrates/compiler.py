@@ -24,12 +24,12 @@ All constructions come with explicit path-norm bounds; compile reports carry
 the achieved and guaranteed values and the guarantee is asserted on every
 call.
 
-`ShallowNet` and `ScalarNet` (the references the compiled networks are
-checked against, and the surrogate links) evaluate their points in row
-blocks through one reused pre-activation buffer of about `_BLOCK_BYTES`.  The
-inner products and the neuron sum are formed in a fixed order without BLAS,
-so a value does not depend on the block size, the number of points or the
-BLAS thread count.
+`ShallowNet` (the reference the compiled networks are checked against) and
+`ScalarNet`, the one-dimensional `ShallowNet` behind the surrogate links,
+evaluate their points in row blocks through one reused pre-activation buffer
+of about `_BLOCK_BYTES`.  The inner products and the neuron sum are formed in
+a fixed order without BLAS, so a value does not depend on the block size, the
+number of points or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -128,26 +128,16 @@ class ShallowNet:
         return float(out[0]) if x.ndim == 1 else out
 
 
-@dataclass
-class ScalarNet:
-    """One-dimensional ReLU net t -> sum_k coeffs[k] * relu(slopes[k]*t + offsets[k])."""
+class ScalarNet(ShallowNet):
+    """One-dimensional ReLU net t -> sum_k coeffs[k] * relu(slopes[k]*t + offsets[k]):
+    the `ShallowNet` with d = 1, called on scalars and arrays of any shape."""
 
-    coeffs: np.ndarray
-    slopes: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = _as_1d(self.coeffs, "coeffs")
-        self.slopes = _as_1d(self.slopes, "slopes")
-        self.offsets = _as_1d(self.offsets, "offsets")
-        if not (len(self.coeffs) == len(self.slopes) == len(self.offsets)):
-            raise PreconditionError("coeffs, slopes, offsets must align")
-        if len(self.coeffs) < 1:
-            raise PreconditionError("a scalar net needs at least one neuron")
+    def __init__(self, coeffs, slopes, offsets):
+        super().__init__(coeffs, _as_1d(slopes, "slopes")[:, None], offsets)
 
     @property
-    def n_neurons(self):
-        return self.coeffs.shape[0]
+    def slopes(self):
+        return self.directions[:, 0]
 
     def __call__(self, t):
         """The net's value at each entry of t: a float for a scalar t, else an
@@ -157,7 +147,7 @@ class ScalarNet:
         entry's value does not depend on t's size or on the BLAS thread count.
         """
         t = np.asarray(t, dtype=np.float64)
-        out = _relu_sum(t.reshape(-1, 1), self.slopes[:, None], self.offsets, self.coeffs)
+        out = _relu_sum(t.reshape(-1, 1), self.directions, self.offsets, self.coeffs)
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -169,9 +159,7 @@ def shallow_norm(net):
         )
 
 
-def scalar_norm(net):
-    """Constraint value sum_k |c_k| (|a_k| + |b_k|) of a scalar net."""
-    return float(np.sum(np.abs(net.coeffs) * (np.abs(net.slopes) + np.abs(net.offsets))))
+scalar_norm = shallow_norm  # sum_k |c_k| (|a_k| + |b_k|) for a ScalarNet
 
 
 def sweep_depth(d, s):
@@ -232,36 +220,23 @@ def _neuron_layers(direction, offset, s):
     d = direction.shape[0]
     L0 = sweep_depth(d, s)
     layers = []
-    if L0 == 1:
-        w = np.zeros((s, 3, 1))
-        w[:, _POS, 0] = direction
-        layers.append(ConvLayer(w, np.array([offset, 0.0, 0.0])))
-        return layers
-
-    w = np.zeros((s, 3, 1))
-    w[:, _POS, 0] = direction[:s]
-    w[:, _NEG, 0] = -direction[:s]
-    w[s - 1, _SHIFT, 0] = 1.0
-    layers.append(ConvLayer(w, np.zeros(3)))
-
-    for ell in range(1, L0 - 1):
-        w = np.zeros((s, 3, 3))
-        w[0, _POS, _POS] = 1.0
-        w[0, _POS, _NEG] = -1.0
-        for k in range(1, s):
-            w[k, _POS, _SHIFT] = direction[ell * (s - 1) + k]
-        w[:, _NEG, :] = -w[:, _POS, :]
-        w[s - 1, _SHIFT, _SHIFT] = 1.0
-        layers.append(ConvLayer(w, np.zeros(3)))
-
-    w = np.zeros((s, 3, 3))
-    w[0, _POS, _POS] = 1.0
-    w[0, _POS, _NEG] = -1.0
-    for k in range(1, s):
-        idx = (L0 - 1) * (s - 1) + k
-        if idx < d:
-            w[k, _POS, _SHIFT] = direction[idx]
-    layers.append(ConvLayer(w, np.array([offset, 0.0, 0.0])))
+    for ell in range(L0):
+        last = ell == L0 - 1
+        # layer 0 reads the single input channel; later layers read the raw
+        # input from _SHIFT and carry the running value as _POS - _NEG at tap 0
+        src = _SHIFT if ell else 0
+        w = np.zeros((s, 3, 3 if ell else 1))
+        if ell:
+            w[0, _POS, _POS] = 1.0
+            w[0, _POS, _NEG] = -1.0
+        for k in range(1 if ell else 0, s):
+            idx = ell * (s - 1) + k
+            if idx < d:
+                w[k, _POS, src] = direction[idx]
+        if not last:
+            w[:, _NEG, :] = -w[:, _POS, :]
+            w[s - 1, _SHIFT, src] = 1.0  # move the raw input s-1 places
+        layers.append(ConvLayer(w, np.array([offset, 0.0, 0.0]) if last else np.zeros(3)))
     return layers
 
 
@@ -393,8 +368,6 @@ def compose_with_scalar_net(net, g, s):
     Depth is N*L0 + K + 1 and the path norm is at most
     36 * 3^L0 * N * shallow_norm(net) * K * scalar_norm(g).
     """
-    if g.n_neurons < 1:
-        raise PreconditionError("link network must have at least one neuron")
     K = g.n_neurons
     layers, readout, N, M, L0 = _sum_layers(net, s, K + 1)
     M0 = scalar_norm(g)

@@ -195,10 +195,6 @@ class CoverCheckReport:
     worst_distance: float
     passed: bool
     distances: np.ndarray = field(repr=False)
-    note: str = (
-        "sup distance approximated by max over sampled points "
-        "(mixed uniform and Sobol); the true sup over the cube is intractable"
-    )
 
 
 def _grid_values(B, resolution):
@@ -254,7 +250,9 @@ def empirical_cover_check(
 
     Draws `trials` random parameter vectors from [-B, B]^N, snaps each to the
     nearest grid point (the cover candidate the recursion guarantees), and
-    measures the sampled sup distance between the two realized functions.
+    measures the sampled sup distance between the two realized functions: the
+    max over the sampled points (mixed uniform and Sobol), a lower bound on the
+    sup distance over the cube.
     With `exhaustive=True` the distance is minimized over every grid network
     instead.  The trial networks are evaluated first and held as one
     trials x points array; the grid networks are then evaluated block by

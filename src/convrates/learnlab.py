@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -114,17 +114,8 @@ def make_regression_target(family, params=None, seed=0):
 
         sup = float(np.sum(np.abs(amps) / (2 * np.pi * np.abs(freqs))))
         lip = float(np.sum(np.abs(amps)))
-        return TargetSpec(
-            kind="regression",
-            fn=fn,
-            d=d,
-            name="trig-mixture",
-            smoothness=1.0,
-            holder_radius=sup + lip,
-            sup_bound=sup,
-            lipschitz=lip,
-            detail=f"{len(amps)} sine terms; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}",
-        )
+        detail = f"{len(amps)} sine terms; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}"
+        return _lipschitz_target("trig-mixture", fn, d, sup, lip, detail)
 
     if family == "gaussian-bump-mixture":
         k = int(params.pop("n_terms", 3))
@@ -142,17 +133,8 @@ def make_regression_target(family, params=None, seed=0):
         sup = float(np.sum(np.abs(amps)))
         # sup of |grad| of a bump with width w is |a| e^(-1/2) / w
         lip = float(np.sum(np.abs(amps) * math.exp(-0.5) / widths))
-        return TargetSpec(
-            kind="regression",
-            fn=fn,
-            d=d,
-            name="gaussian-bump-mixture",
-            smoothness=1.0,
-            holder_radius=sup + lip,
-            sup_bound=sup,
-            lipschitz=lip,
-            detail=f"{k} bumps; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}",
-        )
+        detail = f"{k} bumps; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}"
+        return _lipschitz_target("gaussian-bump-mixture", fn, d, sup, lip, detail)
 
     if family == "coordinate-clamp":
         slope = float(params.pop("slope", 4.0))
@@ -166,19 +148,19 @@ def make_regression_target(family, params=None, seed=0):
             return offset + np.clip(slope * (X[:, coord] - center), -level, level)
 
         sup = abs(offset) + level
-        return TargetSpec(
-            kind="regression",
-            fn=fn,
-            d=d,
-            name="coordinate-clamp",
-            smoothness=1.0,
-            holder_radius=sup + abs(slope),
-            sup_bound=sup,
-            lipschitz=abs(slope),
-            detail=f"clamp slope {slope} on coordinate {coord}",
-        )
+        detail = f"clamp slope {slope} on coordinate {coord}"
+        return _lipschitz_target("coordinate-clamp", fn, d, sup, abs(slope), detail)
 
     raise PreconditionError(f"unknown regression family: {family!r}")
+
+
+def _lipschitz_target(name, fn, d, sup, lip, detail):
+    """A regression target certified Lipschitz (smoothness 1): |h| <= sup,
+    Lipschitz constant lip, radius sup + lip."""
+    return TargetSpec(
+        kind="regression", fn=fn, d=d, name=name, smoothness=1.0, holder_radius=sup + lip,
+        sup_bound=sup, lipschitz=lip, detail=detail,
+    )
 
 
 def _reject_unknown(params, family):
@@ -635,6 +617,9 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
     hinge   : L ~ (n/log^2 n)^(d/((q+2)a+d)),    M ~ (n/log^2 n)^((3d+3)/(2(q+2)a+2d)), B = 1
     logistic: L ~ (n/log n)^(d/((1+b)a+d)),      M ~ (n/log n)^((3d+3+2a)/(2(1+b)a+2d)), B ~ log n
     """
+    # the schedule's exponents are defined where the rate's is; outside, they
+    # would overflow or yield a schedule without a rate
+    theory_slope(loss, alpha, d, q=q, beta=beta)
     consts = consts or default_constants(loss)
     if not all(math.isfinite(c) for c in (consts.l_const, consts.m_const, consts.b_const)):
         raise PreconditionError(f"schedule constants must be finite, got {consts}")
@@ -650,13 +635,11 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
         l_exp = d / ((q + 2) * alpha + d)
         m_exp = (3 * d + 3) / (2 * (q + 2) * alpha + 2 * d)
         B = 1.0
-    elif loss == "logistic":
+    else:  # logistic
         base = n / ln
         l_exp = d / ((1 + beta) * alpha + d)
         m_exp = (3 * d + 3 + 2 * alpha) / (2 * (1 + beta) * alpha + 2 * d)
         B = consts.b_const * ln
-    else:
-        raise PreconditionError(f"unknown loss: {loss!r}")
     base = max(base, 1.0)
     depth = max(consts.l_const * base**l_exp, 1.0)  # NaN stays NaN
     check_size(f"the depth at n={n} (set by l_const)", depth, limit=_DEPTH_GUARD)
@@ -666,18 +649,19 @@ def architecture_schedule(loss, n, d, alpha, q=1.0, beta=1.0, consts=None):
 
 
 def theory_slope(loss, alpha, d, q=1.0, beta=1.0):
-    """The predicted excess-risk exponent in n (negative)."""
+    """The predicted excess-risk exponent in n (negative); like the schedule, it
+    needs finite alpha > 0, d >= 1, q >= 0 (inf: the step regime), finite beta >= 0."""
     if loss not in LOSSES:
         raise PreconditionError(f"unknown loss: {loss!r}")
     slope = math.nan
-    if alpha > 0 and d >= 1 and q >= 0 and beta >= 0:  # NaN fails too
+    if 0 < alpha < math.inf and d >= 1 and q >= 0 and 0 <= beta < math.inf:  # NaN fails too
         if loss == "squared":
             slope = -2 * alpha / (2 * alpha + d)
         elif loss == "hinge":
             slope = -1.0 if math.isinf(q) else -(q + 1) * alpha / ((q + 2) * alpha + d)
         else:
             slope = -(1 + beta) * alpha / ((1 + beta) * alpha + d)
-    if not math.isfinite(slope):  # also an infinite or overflowing alpha, q or beta
+    if not math.isfinite(slope):  # also an alpha or q so large that the exponent overflows
         raise PreconditionError(
             f"no rate exponent at alpha={alpha}, d={d}, q={q}, beta={beta}: it needs "
             "finite alpha > 0, d >= 1, q >= 0 and finite beta >= 0"
@@ -774,6 +758,12 @@ def run_rate_experiment(
     _check_target_kind(loss, spec)  # checked here so that no cell trains in vain
     # the options and every cell's architecture are validated before any
     # data is drawn, so bad settings fail without work done
+    scheduled = ("loss", "L", "M", "trunc_level", "seed")  # set per cell
+    for key in train_options or {}:
+        if key in scheduled or key not in {f.name for f in fields(TrainConfig)}:
+            raise PreconditionError(
+                f"train option {key!r} is unknown or set per cell ({', '.join(scheduled)})"
+            )
     train_base = TrainConfig(loss=loss, **(train_options or {}))
     alpha = spec.smoothness if spec.smoothness else 1.0
     q = spec.noise_exponent if spec.noise_exponent is not None else 1.0

@@ -271,6 +271,34 @@ class TestComposeWithScalarNet:
             ScalarNet([], [], [])
 
 
+class TestScalarNet:
+    def test_is_the_one_dimensional_shallow_net(self, rng):
+        coeffs, slopes, offsets = rng.standard_normal((3, 7))
+        g = ScalarNet(coeffs, slopes, offsets)
+        assert isinstance(g, ShallowNet) and g.d == 1 and g.n_neurons == 7
+        assert g.slopes.tobytes() == slopes.tobytes()
+        net = ShallowNet(coeffs, slopes[:, None], offsets)
+        t = rng.uniform(-2.0, 2.0, 1001)
+        assert g(t).tobytes() == net(t[:, None]).tobytes()
+        for link in (g, links.log_link_net(50).net, links.sign_link_net(0.2).net):
+            terms = np.abs(link.coeffs) * (np.abs(link.slopes) + np.abs(link.offsets))
+            assert scalar_norm(link) == shallow_norm(link) == float(np.sum(terms))
+
+    @pytest.mark.parametrize("args", [
+        ([[1.0]], [1.0], [0.0]),  # 2-D coefficients
+        ([1.0], [[1.0]], [0.0]),  # 2-D slopes
+        ([1.0, 2.0], [1.0], [0.0]),  # misaligned
+        ([1.0], [1.0], [0.0, 1.0]),
+        ([], [], []),  # empty
+        ([1.0], [np.nan], [0.0]),  # non-finite
+        ([np.inf], [1.0], [0.0]),
+        ([1.0], [1.0], [-np.inf]),
+    ])
+    def test_malformed_nets_rejected(self, args):
+        with pytest.raises(PreconditionError):
+            ScalarNet(*args)
+
+
 class TestCompileReport:
     def test_violated_bound_raises(self):
         with pytest.raises(PropertyFailure):

@@ -162,6 +162,22 @@ class TestEtaSvb:
             make_eta_svb(1.5)
 
 
+class TestGoldenTargets:
+    def test_target_reprs(self):
+        # sha256 of the repr, which carries every certificate and `detail`, of
+        # each shipped target: the regression families at their defaults and
+        # the squared study's trig terms, the ramp and step class
+        # probabilities, and the small-value family at beta = 0, 1/2 and 1
+        study_terms = {"amps": [1.5, 1.0], "freqs": [1, 3], "coords": [0, 1], "phases": [0.3, 1.1]}
+        families = ("trig-mixture", "gaussian-bump-mixture", "coordinate-clamp")
+        specs = [make_regression_target(family) for family in families]
+        specs += [make_regression_target("trig-mixture", study_terms)]
+        specs += [make_eta_tsybakov(4.0), make_eta_tsybakov(math.inf)]
+        specs += [make_eta_svb(beta) for beta in (0.0, 0.5, 1.0)]
+        digest = hashlib.sha256("\n".join(map(repr, specs)).encode()).hexdigest()
+        assert digest == "727030bceecc9335f923bc5abe718a8c9ee29c0cc7dcb270260b28f91b5ff12d"
+
+
 class TestSampleDataset:
     def test_noiseless_regression(self):
         spec = make_regression_target("coordinate-clamp", {"d": 2})
@@ -436,6 +452,21 @@ class TestSchedules:
         assert theory_slope("hinge", 1.0, 2, q=1.0) == pytest.approx(-0.4)
         assert theory_slope("logistic", 1.0, 2, beta=1.0) == pytest.approx(-0.5)
         assert theory_slope("hinge", 1.0, 2, q=math.inf) == -1.0
+        assert architecture_schedule("hinge", 8192, 2, 1.0, q=math.inf) == (1, 3.0, 1.0)
+
+    @pytest.mark.parametrize("loss", ["squared", "hinge", "logistic"])
+    @pytest.mark.parametrize("alpha, d, q, beta", [
+        (0.0, 2, 1.0, 1.0), (-0.9999, 2, 1.0, 1.0), (math.inf, 2, 1.0, 1.0),
+        (math.nan, 2, 1.0, 1.0), (1e308, 2, 1.0, 1.0), (1.0, 0, 1.0, 1.0),
+        (1.0, 2, -1.0, 1.0), (1.0, 2, 1.0, math.inf), (1.0, 2, 1.0, -0.5),
+    ])
+    def test_schedule_and_slope_share_one_domain(self, loss, alpha, d, q, beta):
+        # outside the rate's domain a schedule would overflow (alpha = -0.9999)
+        # or describe an architecture for a rate that does not exist
+        with pytest.raises(PreconditionError, match="no rate exponent"):
+            theory_slope(loss, alpha, d, q=q, beta=beta)
+        with pytest.raises(PreconditionError, match="no rate exponent"):
+            architecture_schedule(loss, 8192, d, alpha, q=q, beta=beta)
 
 
 class TestFitLoglog:
@@ -489,6 +520,15 @@ class TestRunRateExperiment:
         spec = make_regression_target("coordinate-clamp", {"d": 2})
         with pytest.raises(PreconditionError):
             run_rate_experiment(spec, "squared", [64, 32, 128, 256])
+
+    @pytest.mark.parametrize("key", ["loss", "L", "M", "trunc_level", "seed", "bogus"])
+    def test_scheduled_or_unknown_train_option_rejected_before_sampling(self, monkeypatch, key):
+        calls = []
+        monkeypatch.setattr(learnlab, "sample_dataset", lambda *a, **k: calls.append(a))
+        spec = make_regression_target("coordinate-clamp", {"d": 2})
+        with pytest.raises(PreconditionError, match=f"train option '{key}'"):
+            run_rate_experiment(spec, "squared", [32, 64, 128, 256], train_options={key: 1})
+        assert calls == []
 
     def test_loss_target_mismatch_rejected_before_training(self, monkeypatch):
         calls = []

@@ -6,6 +6,7 @@ constant integrands.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,15 @@ class TestLogisticVarianceBound:
                 f, eta, B, 2, 4000, trial
             )
             assert report.passed
+
+    def test_saturated_scores_refused_without_a_nan_margin(self):
+        # at |f| = 800 the logistic rounds to 0 or 1, and both sides are inf
+        f = lambda X: np.where(X[:, 0] < 0.5, -800.0, 800.0)
+        eta = lambda X: 0.3 + 0.4 * X[:, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="not finite"):
+                check_logistic_variance_bound(f, eta, 1000.0, 2, 500, 0)
 
     def test_small_b_rejected(self):
         with pytest.raises(PreconditionError):
