@@ -305,6 +305,8 @@ def _run_verify_compile(p, seed, output):
             f"[verify-compile] tolerance must be finite and nonnegative, not {tolerance}"
         )
     net, params, report, reference = _compile_net(p, seed)
+    # the forward pass holds (points, d, J) grids
+    check_size("[verify-compile] points * d * J", p["points"] * net.d * params.J)
     X = unit_cube_points(net.d, p["points"], seed=seed)
     ref = reference(X)
     dev = float(np.max(np.abs(cnn.forward(params, X) - ref) / (1.0 + np.abs(ref))))

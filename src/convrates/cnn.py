@@ -15,8 +15,11 @@ Architecture conventions used throughout the package:
   with J_in > 1 keeps numpy's per-sample gemv and a J_in = 1 tap is one
   broadcast product, so results are bit-identical to the per-sample form.
   Each layer's pre-activation grid is fresh, and ReLU overwrites it in
-  place.  Every other function takes and returns (n, d, J) batches, and
-  einsums read them C-contiguous: their summation order follows the layout.
+  place.  `backward`'s input gradient is the same loop on the adjoint:
+  T(w)^T = P T(w^T) P, with P the spatial reversal and w^T each tap's
+  channel block transposed.  Every other function takes and returns
+  (n, d, J) batches, and einsums read them C-contiguous: their summation
+  order follows the layout.
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
@@ -150,23 +153,6 @@ def conv_matrix(w, d):
     return T
 
 
-def _grid_matmul(a, m, rows):
-    """a[:, rows, :] @ m for an (n, d, K) batch a, bit for bit.
-
-    Only `backward`'s input gradient uses it.  The product is one GEMM over
-    the flattened (n*d, K) grid, sliced afterwards, instead of numpy's
-    stacked matmul, which makes one small BLAS call per sample.  Each row's
-    sum runs in the same order either way.  The exception is a one-row slice
-    with K > 1: numpy evaluates it with gemv, whose summation order a GEMM
-    does not reproduce, so it stays stacked.
-    """
-    n, d, K = a.shape
-    part = a[:, rows, :]
-    if part.shape[1] == 1 and K > 1:
-        return part @ m
-    return (a.reshape(n * d, K) @ m).reshape(n, d, m.shape[1])[:, rows, :]
-
-
 def _conv_forward(weights, bias, x, last=False):
     """Spatial-major layer map: x (d, n, J_in) -> (d, n, J_out), pre-activation.
 
@@ -278,27 +264,29 @@ def backward(params, x, dout=None):
 
     if callable(dout):
         dout = dout(np.einsum("ndj,dj->n", a, params.output_weights))
-    dout = np.ones(n) if dout is None else np.asarray(dout, dtype=np.float64)
+    dout = np.ones(n) if dout is None else check_finite(dout, "dout")
     if dout.shape != (n,):
         raise ShapeError("dout must have one entry per sample")
 
     L, s, J = params.depth, params.s, params.J
-    vec = np.empty(_vector_size(d, s, J, L))
+    vec = np.empty(param_count(d, s, J, L))
     grad_w, grad_b, g_out = _split(vec, d, s, J, L)
     g_out[...] = np.einsum("n,ndj->dj", dout, a)
     ga = dout[:, None, None] * params.output_weights[None, :, :]
     for i in range(L - 1, -1, -1):
-        gz = ga * (grids[i] > 0.0)  # relu(z) > 0 exactly where z > 0
+        # relu(z) > 0 exactly where z > 0; gz is C-ordered for the einsums below
+        gz = np.multiply(ga, grids[i] > 0.0, out=np.empty_like(grids[i]))
         a_in = inputs[i]
         gw = grad_w[i]
         for k in range(s):
             gw[k] = np.einsum("nio,nij->oj", gz[:, : d - k, :], a_in[:, k:, :])
         grad_b[i][...] = gz.sum(axis=(0, 1))
         if i > 0:  # the input gradient of layer 0 is not needed
+            # T(w)^T = P T(w^T) P: the forward core on the reversed grid
             w = params.layers[i].weights
-            ga = np.zeros_like(a_in)
-            for k in range(s):
-                ga[:, k:, :] += _grid_matmul(gz, w[k], slice(None, d - k))
+            back = _conv_forward(w.transpose(0, 2, 1), np.zeros(w.shape[2]),
+                                 np.ascontiguousarray(gz.transpose(1, 0, 2)[::-1]))
+            ga = back[::-1].transpose(1, 0, 2)
     return CnnGrad(grad_w, grad_b, g_out, vec)
 
 
@@ -403,13 +391,22 @@ def param_vector(params):
     return np.concatenate(parts)
 
 
-def _vector_size(d, s, J, L):
-    return s * J * (1 + (L - 1) * J) + L * J + d * J
+def param_count(d, s, J, L):
+    """Number of stored parameters, the length of `param_vector`.
+
+    It is (sJ+1)JL + (d+s-sJ)J: sJ+J for the first layer, (sJ^2+J)(L-1) for
+    the other conv layers, and dJ output weights.
+    """
+    if not 1 <= s <= d:
+        raise PreconditionError(f"filter size s={s} outside [1, d={d}]")
+    if J < 1 or L < 1:
+        raise PreconditionError("channel count and depth must be at least 1")
+    return (s * J + 1) * J * L + (d + s - s * J) * J
 
 
 def _split(vec, d, s, J, L):
     """Views of vec's filters, biases and output weights, in vector order."""
-    size = _vector_size(d, s, J, L)
+    size = param_count(d, s, J, L)
     if vec.shape[0] != size:
         raise ShapeError(f"vector length {vec.shape[0]} != expected {size}")
     weights, biases = [], []

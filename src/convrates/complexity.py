@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnn import forward, params_from_vector, params_view
+from .cnn import forward, param_count, params_from_vector, params_view
 from .errors import PreconditionError, check_budget, check_finite, check_size
 from .sampling import spawn_rng, unit_cube_points
 
@@ -116,19 +116,6 @@ def covering_recursion(spec):
         n_params=spec.n_params,
         param_bound=spec.param_bound,
     )
-
-
-def param_count(d, s, J, L):
-    """Number of stored parameters: (sJ+1)JL + (d+s-sJ)J.
-
-    Equivalently sJ+J for the first layer, (sJ^2+J)(L-1) for the other conv
-    layers, and dJ output weights.
-    """
-    if not 1 <= s <= d:
-        raise PreconditionError(f"filter size s={s} outside [1, d={d}]")
-    if J < 1 or L < 1:
-        raise PreconditionError("channel count and depth must be at least 1")
-    return (s * J + 1) * J * L + (d + s - s * J) * J
 
 
 def cnn_complexity_spec(d, s, J, L, M):

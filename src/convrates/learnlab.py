@@ -143,6 +143,11 @@ def make_regression_target(family, params=None, seed=0):
         level = float(params.pop("level", 1.0))
         offset = float(params.pop("offset", 0.0))
         _reject_unknown(params, family)
+        if not (math.isfinite(center) and math.isfinite(offset) and level >= 0
+                and 0 <= coord < d):
+            raise PreconditionError(
+                f"coordinate-clamp needs finite center and offset, level >= 0, coord in [0, {d})"
+            )
 
         def fn(X):
             return offset + np.clip(slope * (X[:, coord] - center), -level, level)
@@ -157,6 +162,10 @@ def make_regression_target(family, params=None, seed=0):
 def _lipschitz_target(name, fn, d, sup, lip, detail):
     """A regression target certified Lipschitz (smoothness 1): |h| <= sup,
     Lipschitz constant lip, radius sup + lip."""
+    if not (0 <= sup < math.inf and 0 <= lip < math.inf):
+        raise PreconditionError(
+            f"{name}: sup bound {sup} and Lipschitz constant {lip} must be finite and >= 0"
+        )
     return TargetSpec(
         kind="regression", fn=fn, d=d, name=name, smoothness=1.0, holder_radius=sup + lip,
         sup_bound=sup, lipschitz=lip, detail=detail,

@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports another module's
-private (underscore) names, with no exception.  The input rules several
+private (underscore) names, with no exception, and every private
+module-level name is used in its own module.  The input rules several
 modules share (the size guard, the finiteness check and the norm-budget
 check) are public names of `errors`, and their own tests are here.
 """
@@ -76,6 +77,46 @@ def test_the_check_sees_each_import_form():
         ("cnn", "_activations"), ("compiler", "_relu_sum"), ("complexity", "_grid"),
         ("learnlab", "_project"), ("links", "_CACHE"), ("sampling", "_SAMPLE_GUARD"),
     ]
+
+
+def unused_private_names(source):
+    """Private module-level functions, classes and constants nothing in the
+    module uses outside their own definition; a decorated definition counts
+    as used, since its decorator registers it (`cli`'s `@_verb` handlers)."""
+    tree = ast.parse(source)
+    defined = {}  # private name -> defining statement
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not stmt.decorator_list:
+                defined[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined.update((t.id, stmt) for t in targets if isinstance(t, ast.Name))
+    unused = []
+    for name, own in defined.items():
+        if _private(name) and not any(
+            isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            for stmt in tree.body if stmt is not own for node in ast.walk(stmt)
+        ):
+            unused.append(name)
+    return unused
+
+
+def test_no_module_keeps_an_unused_private_name():
+    unused = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in unused_private_names(path.read_text())]
+    assert unused == []
+
+
+def test_the_unused_check_sees_each_definition_form():
+    source = (
+        "_USED = 1\n_DEAD: int = 2\nclass _Dead: pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "@register\ndef _handler(): pass\n"
+        "def _helper(): return _USED\n"
+        "def public(): return _helper()\n"
+    )
+    assert unused_private_names(source) == ["_DEAD", "_Dead", "_recursive"]
 
 
 def test_size_guard_accepts_both_ends():

@@ -335,6 +335,10 @@ class TestNonFiniteAndEmptyInputs:
              cli.EXIT_PRECONDITION),
             ("experiment", _TINY_EXPERIMENT.replace("repeats = 1", f"repeats = {_BIG}"),
              cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "slope = nan\n", cli.EXIT_PRECONDITION),
+            ("experiment", _TINY_EXPERIMENT + "slope = inf\n", cli.EXIT_PRECONDITION),
+            ("verify-compile", "[verify-compile]\npoints = 10000000\nd = 8\n",
+             cli.EXIT_PRECONDITION),
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
@@ -356,7 +360,8 @@ class TestNonFiniteAndEmptyInputs:
             "experiment-s-past-guard", "experiment-d-past-guard",
             "experiment-n_terms-past-guard", "experiment-mc_samples-past-guard",
             "experiment-epochs-past-guard", "experiment-restarts-past-guard",
-            "experiment-repeats-past-guard",
+            "experiment-repeats-past-guard", "nan-clamp-slope", "inf-clamp-slope",
+            "verify-grid-past-guard",
         ],
     )
     def test_one_record(self, tmp_path, capsys, verb, body, code):
@@ -374,7 +379,9 @@ class TestNonFiniteAndEmptyInputs:
 
 
 class TestValidationBeforeSampling:
-    @pytest.mark.parametrize("extra", ["batch_size = 0\n", "l_const = 1e308\n"])
+    @pytest.mark.parametrize(
+        "extra", ["batch_size = 0\n", "l_const = 1e308\n", "slope = nan\n", "slope = inf\n"]
+    )
     def test_bad_training_setting_draws_no_data(self, tmp_path, capsys, monkeypatch, extra):
         calls = []
         draw = learnlab.sample_dataset

@@ -381,6 +381,16 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(params, rng.random((3, params.d)), lambda f: f[:2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_dout_is_refused(self, rng, bad):
+        params = random_cnn(rng)
+        X = rng.random((3, params.d))
+        dout = np.array([bad, 1.0, 1.0])
+        with pytest.raises(PreconditionError, match="dout must be finite"):
+            backward(params, X, dout)
+        with pytest.raises(PreconditionError, match="dout must be finite"):
+            backward(params, X, lambda f: dout)
+
     def test_as_vector_follows_param_vector_layout(self, rng):
         for _ in range(10):
             params = random_cnn(rng)

@@ -89,6 +89,22 @@ class TestRegressionTargets:
         with pytest.raises(PreconditionError):
             make_regression_target("coordinate-clamp", {"slop": 4.0})
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"slope": math.nan}, {"slope": math.inf}, {"level": -1.0}, {"level": math.nan},
+         {"level": math.inf}, {"center": math.nan}, {"offset": math.inf}, {"coord": 7},
+         {"coord": -1}],
+    )
+    def test_clamp_refuses_what_it_cannot_certify(self, params):
+        with pytest.raises(PreconditionError):
+            make_regression_target("coordinate-clamp", {"d": 2, **params})
+
+    def test_certificates_are_finite_and_nonnegative(self):
+        with pytest.raises(PreconditionError, match="Lipschitz constant -"):
+            make_regression_target("gaussian-bump-mixture", {"n_terms": 1, "widths": [-0.3]})
+        with pytest.raises(PreconditionError, match="sup bound nan"):
+            make_regression_target("gaussian-bump-mixture", {"n_terms": 1, "amps": [math.nan]})
+
 
 class TestEtaTsybakov:
     def test_margin_law_matches_samples(self, rng):
