@@ -15,7 +15,10 @@ Architecture conventions used throughout the package:
   with J_in > 1 keeps numpy's per-sample gemv and a J_in = 1 tap is one
   broadcast product, so results are bit-identical to the per-sample form.
   Each layer's pre-activation grid is fresh, and ReLU overwrites it in
-  place.  `backward`'s input gradient is the same loop on the adjoint:
+  place.  `final_grid` takes a batch of several 256 KiB row blocks through
+  all layers block by block, on every usable core (`run_row_blocks`); a
+  row's value depends neither on the worker count nor on the BLAS thread
+  count.  `backward`'s input gradient is the same loop on the adjoint:
   T(w)^T = P T(w^T) P, with P the spatial reversal and w^T each tap's
   channel block transposed.  Every other function takes and returns
   (n, d, J) batches, and einsums read them C-contiguous: their summation
@@ -35,6 +38,9 @@ vector with each grid network.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,15 +231,66 @@ def activation_grids(params, x):
     return [np.ascontiguousarray(a) for a in _activations(params.layers, _check_input(params, x))]
 
 
+_BLOCK_FLOATS = 32 << 10  # one (d, rows, J) row block of `final_grid`: 256 KiB
+
+
+def run_row_blocks(n, rows, run):
+    """Call run(lo, hi) on contiguous runs of whole `rows`-row blocks covering 0..n.
+
+    With n <= rows this is run(0, n).  Otherwise the blocks are split, to
+    within one block, into one run per usable core (`os.sched_getaffinity`),
+    at most one per block.  The first run goes on the caller's thread, each
+    other on a thread started and joined here under a copy of the caller's
+    context, so its `np.errstate` holds.  Runs must write disjoint outputs;
+    the first exception a run raises is re-raised once every thread has joined.
+    """
+    if n <= rows:
+        return run(0, n)
+    blocks = -(-n // rows)
+    runs = min(len(os.sched_getaffinity(0)), blocks)
+    cuts = [rows * (blocks * i // runs) for i in range(runs)] + [n]
+    errors = []
+
+    def guarded(lo, hi):
+        try:
+            run(lo, hi)
+        except BaseException as exc:  # re-raised below, once every thread has joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(guarded, *cut))
+               for cut in zip(cuts[1:-1], cuts[2:])]
+    for t in threads:
+        t.start()
+    guarded(*cuts[:2])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def final_grid(net, x):
     """Activated grid after the last layer, C-contiguous, shape (n, d, J).
 
     `net` is anything with `d` and `layers` (`CnnParams`, `compiler.OpenCnn`);
     x is checked as `forward` checks it, and a single d-vector gives n = 1.
+    A larger batch than one row block goes through all layers block by block.
     """
-    for a in _activations(net.layers, _check_input(net, x)):
-        pass
-    return np.ascontiguousarray(a)
+    X = _check_input(net, x)
+    (n, d), J = X.shape, len(net.layers[-1].bias)
+    if n * d * J <= _BLOCK_FLOATS:
+        for a in _activations(net.layers, X):
+            pass
+        return np.ascontiguousarray(a)
+    rows, out = max(1, _BLOCK_FLOATS // (d * J)), np.empty((n, d, J))
+
+    def run(lo, hi):
+        for start in range(lo, hi, rows):
+            for a in _activations(net.layers, X[start : start + rows]):
+                pass
+            out[start : start + rows] = a
+
+    run_row_blocks(n, rows, run)
+    return out
 
 
 def forward(params, x):

@@ -27,9 +27,9 @@ call.
 `ShallowNet` (the reference the compiled networks are checked against) and
 `ScalarNet`, the one-dimensional `ShallowNet` behind the surrogate links,
 evaluate their points in row blocks through one reused pre-activation buffer
-of about `_BLOCK_BYTES`.  The inner products and the neuron sum are formed in
-a fixed order without BLAS, so a value does not depend on the block size, the
-number of points or the BLAS thread count.
+of about `_BLOCK_BYTES` per core.  Inner products and the neuron sum are formed
+in a fixed order without BLAS, so a value does not depend on the block size,
+the number of points, the worker count or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnn import CnnParams, ConvLayer, final_grid, layer_norm_product, path_norm, rescale
+from .cnn import (CnnParams, ConvLayer, final_grid, layer_norm_product, path_norm, rescale,
+                  run_row_blocks)
 from .errors import PreconditionError, PropertyFailure, check_finite, check_size
 
 # channel roles in 6-channel assemblies (0-based)
@@ -61,27 +62,32 @@ _BLOCK_BYTES = 256 << 10  # one block of pre-activations in `_relu_sum`
 def _relu_sum(X, directions, offsets, coeffs):
     """sum_k coeffs[k] * relu(directions[k] . X[i] + offsets[k]) for each row i of X.
 
-    The rows are taken in blocks whose pre-activations fill one reused buffer
-    of about `_BLOCK_BYTES` (at least one row).  Each inner product adds its d
-    products in coordinate order and each row's neuron sum is one einsum over
-    that row, neither through BLAS: a row's value is the same double whatever
-    the block size, the number of rows or the BLAS thread count.
+    The rows are taken in blocks whose pre-activations fill a buffer of about
+    `_BLOCK_BYTES` (at least one row), one per run of `run_row_blocks`.  Each
+    inner product adds its d products in coordinate order and each row's
+    neuron sum is one einsum over that row, neither through BLAS: a row's value
+    is the same double whatever the block size, the number of rows, the worker
+    count or the BLAS thread count.
     """
     n, d = X.shape
     cols = np.ascontiguousarray(directions.T)
     out = np.empty(n)
     rows = max(1, _BLOCK_BYTES // (8 * coeffs.shape[0]))
-    pre = np.empty((min(rows, n), coeffs.shape[0]))
-    term = np.empty_like(pre)
-    for start in range(0, n, rows):
-        x = X[start : start + rows]
-        p, q = pre[: len(x)], term[: len(x)]
-        np.multiply(x[:, :1], cols[0], out=p)
-        for j in range(1, d):
-            p += np.multiply(x[:, j : j + 1], cols[j], out=q)
-        p += offsets
-        np.maximum(p, 0.0, out=p)
-        np.einsum("ij,j->i", p, coeffs, out=out[start : start + rows])
+
+    def run(lo, hi):
+        pre = np.empty((min(rows, hi - lo), coeffs.shape[0]))
+        term = np.empty_like(pre)
+        for start in range(lo, hi, rows):
+            x = X[start : start + rows]
+            p, q = pre[: len(x)], term[: len(x)]
+            np.multiply(x[:, :1], cols[0], out=p)
+            for j in range(1, d):
+                p += np.multiply(x[:, j : j + 1], cols[j], out=q)
+            p += offsets
+            np.maximum(p, 0.0, out=p)
+            np.einsum("ij,j->i", p, coeffs, out=out[start : start + rows])
+
+    run_row_blocks(n, rows, run)
     return out
 
 
@@ -117,9 +123,9 @@ class ShallowNet:
         """The net's value at one point x of shape (d,), as a float, or at each
         row of X of shape (n, d), as an array of shape (n,).
 
-        Evaluated by `_relu_sum`: in row blocks, without BLAS, so a row's value
-        does not depend on how many rows come with it or on the BLAS thread
-        count.
+        Evaluated by `_relu_sum`: in row blocks on every usable core, without
+        BLAS, so a row's value does not depend on how many rows come with it,
+        on the worker count or on the BLAS thread count.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or x.shape[-1] != self.d:
@@ -144,7 +150,8 @@ class ScalarNet(ShallowNet):
         array of t's shape.
 
         Evaluated by `_relu_sum` as a one-dimensional shallow net, so an
-        entry's value does not depend on t's size or on the BLAS thread count.
+        entry's value does not depend on t's size, on the worker count or on
+        the BLAS thread count.
         """
         t = np.asarray(t, dtype=np.float64)
         out = _relu_sum(t.reshape(-1, 1), self.directions, self.offsets, self.coeffs)

@@ -123,6 +123,14 @@ def make_regression_target(family, params=None, seed=0):
         centers = np.asarray(params.pop("centers", rng.random((k, d))), dtype=float)
         widths = np.asarray(params.pop("widths", rng.uniform(0.2, 0.5, k)), dtype=float)
         _reject_unknown(params, family)
+        if amps.ndim != 1 or widths.shape != amps.shape or centers.shape != (amps.size, d):
+            raise PreconditionError(
+                f"gaussian-bump-mixture needs k amps, k widths and (k, {d}) centers, got "
+                f"shapes {amps.shape}, {widths.shape}, {centers.shape}"
+            )
+        if not (all(np.isfinite(t).all() for t in (amps, centers, widths))
+                and np.all(widths > 0)):
+            raise PreconditionError("gaussian-bump-mixture terms must be finite, with widths > 0")
 
         def fn(X):
             out = np.zeros(len(X))
@@ -130,10 +138,11 @@ def make_regression_target(family, params=None, seed=0):
                 out += a * np.exp(-np.sum((X - mu) ** 2, axis=1) / (2 * w * w))
             return out
 
-        sup = float(np.sum(np.abs(amps)))
-        # sup of |grad| of a bump with width w is |a| e^(-1/2) / w
-        lip = float(np.sum(np.abs(amps) * math.exp(-0.5) / widths))
-        detail = f"{k} bumps; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}"
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            sup = float(np.sum(np.abs(amps)))
+            # sup of |grad| of a bump with width w is |a| e^(-1/2) / w
+            lip = float(np.sum(np.abs(amps) * math.exp(-0.5) / widths))
+        detail = f"{len(amps)} bumps; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}"
         return _lipschitz_target("gaussian-bump-mixture", fn, d, sup, lip, detail)
 
     if family == "coordinate-clamp":

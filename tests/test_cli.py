@@ -715,6 +715,28 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, verb):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("verb", ["approx-log", "experiment", "verify-compile"])
+def test_outputs_do_not_depend_on_the_usable_cores(tmp_path, verb):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    one_cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for pin in (True, False):
+        out = tmp_path / f"out-{pin}.csv"
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n" + _THREAD_COUNT_CONFIGS[verb],
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "convrates.cli", cfg],
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu})) if pin else None,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(_cells_without_wall_time(out))
+    assert outputs[0] == outputs[1]
+
+
 class TestExperimentVerb:
     def _config(self, out):
         return (

@@ -5,14 +5,20 @@ matrix-vector product for convolutions, and central finite differences for
 gradients.
 """
 
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from convrates import compiler
 from convrates.cnn import (
+    _BLOCK_FLOATS,
     CnnParams,
     ConvLayer,
     activation_grids,
@@ -28,11 +34,14 @@ from convrates.cnn import (
     params_view,
     path_norm,
     rescale,
+    run_row_blocks,
     save_cnn,
     truncate,
 )
+from convrates.complexity import empirical_cover_check
 from convrates.compiler import OpenCnn, ShallowNet, compose_with_scalar_net
 from convrates.errors import PreconditionError, ShapeError
+from convrates.learnlab import TrainConfig, make_eta_tsybakov, sample_dataset, train_erm
 from convrates.links import log_link_net
 
 from conftest import random_cnn
@@ -210,11 +219,13 @@ class TestForward:
         singles = [forward(params, xi) for xi in X]
         assert np.allclose(batch, singles, atol=1e-14)
 
-    def test_memory_does_not_grow_with_depth(self, rng):
+    def test_memory_does_not_grow_with_depth(self, monkeypatch, rng):
         # forward keeps only the grid it is about to read, not one per layer:
         # a layer's input, its output and the tap buffer with the bias row,
         # then the last grid and its (n, d, J) copy; at s = 1 no tap reads
-        # the buffer, so only the bias row (1/d of a grid) comes on top
+        # the buffer, so only the bias row (1/d of a grid) comes on top.
+        # Each worker holds its row block's grids: two workers, on any machine
+        usable_cores(monkeypatch, 2)
         d, J, n = 8, 6, 10_000
         X = rng.random((n, d))
         for s, grids in ((3, 3.0), (1, 2.2)):
@@ -507,6 +518,117 @@ class TestTapLowering:
         got = OpenCnn(params.d, params.s, params.layers).final_grid(X)
         assert got.flags.c_contiguous
         assert got.tobytes() == grids[-1].tobytes()
+
+
+def usable_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _forward_case(rng):
+    params = random_cnn(rng, d=2, s=2, J=6, L=3)
+    return (lambda X: forward(params, X)), (2,), _BLOCK_FLOATS // 12
+
+
+def _open_case(rng):
+    net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, 8)), rng.standard_normal(2))
+    params, _ = compose_with_scalar_net(net, log_link_net(3).net, 3)
+    open_net = OpenCnn(params.d, params.s, params.layers)
+    return open_net.final_grid, (8,), _BLOCK_FLOATS // 48
+
+
+def _shallow_case(rng):
+    net = ShallowNet(rng.standard_normal(32), rng.standard_normal((32, 8)), rng.standard_normal(32))
+    return net, (8,), compiler._BLOCK_BYTES // (8 * 32)
+
+
+def _scalar_case(rng):
+    net = log_link_net(50).net
+    return net, (), compiler._BLOCK_BYTES // (8 * net.n_neurons)
+
+
+class TestRowBlocks:
+    """A batch of more than one row block runs as contiguous runs of whole
+    blocks, one per usable core; no byte depends on the worker count or on
+    the rows that come with a row."""
+
+    @pytest.mark.parametrize("case", [_forward_case, _open_case, _shallow_case, _scalar_case])
+    def test_bytes_do_not_depend_on_workers_or_batch(self, monkeypatch, rng, case):
+        evaluate, point_shape, rows = case(rng)
+        # empty, one row, exactly one block, one block plus a row, a ragged last block
+        sizes = [0, 1, rows, rows + 1, 4 * rows + rows // 3]
+        inputs = rng.uniform(-0.5, 1.5, (max(sizes), *point_shape))
+        usable_cores(monkeypatch, 1)
+        full = evaluate(inputs)
+        for workers in (1, 2, 3):
+            usable_cores(monkeypatch, workers)
+            for n in sizes:
+                assert evaluate(inputs[:n]).tobytes() == full[:n].tobytes()
+
+    @pytest.mark.parametrize("n, rows, workers", [(10, 2, 3), (10, 3, 2), (7, 2, 8), (5, 5, 4)])
+    def test_runs_are_contiguous_whole_blocks(self, monkeypatch, n, rows, workers):
+        usable_cores(monkeypatch, workers)
+        runs = []
+        run_row_blocks(n, rows, lambda lo, hi: runs.append((lo, hi)))
+        runs.sort()
+        blocks = -(-n // rows)
+        assert len(runs) == min(workers, blocks)
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == n and all(lo % rows == 0 for lo, _ in runs)
+        sizes = [-(-(hi - lo) // rows) for lo, hi in runs]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch, rng):
+        params = random_cnn(rng, d=2, s=2, J=6, L=2)
+        X = rng.random((9 * (_BLOCK_FLOATS // 12) + 5, 2))  # ten blocks
+        usable_cores(monkeypatch, 1)
+        expected = forward(params, X).tobytes()
+        usable_cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert all(forward(params, X).tobytes() == expected for _ in range(5))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        usable_cores(monkeypatch, 3)
+        before = threading.active_count()
+
+        def run(lo, hi):
+            if lo > 0:
+                raise ValueError(f"rows {lo}..{hi}")
+
+        with pytest.raises(ValueError, match="rows"):
+            run_row_blocks(10, 2, run)
+        assert threading.active_count() == before
+
+    def test_workers_run_under_the_callers_errstate(self, monkeypatch, rng):
+        usable_cores(monkeypatch, 2)
+        params = random_cnn(rng, d=2, s=2, J=6, L=3)
+        rows = _BLOCK_FLOATS // 12
+        X = rng.random((2 * rows, 2))
+        X[rows:] *= 1e308  # only the second block, on the worker thread, overflows
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward(params, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = forward(params, X)
+        assert np.isfinite(values[:rows]).all() and not np.isfinite(values[rows:]).all()
+
+    def test_one_block_starts_no_thread(self, monkeypatch, rng):
+        usable_cores(monkeypatch, 2)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        before = threading.active_count()
+        empirical_cover_check(2, 2, 1, 1, 1.0, 1.0, trials=2, n_points=1000, exhaustive=True)
+        data = sample_dataset(make_eta_tsybakov(4.0), 1024, seed=0)
+        train_erm(data, TrainConfig(s=2, J=6, L=2, M=8.0, loss="hinge", epochs=1,
+                                    batch_size=128, restarts=1, seed=0))
+        assert started == [] and threading.active_count() == before
+        forward(random_cnn(rng, d=2, s=2, J=6, L=1), rng.random((_BLOCK_FLOATS // 12 + 1, 2)))
+        assert len(started) == 1 and threading.active_count() == before
 
 
 class TestParamsFromVector:

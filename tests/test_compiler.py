@@ -4,6 +4,7 @@ and every compile call is checked against its guaranteed norm bound.
 """
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -334,7 +335,7 @@ def _direct_shallow(net, X):
 class TestBlockedEvaluation:
     """Shallow and scalar nets are evaluated in row blocks with a fixed-order
     neuron sum: a value is the same double whatever the block size, and only
-    one block of pre-activations is held."""
+    one block of pre-activations per worker is held."""
 
     @pytest.mark.parametrize("size", [1, 7, 1001, 10_001])
     @pytest.mark.parametrize("link", ["log:50", "sign:0.2"])
@@ -383,7 +384,9 @@ class TestBlockedEvaluation:
         with pytest.raises(PreconditionError):
             random_shallow(rng, 2, 3)(x)
 
-    def test_peak_memory_is_one_block(self):
+    def test_peak_memory_is_one_block(self, monkeypatch):
+        # one block per worker: two workers, whatever the machine's core count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         g = links.log_link_net(200)  # 400 neurons: a 32 MB table at 10 000 points
         t = np.linspace(0.0, 1.0, 10_000)
         tracemalloc.start()

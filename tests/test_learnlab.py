@@ -7,13 +7,15 @@ instances where a compiled network certifies that zero risk is attainable.
 
 import hashlib
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from convrates import learnlab
-from convrates.cnn import param_vector, path_norm
+from convrates.cnn import CnnParams, ConvLayer, param_vector, path_norm
 from convrates.compiler import ScalarNet, ShallowNet, compose_with_scalar_net, shallow_to_cnn
 from convrates.errors import PreconditionError, TrainingFailure
 from convrates.learnlab import (
@@ -100,10 +102,25 @@ class TestRegressionTargets:
             make_regression_target("coordinate-clamp", {"d": 2, **params})
 
     def test_certificates_are_finite_and_nonnegative(self):
-        with pytest.raises(PreconditionError, match="Lipschitz constant -"):
-            make_regression_target("gaussian-bump-mixture", {"n_terms": 1, "widths": [-0.3]})
-        with pytest.raises(PreconditionError, match="sup bound nan"):
-            make_regression_target("gaussian-bump-mixture", {"n_terms": 1, "amps": [math.nan]})
+        with pytest.raises(PreconditionError, match="Lipschitz constant inf"):
+            make_regression_target("gaussian-bump-mixture", {"n_terms": 1, "widths": [1e-310]})
+        with pytest.raises(PreconditionError, match="sup bound inf"):
+            make_regression_target("gaussian-bump-mixture", {"n_terms": 2, "amps": [1e308] * 2})
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [({"amps": [math.nan]}, "finite"), ({"amps": [math.inf]}, "finite"),
+         ({"centers": [[math.nan, 0.5]]}, "finite"), ({"widths": [math.inf]}, "finite"),
+         ({"widths": [-0.3]}, "widths > 0"), ({"widths": [0.0]}, "widths > 0"),
+         ({"amps": [0.0], "widths": [-0.3]}, "widths > 0"),
+         ({"amps": [1.0] * 3, "widths": [0.3] * 3}, "shapes"),
+         ({"widths": [0.3, 0.3]}, "shapes"), ({"centers": [[0.5]]}, "shapes"),
+         ({"centers": [[0.5, 0.5, 0.5]]}, "shapes"), ({"amps": 1.0, "widths": 0.3}, "shapes")],
+    )
+    def test_bump_refuses_what_it_cannot_certify(self, params, match):
+        # n_terms = 1 draws one center of shape (1, 2) unless centers are given
+        with pytest.raises(PreconditionError, match=match):
+            make_regression_target("gaussian-bump-mixture", {"d": 2, "n_terms": 1, **params})
 
 
 class TestEtaTsybakov:
@@ -355,6 +372,26 @@ class TestTrainErm:
         with pytest.raises(TrainingFailure, match="non-finite loss gradient") as info:
             train_erm(data, cfg)
         assert len(info.value.trace.risks) == 1 and len(info.value.trace.risks[0]) == 1
+
+    def test_errstate_covers_the_blocked_full_sample_risk(self, monkeypatch):
+        # n = 8192 at d = 2, J = 6 is several row blocks, so the full-sample risk's
+        # forward overflows on a worker thread too, where train_erm's errstate must hold
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        weights = np.random.default_rng(0).standard_normal
+
+        def huge_init(d, s, J, L, M, rng, scale):
+            layers = [ConvLayer(1e200 * weights((s, J, 1 if i == 0 else J)), np.zeros(J))
+                      for i in range(L)]
+            return CnnParams(d, s, layers, np.full((d, J), 1e-300))
+
+        monkeypatch.setattr(learnlab, "_init_cnn", huge_init)
+        data = sample_dataset(make_eta_tsybakov(4.0), 8192, seed=0)
+        cfg = TrainConfig(s=2, J=6, L=3, M=8.0, loss="hinge", epochs=1, batch_size=128,
+                          restarts=1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingFailure):
+                train_erm(data, cfg)
 
     def test_divergence_raises(self):
         spec = make_regression_target("coordinate-clamp", {"d": 2})
