@@ -14,6 +14,10 @@ Architecture conventions used throughout the package:
   x[k:], added onto out[:d-k] in tap order after the bias.  A one-row tap
   with J_in > 1 keeps numpy's per-sample gemv and a J_in = 1 tap is one
   broadcast product, so results are bit-identical to the per-sample form.
+  A tap k > 0 with J_in > 1 whose filter block is all +-0 (a third of the
+  taps of a compiled log link) is skipped, bit for bit where grids are finite:
+  BLAS sums each entry from +0, so out holds no -0.0 once tap 0 and the
+  bias are in, and the skipped tap's +0 would change no entry.
   Each layer's pre-activation grid is fresh, and ReLU overwrites it in
   place.  `final_grid` takes a batch of several 256 KiB row blocks through
   all layers block by block, on every usable core (`run_row_blocks`); a
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError, check_finite
+from .errors import PreconditionError, ShapeError, check_finite, check_size
 
 
 @dataclass
@@ -164,6 +168,11 @@ def _conv_forward(weights, bias, x, last=False):
 
     A net's last layer on one input channel has elementwise taps, so it writes
     (n, d, J_out) storage for free and spares the caller a transposed copy.
+
+    An all-zero tap is skipped as the module docstring says; that is exact
+    only while x is finite.  Where x holds +-inf (only after a float64
+    overflow) the skipped tap adds no 0 * inf = NaN, so which entries are NaN
+    and which are inf may differ from summing every tap.
     """
     s, J, K = weights.shape
     d, n = x.shape[:2]
@@ -174,6 +183,8 @@ def _conv_forward(weights, bias, x, last=False):
         t = out if k == 0 else buf[: d - k]
         if K == 1:  # a one-term dot: the GEMM's single rounded product
             np.multiply(x[k:], weights[k, :, 0], out=t)
+        elif k and not weights[k, 0, 0] and not weights[k].any():  # a trained tap stops at [0, 0]
+            continue  # it would add +0 to an out that holds no -0.0
         elif d - k == 1:  # one grid row: numpy's per-sample gemv, not a GEMM
             t[0] = (x[k][:, None, :] @ weights[k].T)[:, 0]
         else:
@@ -238,16 +249,18 @@ def run_row_blocks(n, rows, run):
     """Call run(lo, hi) on contiguous runs of whole `rows`-row blocks covering 0..n.
 
     With n <= rows this is run(0, n).  Otherwise the blocks are split, to
-    within one block, into one run per usable core (`os.sched_getaffinity`),
-    at most one per block.  The first run goes on the caller's thread, each
-    other on a thread started and joined here under a copy of the caller's
-    context, so its `np.errstate` holds.  Runs must write disjoint outputs;
-    the first exception a run raises is re-raised once every thread has joined.
+    within one block, into one run per usable core (`os.sched_getaffinity`;
+    where the platform lacks it, `os.cpu_count()`), at most one per block.
+    The first run goes on the caller's thread, each other on a thread
+    started and joined here under a copy of the caller's context, so its
+    `np.errstate` holds.  Runs must write disjoint outputs; the first
+    exception a run raises is re-raised once every thread has joined.
     """
     if n <= rows:
         return run(0, n)
     blocks = -(-n // rows)
-    runs = min(len(os.sched_getaffinity(0)), blocks)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    runs = min(cores or 1, blocks)
     cuts = [rows * (blocks * i // runs) for i in range(runs)] + [n]
     errors = []
 
@@ -552,14 +565,16 @@ def load_cnn(path):
 
     try:
         expect("cnn v1")
-        d = int(expect("d ").split()[1])
-        s = int(expect("s ").split()[1])
-        J = int(expect("J ").split()[1])
-        L = int(expect("L ").split()[1])
+        d, s, J, L = (int(expect(f"{key} ").split()[1]) for key in "dsJL")
+        # every count is checked before the arrays it sizes are allocated
+        for key, count in (("d", d), ("s", s), ("J", J), ("L", L), ("d * J", d * J)):
+            check_size(f"cnn file {key}", count)
         layers = []
         for i in range(L):
             head = expect(f"layer {i} ").split()
             out_c, in_c = int(head[3]), int(head[5])
+            for key, count in (("out", out_c), ("in", in_c), ("s * out * in", s * out_c * in_c)):
+                check_size(f"cnn file layer {i} {key}", count)
             expect("filter")
             w = np.empty((s, out_c, in_c))
             for tap in range(s):

@@ -90,10 +90,10 @@ def make_regression_target(family, params=None, seed=0):
 
     if family == "trig-mixture":
         k = int(params.pop("n_terms", 3))
-        amps = np.asarray(params.pop("amps", rng.uniform(0.4, 1.0, k)), dtype=float)
-        freqs = np.asarray(params.pop("freqs", rng.integers(1, 4, k)), dtype=float)
-        coords = np.asarray(params.pop("coords", rng.integers(0, d, k)), dtype=int)
-        phases = np.asarray(params.pop("phases", rng.uniform(0, 2 * np.pi, k)), dtype=float)
+        amps = _term_array(params, "amps", rng.uniform(0.4, 1.0, k))
+        freqs = _term_array(params, "freqs", rng.integers(1, 4, k))
+        coords = _term_array(params, "coords", rng.integers(0, d, k))
+        phases = _term_array(params, "phases", rng.uniform(0, 2 * np.pi, k))
         _reject_unknown(params, family)
         terms = (amps, freqs, coords, phases)
         if len({t.shape for t in terms}) > 1 or amps.ndim != 1:
@@ -101,10 +101,12 @@ def make_regression_target(family, params=None, seed=0):
                 f"amps, freqs, coords, phases differ in length: {[t.size for t in terms]}"
             )
         if not (all(np.isfinite(t).all() for t in terms) and np.all(freqs != 0)
-                and np.all((coords >= 0) & (coords < d))):
+                and np.all((coords >= 0) & (coords < d) & (coords % 1 == 0))):
             raise PreconditionError(
-                f"trig-mixture terms must be finite, with nonzero freqs and coords in [0, {d})"
+                f"trig-mixture terms must be finite, with nonzero freqs and integer coords "
+                f"in [0, {d})"
             )
+        coords = coords.astype(int)
 
         def fn(X):
             out = np.zeros(len(X))
@@ -119,9 +121,9 @@ def make_regression_target(family, params=None, seed=0):
 
     if family == "gaussian-bump-mixture":
         k = int(params.pop("n_terms", 3))
-        amps = np.asarray(params.pop("amps", rng.uniform(-1.0, 1.0, k)), dtype=float)
-        centers = np.asarray(params.pop("centers", rng.random((k, d))), dtype=float)
-        widths = np.asarray(params.pop("widths", rng.uniform(0.2, 0.5, k)), dtype=float)
+        amps = _term_array(params, "amps", rng.uniform(-1.0, 1.0, k))
+        centers = _term_array(params, "centers", rng.random((k, d)))
+        widths = _term_array(params, "widths", rng.uniform(0.2, 0.5, k))
         _reject_unknown(params, family)
         if amps.ndim != 1 or widths.shape != amps.shape or centers.shape != (amps.size, d):
             raise PreconditionError(
@@ -179,6 +181,15 @@ def _lipschitz_target(name, fn, d, sup, lip, detail):
         kind="regression", fn=fn, d=d, name=name, smoothness=1.0, holder_radius=sup + lip,
         sup_bound=sup, lipschitz=lip, detail=detail,
     )
+
+
+def _term_array(params, key, default):
+    """params.pop(key, default) as a float64 array; a ragged or non-numeric
+    value is refused."""
+    try:
+        return np.asarray(params.pop(key, default), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"{key} must be a rectangular array of numbers ({exc})") from None
 
 
 def _reject_unknown(params, family):

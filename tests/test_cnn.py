@@ -520,6 +520,101 @@ class TestTapLowering:
         assert got.tobytes() == grids[-1].tobytes()
 
 
+class TestZeroTaps:
+    """A tap k > 0 on several input channels whose filter block is all +-0 is
+    skipped; the results keep every bit of summing it."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 682, 5456])
+    def test_blas_products_are_never_negative_zero(self, rng, rows):
+        # the skip's premise: BLAS sums each entry from +0, so a zero filter
+        # block gives +0 even against negative or -0.0 inputs
+        for K, J in ((2, 1), (6, 6), (3, 5)):
+            x = -rng.random((rows, K))
+            x[::3] = -0.0
+            w = np.zeros((J, K))
+            w[:, ::2] = -0.0
+            gemm = np.empty((rows, J))
+            np.matmul(x, w.T, out=gemm)
+            gemv = (x[:, None, :] @ w.T)[:, 0]  # the stacked one-row product
+            for product in (gemm, gemv):
+                assert not np.signbit(product).any(), (
+                    "BLAS made a -0.0, so skipping zero taps is not exact")
+
+    @staticmethod
+    def zero_tap_nets(rng):
+        # identity layers at s = d (the last tap is a one-row gemv tap) and at s < d
+        yield embed(random_cnn(rng, d=4, s=4, J=3, L=2), channels=5, depth=4)
+        yield embed(random_cnn(rng, d=6, s=3, J=4, L=1), depth=4)
+        net = ShallowNet(
+            rng.standard_normal(3), rng.standard_normal((3, 5)), rng.standard_normal(3)
+        )
+        yield compose_with_scalar_net(net, log_link_net(7).net, 2)[0]
+        signed = random_cnn(rng, d=5, s=3, J=4, L=3)  # -0.0 taps, entries and biases
+        signed.layers[1].weights[1:] = -0.0
+        signed.layers[1].bias[::2] = -0.0
+        signed.layers[2].weights[0] = -0.0
+        signed.layers[2].weights[2, ::2] = -0.0
+        signed.layers[2].weights[2, 1::2] = 0.0
+        signed.layers[2].weights[1, :, 1] = -0.0
+        signed.layers[2].bias[:] = -0.0
+        yield signed
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_network_matches_stacked_reference(self, rng, n):
+        for params in self.zero_tap_nets(rng):
+            assert any(not w[k].any() for w in (l.weights for l in params.layers[1:])
+                       for k in range(1, params.s))
+            X = rng.random((n, params.d))
+            TestTapLowering.assert_bitwise(params, X, rng.standard_normal(n))
+
+    def test_conv_apply_matches_stacked_reference(self, rng):
+        for d, s in ((3, 3), (6, 3)):
+            w = rng.standard_normal((s, 4, 5))
+            w[1] = 0.0
+            w[-1] = -0.0
+            b = rng.standard_normal(4)
+            b[::2] = -0.0
+            x = rng.standard_normal((d, 5))
+            x[::2, 1:] = -0.0
+            expected = stacked_conv_forward(w, b, x[None])[0]
+            assert conv_apply(ConvLayer(w, b), x).tobytes() == expected.tobytes()
+
+    def test_a_zero_tap_runs_no_matmul(self, rng):
+        from convrates.cnn import _conv_forward
+
+        calls = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                calls.append(ufunc.__name__)
+                if out is not None:
+                    kwargs["out"] = tuple(np.asarray(a) for a in out)
+                return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+        w = rng.standard_normal((3, 4, 5))
+        w[1] = 0.0  # a GEMM tap
+        w[2, :, ::2] = -0.0
+        w[2, :, 1::2] = 0.0  # the one-row gemv tap at d = 3
+        x, b = rng.random((3, 7, 5)), rng.standard_normal(4)
+        _conv_forward(w.view(Counted), b, x)
+        assert calls.count("matmul") == 1
+        calls.clear()
+        w[1, 2, 3] = 5e-324  # one nonzero entry and the tap runs
+        _conv_forward(w.view(Counted), b, x)
+        assert calls.count("matmul") == 2
+
+    def test_overflow_still_raises(self, rng):
+        # past a float64 overflow a skipped tap adds no 0 * inf = NaN, so the
+        # NaN/inf pattern may differ from summing every tap, but an overflow
+        # still raises under np.errstate and still leaves non-finite values
+        params = embed(random_cnn(rng, d=4, s=2, J=3, L=2, scale=1e200), depth=4)
+        X = rng.random((20, 4))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward(params, X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(forward(params, X)).all()
+
+
 def usable_cores(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
@@ -576,6 +671,15 @@ class TestRowBlocks:
         assert runs[-1][1] == n and all(lo % rows == 0 for lo, _ in runs)
         sizes = [-(-(hi - lo) // rows) for lo, hi in runs]
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("count, workers", [(3, 3), (None, 1)])
+    def test_without_affinity_the_cpu_count_sets_the_runs(self, monkeypatch, count, workers):
+        # platforms other than Linux have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        runs = []
+        run_row_blocks(10, 2, lambda lo, hi: runs.append((lo, hi)))
+        assert len(runs) == workers and max(runs)[1] == 10
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch, rng):
         params = random_cnn(rng, d=2, s=2, J=6, L=2)
@@ -808,6 +912,24 @@ class TestSerialization:
         lines[row] = " ".join(lines[row].split()[:-1] + ["abc"])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(PreconditionError, match="malformed cnn file: .*'abc'"):
+            load_cnn(path)
+
+    @pytest.mark.parametrize(
+        "line, name",
+        [("d 100000000000", "d"), ("s 100000000000", "s"), ("J 0", "J"),
+         ("L 100000000000", "L"), ("J 5000000", "d \\* J"),
+         ("layer 0 out 100000000000 in 1", "layer 0 out"), ("layer 0 out 3 in -1", "layer 0 in"),
+         ("layer 1 out 4000 in 4000", "layer 1 s \\* out \\* in")],
+    )
+    def test_counts_the_file_cannot_hold_are_refused(self, rng, tmp_path, line, name):
+        path = tmp_path / "net.txt"
+        save_cnn(random_cnn(rng, d=4, s=2, J=3, L=2), path)
+        lines = path.read_text().splitlines()
+        head = line.split()[: 2 if line.startswith("layer") else 1]
+        row = next(i for i, old in enumerate(lines) if old.split()[: len(head)] == head)
+        lines[row] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PreconditionError, match=f"cnn file {name} must be between"):
             load_cnn(path)
 
 

@@ -122,6 +122,20 @@ class TestRegressionTargets:
         with pytest.raises(PreconditionError, match=match):
             make_regression_target("gaussian-bump-mixture", {"d": 2, "n_terms": 1, **params})
 
+    @pytest.mark.parametrize(
+        "family, params, match",
+        [("trig-mixture", {"amps": [[1.0], [1.0, 2.0]]}, "amps must be a rectangular array"),
+         ("trig-mixture", {"amps": "abc"}, "amps must be a rectangular array"),
+         ("trig-mixture", {"phases": {}}, "phases must be a rectangular array"),
+         ("trig-mixture", {"coords": [0.7, 1.2, 0.0]}, "integer coords"),
+         ("trig-mixture", {"coords": [0, 1, 2]}, "integer coords"),
+         ("gaussian-bump-mixture", {"centers": [[0.1, 0.2], [0.3]]}, "centers must be a"),
+         ("gaussian-bump-mixture", {"widths": ["x"] * 3}, "widths must be a")],
+    )
+    def test_term_arrays_are_rectangular_numbers(self, family, params, match):
+        with pytest.raises(PreconditionError, match=match):
+            make_regression_target(family, {"d": 2, "n_terms": 3, **params})
+
 
 class TestEtaTsybakov:
     def test_margin_law_matches_samples(self, rng):
