@@ -13,7 +13,9 @@ Architecture conventions used throughout the package:
   spatial-major, shape (d, n, J): tap k is one GEMM over the contiguous rows
   x[k:], added onto out[:d-k] in tap order after the bias.  A one-row tap
   with J_in > 1 keeps numpy's per-sample gemv and a J_in = 1 tap is one
-  broadcast product, so results are bit-identical to the per-sample form.
+  broadcast product, so results are bit-identical to the per-sample form,
+  except that a J_in = 1 pre-activation may be -0.0 where the per-sample sum,
+  which starts from +0, gives +0.0; ReLU makes both +0.
   A tap k > 0 with J_in > 1 whose filter block is all +-0 (a third of the
   taps of a compiled log link) is skipped, bit for bit where grids are finite:
   BLAS sums each entry from +0, so out holds no -0.0 once tap 0 and the
@@ -197,7 +199,8 @@ def _conv_forward(weights, bias, x, last=False):
 
 
 def conv_apply(layer, x):
-    """Apply one convolutional layer to a (d, J_in) signal grid."""
+    """Apply one convolutional layer to a (d, J_in) signal grid; the result is
+    the pre-activation, equal in value to the stacked matmul (module docstring)."""
     x = check_finite(x, "signal")
     if x.ndim != 2:
         raise ShapeError("signal grid must have shape (d, channels)")

@@ -82,31 +82,29 @@ def make_regression_target(family, params=None, seed=0):
       coordinate-clamp      offset + clamp(slope (x_c - center), -level, level)
 
     All families are certified Lipschitz (smoothness 1); the radius is the
-    sup bound plus the Lipschitz constant.
+    sup bound plus the Lipschitz constant.  Every parameter is read by
+    `_term_array` and refused before any default term is drawn.
     """
     params = dict(params or {})
-    d = int(params.pop("d", 2))
+    d = _term_array(params, "d", 2, scalar=True, integer=(1,))
     rng = spawn_rng(seed, 0)
 
     if family == "trig-mixture":
-        k = int(params.pop("n_terms", 3))
-        amps = _term_array(params, "amps", rng.uniform(0.4, 1.0, k))
-        freqs = _term_array(params, "freqs", rng.integers(1, 4, k))
-        coords = _term_array(params, "coords", rng.integers(0, d, k))
-        phases = _term_array(params, "phases", rng.uniform(0, 2 * np.pi, k))
+        k = _term_array(params, "n_terms", 3, scalar=True, integer=(1,))
+        given = [_term_array(params, key) for key in ("amps", "freqs")]
+        given += [_term_array(params, "coords", integer=(0, d - 1)), _term_array(params, "phases")]
         _reject_unknown(params, family)
-        terms = (amps, freqs, coords, phases)
+        # every default is drawn, so a given array leaves the other draws unchanged
+        drawn = (rng.uniform(0.4, 1.0, k), rng.integers(1, 4, k), rng.integers(0, d, k),
+                 rng.uniform(0, 2 * np.pi, k))
+        terms = [x if g is None else g for g, x in zip(given, drawn)]
+        amps, freqs, coords, phases = terms
         if len({t.shape for t in terms}) > 1 or amps.ndim != 1:
             raise PreconditionError(
                 f"amps, freqs, coords, phases differ in length: {[t.size for t in terms]}"
             )
-        if not (all(np.isfinite(t).all() for t in terms) and np.all(freqs != 0)
-                and np.all((coords >= 0) & (coords < d) & (coords % 1 == 0))):
-            raise PreconditionError(
-                f"trig-mixture terms must be finite, with nonzero freqs and integer coords "
-                f"in [0, {d})"
-            )
-        coords = coords.astype(int)
+        if not np.all(freqs != 0):
+            raise PreconditionError("trig-mixture needs nonzero freqs")
 
         def fn(X):
             out = np.zeros(len(X))
@@ -120,19 +118,19 @@ def make_regression_target(family, params=None, seed=0):
         return _lipschitz_target("trig-mixture", fn, d, sup, lip, detail)
 
     if family == "gaussian-bump-mixture":
-        k = int(params.pop("n_terms", 3))
-        amps = _term_array(params, "amps", rng.uniform(-1.0, 1.0, k))
-        centers = _term_array(params, "centers", rng.random((k, d)))
-        widths = _term_array(params, "widths", rng.uniform(0.2, 0.5, k))
+        k = _term_array(params, "n_terms", 3, scalar=True, integer=(1,))
+        check_size("n_terms * d, the entries of the default centers,", k * d)
+        given = [_term_array(params, key) for key in ("amps", "centers", "widths")]
         _reject_unknown(params, family)
+        drawn = rng.uniform(-1.0, 1.0, k), rng.random((k, d)), rng.uniform(0.2, 0.5, k)
+        amps, centers, widths = [x if g is None else g for g, x in zip(given, drawn)]
         if amps.ndim != 1 or widths.shape != amps.shape or centers.shape != (amps.size, d):
             raise PreconditionError(
                 f"gaussian-bump-mixture needs k amps, k widths and (k, {d}) centers, got "
                 f"shapes {amps.shape}, {widths.shape}, {centers.shape}"
             )
-        if not (all(np.isfinite(t).all() for t in (amps, centers, widths))
-                and np.all(widths > 0)):
-            raise PreconditionError("gaussian-bump-mixture terms must be finite, with widths > 0")
+        if not np.all(widths > 0):
+            raise PreconditionError("gaussian-bump-mixture needs widths > 0")
 
         def fn(X):
             out = np.zeros(len(X))
@@ -148,17 +146,14 @@ def make_regression_target(family, params=None, seed=0):
         return _lipschitz_target("gaussian-bump-mixture", fn, d, sup, lip, detail)
 
     if family == "coordinate-clamp":
-        slope = float(params.pop("slope", 4.0))
-        coord = int(params.pop("coord", 0))
-        center = float(params.pop("center", 0.5))
-        level = float(params.pop("level", 1.0))
-        offset = float(params.pop("offset", 0.0))
+        slope, center, level, offset = (
+            _term_array(params, key, default, scalar=True)
+            for key, default in (("slope", 4.0), ("center", 0.5), ("level", 1.0), ("offset", 0.0))
+        )
+        coord = _term_array(params, "coord", 0, scalar=True, integer=(0, d - 1))
         _reject_unknown(params, family)
-        if not (math.isfinite(center) and math.isfinite(offset) and level >= 0
-                and 0 <= coord < d):
-            raise PreconditionError(
-                f"coordinate-clamp needs finite center and offset, level >= 0, coord in [0, {d})"
-            )
+        if level < 0:
+            raise PreconditionError("coordinate-clamp needs level >= 0")
 
         def fn(X):
             return offset + np.clip(slope * (X[:, coord] - center), -level, level)
@@ -183,18 +178,48 @@ def _lipschitz_target(name, fn, d, sup, lip, detail):
     )
 
 
-def _term_array(params, key, default):
-    """params.pop(key, default) as a float64 array; a ragged or non-numeric
-    value is refused."""
+def _term_array(params, key, default=None, scalar=False, integer=None):
+    """params.pop(key, default) as a float64 array of finite numbers, or None
+    for an absent key without a default; ragged, non-numeric and non-finite
+    values are refused, naming the key.
+
+    `scalar` asks for one number, returned as a Python number.  With
+    `integer`, the (low, limit) bounds of `check_size`, the entries must be
+    integers within them, and they are returned as ints.
+    """
+    if key not in params and default is None:
+        return None
     try:
-        return np.asarray(params.pop(key, default), dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(params.pop(key, default), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"{key} must be a rectangular array of numbers ({exc})") from None
+    if not np.isfinite(arr).all():
+        raise PreconditionError(f"{key} must be finite")
+    if scalar and arr.ndim:
+        raise PreconditionError(f"{key} must be one number, not an array of shape {arr.shape}")
+    if integer is not None:
+        if np.any(arr % 1):
+            raise PreconditionError(f"integer {key} must be whole numbers")
+        for v in (arr.min(), arr.max()) if arr.size else ():
+            check_size(f"integer {key}", int(v), *integer)
+        arr = arr.astype(int)
+    return arr.item() if scalar else arr
 
 
 def _reject_unknown(params, family):
     if params:
         raise PreconditionError(f"unknown {family} parameters: {sorted(params)}")
+
+
+def _class_probability(name, fn, d, detail, lipschitz=None, **certificates):
+    """A class-probability target; with `lipschitz`, eta is certified
+    Lipschitz (smoothness 1, radius max(1, lipschitz)), the counterpart of
+    `_lipschitz_target`.  `certificates` are its margin and small-value laws."""
+    if lipschitz is not None:
+        certificates.update(smoothness=1.0, holder_radius=max(1.0, lipschitz), lipschitz=lipschitz)
+    return TargetSpec(
+        kind="class-probability", fn=fn, d=d, name=name, detail=detail, **certificates
+    )
 
 
 def make_eta_tsybakov(c, d=2):
@@ -213,19 +238,13 @@ def make_eta_tsybakov(c, d=2):
         def fn(X):
             return (1.0 + links.sign_plus(X[:, 0] - 0.5)) / 2.0
 
-        def margin_cdf(t):
+        def margin_cdf(t):  # not the ramp's at c = inf, which is -0.0 for t < 0
             t = np.asarray(t, dtype=np.float64)
             return np.where(t >= 1.0, 1.0, 0.0)
 
-        return TargetSpec(
-            kind="class-probability",
-            fn=fn,
-            d=d,
-            name="eta-step",
-            noise_exponent=math.inf,
-            noise_constant=1.0,
-            margin_cdf=margin_cdf,
-            detail="step eta; |2 eta - 1| = 1 almost surely",
+        return _class_probability(
+            "eta-step", fn, d, "step eta; |2 eta - 1| = 1 almost surely",
+            noise_exponent=math.inf, noise_constant=1.0, margin_cdf=margin_cdf,
         )
 
     def fn(X):
@@ -235,35 +254,25 @@ def make_eta_tsybakov(c, d=2):
         t = np.asarray(t, dtype=np.float64)
         return np.where(t >= 1.0, 1.0, np.minimum(2 * t / c, 1.0))
 
-    return TargetSpec(
-        kind="class-probability",
-        fn=fn,
-        d=d,
-        name="eta-ramp",
-        smoothness=1.0,
-        holder_radius=max(1.0, c / 2),
-        sup_bound=1.0,
-        lipschitz=c / 2,
-        noise_exponent=1.0,
-        noise_constant=max(1.0, 2.0 / c),
+    return _class_probability(
+        "eta-ramp", fn, d, f"ramp steepness {c}; P(|2 eta - 1| <= t) = min(2t/{c}, 1) below 1",
+        lipschitz=c / 2, sup_bound=1.0, noise_exponent=1.0, noise_constant=max(1.0, 2.0 / c),
         margin_cdf=margin_cdf,
-        detail=f"ramp steepness {c}; P(|2 eta - 1| <= t) = min(2t/{c}, 1) below 1",
     )
 
 
-def make_eta_svb(beta, d=2, floor=0.25):
+def make_eta_svb(beta, d=2):
     """Class probability with certified small-value exponent beta in [0, 1].
 
-    beta = 0 returns an eta bounded away from 0 and 1 (trivially certified
-    with C_beta = 1); beta > 0 returns eta = x1^(1/beta), whose marginal is
-    P(eta <= t) = t^beta exactly and P(1 - eta <= t) = 1 - (1-t)^beta
-    <= t^beta by concavity, so C_beta = 1 on both sides.
+    beta = 0 returns an eta in [1/4, 3/4], bounded away from 0 and 1
+    (trivially certified with C_beta = 1); beta > 0 returns eta = x1^(1/beta),
+    whose marginal is P(eta <= t) = t^beta exactly and P(1 - eta <= t) =
+    1 - (1-t)^beta <= t^beta by concavity, so C_beta = 1 on both sides.
     """
     if not 0 <= beta <= 1:
         raise PreconditionError("small-value exponent must lie in [0, 1]")
     if beta == 0:
-        if not 0 < floor < 0.5:
-            raise PreconditionError("floor must lie in (0, 1/2)")
+        floor = 0.25
         span = 1.0 - 2 * floor
 
         def fn(X):
@@ -274,19 +283,10 @@ def make_eta_svb(beta, d=2, floor=0.25):
             low = np.clip((t - floor) / span, 0.0, 1.0)
             return low, low
 
-        return TargetSpec(
-            kind="class-probability",
-            fn=fn,
-            d=d,
-            name="eta-svb0",
-            smoothness=1.0,
-            holder_radius=1.0,
-            sup_bound=1.0 - floor,
-            lipschitz=span,
-            svb_exponent=0.0,
-            svb_constant=1.0,
+        return _class_probability(
+            "eta-svb0", fn, d, f"eta in [{floor}, {1 - floor}]; small-value condition trivial",
+            lipschitz=span, sup_bound=1.0 - floor, svb_exponent=0.0, svb_constant=1.0,
             small_value_cdf=small_value_cdf,
-            detail=f"eta in [{floor}, {1 - floor}]; small-value condition trivial",
         )
 
     power = 1.0 / beta
@@ -299,19 +299,10 @@ def make_eta_svb(beta, d=2, floor=0.25):
         t = np.clip(t, 0.0, 1.0)
         return t**beta, 1.0 - (1.0 - t) ** beta
 
-    return TargetSpec(
-        kind="class-probability",
-        fn=fn,
-        d=d,
-        name="eta-svb",
-        smoothness=1.0,
-        holder_radius=max(1.0, power),
-        sup_bound=1.0,
-        lipschitz=power,
-        svb_exponent=beta,
-        svb_constant=1.0,
+    return _class_probability(
+        "eta-svb", fn, d, f"eta = x1^{power:.4g}; P(eta <= t) = t^{beta} exactly",
+        lipschitz=power, sup_bound=1.0, svb_exponent=beta, svb_constant=1.0,
         small_value_cdf=small_value_cdf,
-        detail=f"eta = x1^{power:.4g}; P(eta <= t) = t^{beta} exactly",
     )
 
 

@@ -198,11 +198,13 @@ def _estimate(values, samples, seed):
     return RiskEstimate(mean, se, samples, seed)
 
 
-def _draw(d, m, seed):
-    """m points uniform on [0,1]^d from the (seed, 0) stream."""
+def _draw(f, target, d, m, seed, name="scores"):
+    """(f(X), target(X)) as float64 arrays, f(X) checked finite, at m points X
+    uniform on [0,1]^d from the (seed, 0) stream: every estimator's sample."""
     if m < 1:
         raise PreconditionError("need at least one Monte Carlo draw")
-    return spawn_rng(seed, 0).random((m, d))
+    X = spawn_rng(seed, 0).random((m, d))
+    return check_finite(f(X), f"{name} on the sample"), np.asarray(target(X), dtype=np.float64)
 
 
 def squared_excess_risk(f, h, d, m, seed):
@@ -210,8 +212,8 @@ def squared_excess_risk(f, h, d, m, seed):
 
     Equals the squared risk of f minus that of the regression function h.
     """
-    X = _draw(d, m, seed)
-    vals = (check_finite(f(X), "scores on the sample") - h(X)) ** 2
+    fv, hv = _draw(f, h, d, m, seed)
+    vals = (fv - hv) ** 2
     return _estimate(vals, m, seed)
 
 
@@ -221,11 +223,9 @@ def hinge_excess_risk(f, eta, d, m, seed):
     Valid for finite |f| <= 1 (checked on the sample); equals the hinge risk of f
     minus the Bayes hinge risk.
     """
-    X = _draw(d, m, seed)
-    fv = check_finite(f(X), "scores on the sample")
+    fv, ev = _draw(f, eta, d, m, seed)
     if np.max(np.abs(fv)) > 1 + 1e-9:
         raise PreconditionError("hinge excess risk requires |f| <= 1 on the sample")
-    ev = np.asarray(eta(X), dtype=np.float64)
     margin = 2 * ev - 1
     vals = np.abs(fv - sign_plus(margin)) * np.abs(margin)
     return _estimate(vals, m, seed)
@@ -233,17 +233,14 @@ def hinge_excess_risk(f, eta, d, m, seed):
 
 def logistic_excess_risk(f, eta, d, m, seed):
     """Monte Carlo estimate of E KL(eta, logistic(f))."""
-    X = _draw(d, m, seed)
-    fv = check_finite(f(X), "scores on the sample")
-    vals = kl_divergence(np.asarray(eta(X), dtype=np.float64), logistic(fv))
+    fv, ev = _draw(f, eta, d, m, seed)
+    vals = kl_divergence(ev, logistic(fv))
     return _estimate(vals, m, seed)
 
 
 def classification_excess_risk(f, eta, d, m, seed):
     """Monte Carlo estimate of E 1{sign f != sign(2 eta - 1)} |2 eta - 1|."""
-    X = _draw(d, m, seed)
-    fv = check_finite(f(X), "scores on the sample")
-    ev = np.asarray(eta(X), dtype=np.float64)
+    fv, ev = _draw(f, eta, d, m, seed)
     margin = 2 * ev - 1
     vals = (sign_plus(fv) != sign_plus(margin)) * np.abs(margin)
     return _estimate(vals, m, seed)
@@ -341,11 +338,9 @@ def check_logistic_variance_bound(f, eta, bound_level, d, m, seed):
     B = float(bound_level)
     if B < 2:
         raise PreconditionError("the variance bound requires B >= 2")
-    X = _draw(d, m, seed)
-    fv = check_finite(f(X), "scores on the sample")
+    fv, ev = _draw(f, eta, d, m, seed)
     if np.max(np.abs(fv)) > B + 1e-9:
         raise PreconditionError("sampled |f| exceeds the declared bound B")
-    ev = np.asarray(eta(X), dtype=np.float64)
     psi = logistic(fv)
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs = np.where(ev > 0, ev * np.log(ev / psi) ** 2, 0.0) + np.where(
@@ -386,9 +381,7 @@ def check_kl_bound(eta, h, u, C, beta, C_beta, d, m, seed):
     P(eta <= t) <= C_beta t^beta and P(1 - eta <= t) <= C_beta t^beta.
     """
     ceiling = kl_small_value_bound(u, C, beta, C_beta)
-    X = _draw(d, m, seed)
-    hv = check_finite(h(X), "h on the sample")
-    ev = np.asarray(eta(X), dtype=np.float64)
+    hv, ev = _draw(h, eta, d, m, seed, "h")
     if np.min(hv) < u - 1e-12 or np.max(hv) > 1 - u + 1e-12:
         raise PreconditionError("h must map into [u, 1-u]")
     if np.max(np.abs(hv - ev)) > C * u + 1e-12:

@@ -507,6 +507,18 @@ class TestTapLowering:
                 expected = stacked_conv_forward(w, b, x[None])[0]
                 assert conv_apply(layer, x).tobytes() == expected.tobytes()
 
+    def test_one_channel_taps_differ_only_in_the_sign_of_zero(self):
+        # a J_in = 1 tap is a broadcast product, while the stacked matmul sums
+        # from +0: here 1.0 * -0.0 + (-0.0) is -0.0 in conv_apply's last entry
+        # and +0.0 in the reference.  The values are equal, and ReLU maps
+        # both zeros to +0, so a network's bytes still match
+        w, b = np.array([[[-0.0]], [[0.0]]]), np.array([-0.0])
+        x = np.array([[0.5], [0.25], [1.0]])
+        expected = stacked_conv_forward(w, b, x[None])[0]
+        assert np.array_equal(conv_apply(ConvLayer(w, b), x), expected)
+        params = CnnParams(3, 2, [ConvLayer(w, b)], np.array([[1.0], [-2.0], [0.5]]))
+        self.assert_bitwise(params, x.T, np.ones(1))
+
     def test_open_final_grid_matches_stacked_reference(self, rng):
         # the verify benchmark's kind of net: a shallow net composed with the log:50 link
         net = ShallowNet(

@@ -95,7 +95,8 @@ class TestRegressionTargets:
         "params",
         [{"slope": math.nan}, {"slope": math.inf}, {"level": -1.0}, {"level": math.nan},
          {"level": math.inf}, {"center": math.nan}, {"offset": math.inf}, {"coord": 7},
-         {"coord": -1}],
+         {"coord": -1}, {"coord": 0.5}, {"coord": "abc"}, {"slope": "abc"},
+         {"slope": [1.0, 2.0]}, {"center": [0.5]}, {"d": "x"}],
     )
     def test_clamp_refuses_what_it_cannot_certify(self, params):
         with pytest.raises(PreconditionError):
@@ -130,9 +131,25 @@ class TestRegressionTargets:
          ("trig-mixture", {"coords": [0.7, 1.2, 0.0]}, "integer coords"),
          ("trig-mixture", {"coords": [0, 1, 2]}, "integer coords"),
          ("gaussian-bump-mixture", {"centers": [[0.1, 0.2], [0.3]]}, "centers must be a"),
-         ("gaussian-bump-mixture", {"widths": ["x"] * 3}, "widths must be a")],
+         ("gaussian-bump-mixture", {"widths": ["x"] * 3}, "widths must be a"),
+         ("trig-mixture", {"n_terms": -1}, "integer n_terms must be between 1"),
+         ("gaussian-bump-mixture", {"n_terms": -1}, "integer n_terms must be between 1"),
+         ("trig-mixture", {"n_terms": 2.7}, "integer n_terms must be whole"),
+         ("trig-mixture", {"n_terms": "abc"}, "n_terms must be a rectangular array"),
+         ("trig-mixture", {"n_terms": math.nan}, "n_terms must be finite"),
+         ("trig-mixture", {"n_terms": 10**12}, "integer n_terms must be between 1"),
+         ("gaussian-bump-mixture", {"n_terms": 10**12}, "integer n_terms must be between 1"),
+         ("gaussian-bump-mixture", {"n_terms": 10**4, "d": 10**4}, r"n_terms \* d"),
+         ("trig-mixture", {"n_terms": 10**400}, "n_terms must be a rectangular array"),
+         ("gaussian-bump-mixture", {"d": -1}, "integer d must be between 1"),
+         ("trig-mixture", {"d": 0}, "integer d must be between 1"),
+         ("gaussian-bump-mixture", {"d": "x"}, "d must be a rectangular array"),
+         ("trig-mixture", {"phases": [0.0, math.inf, 1.0]}, "phases must be finite")],
     )
-    def test_term_arrays_are_rectangular_numbers(self, family, params, match):
+    def test_term_arrays_are_rectangular_numbers(self, family, params, match, monkeypatch):
+        # every key is read before any default term is drawn: a draw from
+        # this rng would fail with an AttributeError
+        monkeypatch.setattr(learnlab, "spawn_rng", lambda *path: None)
         with pytest.raises(PreconditionError, match=match):
             make_regression_target(family, {"d": 2, "n_terms": 3, **params})
 

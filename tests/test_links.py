@@ -5,6 +5,7 @@ scipy quadrature for one-dimensional risk integrals, and closed forms for
 constant integrands.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -295,6 +296,30 @@ class TestClassificationExcessRisk:
         scores = lambda X: np.where(X[:, 1] < 0.5, np.nan, 1.0)
         with pytest.raises(PreconditionError, match="finite"):
             classification_excess_risk(scores, lambda X: X[:, 0], 2, 100, 0)
+
+
+class TestGoldenEstimators:
+    def test_estimator_reprs(self):
+        # sha256 of the repr of each Monte Carlo estimator's result on fixed
+        # callables, seeds and sample sizes; every value and standard error is
+        # pinned to the bit
+        score = lambda X: np.clip(2 * X[:, 0] + X[:, 1] - 1.4, -1.0, 1.0)
+        regression = lambda X: np.sin(3 * X[:, 0]) * X[:, -1]
+        eta = lambda X: 0.05 + 0.9 * X[:, 1] ** 2
+        u = 0.05
+        results = [
+            squared_excess_risk(score, regression, 3, 1000, 5),
+            hinge_excess_risk(score, eta, 2, 1000, 6),
+            logistic_excess_risk(lambda X: 3 * score(X), eta, 2, 1000, 7),
+            classification_excess_risk(score, eta, 3, 1000, 8),
+            check_logistic_variance_bound(lambda X: 3 * score(X), eta, 3.0, 2, 1000, 9),
+            check_kl_bound(
+                lambda X: X[:, 0], lambda X: np.clip(X[:, 0], u, 1 - u), u, 1.0, 1.0, 1.0, 2,
+                1000, 10,
+            ),
+        ]
+        digest = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+        assert digest == "d96f4a84f11dd719d5357fe8354fe4b3afeab42208e8ee17aa73a732b0270d27"
 
 
 class TestHingeCalibration:
