@@ -49,7 +49,7 @@ import numpy as np
 
 from . import cnn, compiler, complexity, learnlab, links
 from .errors import ConfigError, PreconditionError, PropertyFailure, TrainingFailure, check_size
-from .sampling import unit_cube_points
+from .sampling import spawn_rng, unit_cube_points
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -243,7 +243,7 @@ def _make_net(p, seed):
     if n < 1 or d < 1:
         raise PreconditionError(f"a random net needs neurons >= 1 and d >= 1, not {n} and {d}")
     check_size("a random net's neurons * d", n * d)
-    rng = np.random.default_rng([seed, p["net_seed"]])
+    rng = spawn_rng(seed, p["net_seed"])
     return compiler.ShallowNet(
         rng.standard_normal(n), rng.standard_normal((n, d)), rng.standard_normal(n)
     )
@@ -261,7 +261,7 @@ def _make_link(spec_text):
     except ValueError:
         raise ConfigError(f"malformed {usage}") from None
     build = links.sign_link_net if kind == "sign" else links.log_link_net
-    return build(arg).net
+    return build(arg)
 
 
 def _compile_net(p, seed):
@@ -393,7 +393,7 @@ def _run_approx_log(p, seed, output):
     for n in p["pieces"]:
         link = links.log_link_net(n)
         dev = float(np.max(np.abs(links.logistic(link(t)) - t)))
-        bound, norm = 3.0 / n, link.constraint_norm
+        bound, norm = 3.0 / n, compiler.shallow_norm(link)
         rows.append({
             "pieces": n, "max_deviation": dev, "bound": bound, "constraint_norm": norm,
             "norm_limit": 6 * n, "passed": dev <= bound and norm <= 6 * n,
@@ -417,7 +417,8 @@ def _run_check_ineq(p, seed, output):
 _TRIG_TERMS = ("amps", "freqs", "coords", "phases")
 
 
-def _make_target(p):
+def make_target(p):
+    """The `TargetSpec` an `[experiment]` section's parsed options `p` name."""
     kind, d, n_terms = p["target"], p["d"], p["n_terms"]
     check_size("[experiment] d", d, low=2, error=ConfigError)  # the networks need d >= 2
     check_size("[experiment] n_terms", n_terms, error=ConfigError)
@@ -492,7 +493,7 @@ _TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "i
     mc_samples=(int, 20_000),
 )
 def _run_experiment(p, seed, output):
-    spec = _make_target(p)
+    spec = make_target(p)
     loss = p["loss"]
     if loss not in learnlab.LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")

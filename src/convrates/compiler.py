@@ -166,9 +166,6 @@ def shallow_norm(net):
         )
 
 
-scalar_norm = shallow_norm  # sum_k |c_k| (|a_k| + |b_k|) for a ScalarNet
-
-
 def sweep_depth(d, s):
     """Layers needed to sweep one inner product across d coordinates: ceil((d-1)/(s-1))."""
     if not 2 <= s <= d:
@@ -373,11 +370,11 @@ def compose_with_scalar_net(net, g, s):
     """Compile x -> g(net(x)) exactly into a 6-channel CNN.
 
     Depth is N*L0 + K + 1 and the path norm is at most
-    36 * 3^L0 * N * shallow_norm(net) * K * scalar_norm(g).
+    36 * 3^L0 * N * shallow_norm(net) * K * shallow_norm(g).
     """
     K = g.n_neurons
     layers, readout, N, M, L0 = _sum_layers(net, s, K + 1)
-    M0 = scalar_norm(g)
+    M0 = shallow_norm(g)
     # after the sum's guard, so L0 < 646 and 3.0**L0 cannot raise OverflowError
     bound = 36.0 * 3.0**L0 * N * M * K * M0
     if 2 * 3.0 ** (L0 - 1) * N * M < 1.0:

@@ -23,6 +23,7 @@ fitted log-log slopes next to the theoretical exponent, not verdicts on it.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -214,7 +215,9 @@ def _reject_unknown(params, family):
 def _class_probability(name, fn, d, detail, lipschitz=None, **certificates):
     """A class-probability target; with `lipschitz`, eta is certified
     Lipschitz (smoothness 1, radius max(1, lipschitz)), the counterpart of
-    `_lipschitz_target`.  `certificates` are its margin and small-value laws."""
+    `_lipschitz_target`.  `certificates` are its margin and small-value laws;
+    d is read by `_term_array`, as `make_regression_target` reads it."""
+    d = _term_array({"d": d}, "d", scalar=True, integer=(1,))
     if lipschitz is not None:
         certificates.update(smoothness=1.0, holder_radius=max(1.0, lipschitz), lipschitz=lipschitz)
     return TargetSpec(
@@ -231,8 +234,8 @@ def make_eta_tsybakov(c, d=2):
     the clamped mass concentrates).  c = inf gives the step eta with margin
     identically 1 (the q = inf regime).
     """
-    if not c > 0:
-        raise PreconditionError("ramp steepness must be positive")
+    if not (isinstance(c, numbers.Real) and c > 0):
+        raise PreconditionError(f"ramp steepness c must be a number > 0, not {c!r}")
     if math.isinf(c):
 
         def fn(X):
@@ -269,8 +272,8 @@ def make_eta_svb(beta, d=2):
     whose marginal is P(eta <= t) = t^beta exactly and P(1 - eta <= t) =
     1 - (1-t)^beta <= t^beta by concavity, so C_beta = 1 on both sides.
     """
-    if not 0 <= beta <= 1:
-        raise PreconditionError("small-value exponent must lie in [0, 1]")
+    if not (isinstance(beta, numbers.Real) and 0 <= beta <= 1):
+        raise PreconditionError(f"small-value exponent beta must lie in [0, 1], not {beta!r}")
     if beta == 0:
         floor = 0.25
         span = 1.0 - 2 * floor
@@ -340,14 +343,6 @@ class Dataset:
     spec: TargetSpec
     noise: NoiseSpec | None
     seed: int
-
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-    @property
-    def kind(self):
-        return self.spec.kind
 
 
 def sample_dataset(spec, n, noise=None, seed=0):

@@ -1,7 +1,8 @@
 """Scalar links, risk functionals, and verifiable scalar inequalities.
 
 The two link constructions turn class-probability estimates into real-valued
-scores:
+scores.  Each is built as a `ScalarNet`, with its closed form beside it
+(`sign_link`, `log_link`):
 
 * `sign_link_net(u)` is the saturated ramp clamp(t/u, -1, 1), written as a
   three-neuron ReLU net; composed after a probability-gap estimate it
@@ -29,11 +30,11 @@ slack for the Monte Carlo ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import ScalarNet, scalar_norm
+from .compiler import ScalarNet
 from .errors import PreconditionError, check_finite, check_size
 from .sampling import spawn_rng
 
@@ -86,45 +87,29 @@ def kl_divergence(p, q):
     return float(out[0]) if scalar else out
 
 
-@dataclass
-class PiecewiseLinearLink:
-    """A scalar link: a ReLU net together with its closed piecewise form.
-
-    The net and the closed form define the same function; `range_bound`
-    bounds |g| on all of R.
-    """
-
-    net: ScalarNet
-    closed_form: callable = field(repr=False)
-    range_bound: float
-    n_pieces: int | None = None
-    half_width: float | None = None
-
-    def __call__(self, t):
-        return self.net(t)
-
-    def closed(self, t):
-        return self.closed_form(t)
-
-    @property
-    def constraint_norm(self):
-        return scalar_norm(self.net)
+def log_link(n_pieces, t):
+    """The closed form of `log_link_net(n_pieces)`: h(t) - h(1 - t), with h
+    the interpolant of log t at the knots i/n, i = 1..n."""
+    n = int(n_pieces)
+    knots = np.arange(1, n + 1) / n
+    logs = np.log(knots)
+    t = np.asarray(t, dtype=np.float64)
+    return np.interp(t, knots, logs) - np.interp(1.0 - t, knots, logs)
 
 
 def log_link_net(n_pieces):
-    """Antisymmetrized piecewise-linear log-odds approximation.
+    """Antisymmetrized piecewise-linear log-odds approximation, as a `ScalarNet`.
 
     Interpolates log t at breakpoints i/n (constant -log n left of 1/n, 0
-    right of 1), then returns g(t) = h(t) - h(1-t).  Guarantees, for n >= 3:
-    |g| <= log n everywhere, g = -log n on t <= 0 and log n on t >= 1, and
-    |logistic(g(t)) - t| <= 3/n on [0, 1].  The net has 2n neurons and
-    constraint norm at most 6n.
+    right of 1), then returns g(t) = h(t) - h(1-t), whose closed form is
+    `log_link`.  Guarantees, for n >= 3: |g| <= log n everywhere, g = -log n
+    on t <= 0 and log n on t >= 1, and |logistic(g(t)) - t| <= 3/n on [0, 1].
+    The net has 2n neurons and constraint norm at most 6n.
     """
     n = int(n_pieces)
     check_size("2n, the neuron count of a log link with n pieces,", 2 * n, low=6)
     knots = np.arange(1, n + 1) / n
-    logs = np.log(knots)
-    slopes = n * np.diff(logs)  # slope on (i/n, (i+1)/n), i = 1..n-1
+    slopes = n * np.diff(np.log(knots))  # slope on (i/n, (i+1)/n), i = 1..n-1
 
     # h as a ReLU sum: kink coefficients at the interior knots
     coeffs = np.empty(n)
@@ -132,39 +117,25 @@ def log_link_net(n_pieces):
     coeffs[1:-1] = np.diff(slopes)
     coeffs[-1] = -slopes[-1]
 
-    net = ScalarNet(
+    return ScalarNet(
         np.concatenate([coeffs, -coeffs]),
         np.concatenate([np.ones(n), -np.ones(n)]),
         np.concatenate([-knots, 1 - knots]),
     )
 
-    def h(t):
-        return np.interp(t, knots, logs)
 
-    def closed(t):
-        t = np.asarray(t, dtype=np.float64)
-        return h(t) - h(1.0 - t)
-
-    return PiecewiseLinearLink(
-        net=net, closed_form=closed, range_bound=math.log(n), n_pieces=n
-    )
+def sign_link(half_width, t):
+    """The closed form of `sign_link_net(half_width)`: clamp(t/u, -1, 1)."""
+    return np.clip(np.asarray(t, dtype=np.float64) / half_width, -1.0, 1.0)
 
 
 def sign_link_net(half_width):
-    """Saturated ramp clamp(t/u, -1, 1) as a three-neuron net, 0 < u < 1."""
+    """Saturated ramp clamp(t/u, -1, 1) as a three-neuron `ScalarNet`, 0 < u < 1;
+    its closed form is `sign_link`."""
     u = float(half_width)
     if not 0 < u < 1:
         raise PreconditionError("half width must lie strictly between 0 and 1")
-    net = ScalarNet(
-        [1.0 / u, -1.0 / u, -1.0],
-        [1.0, 1.0, 0.0],
-        [u, -u, 1.0],
-    )
-
-    def closed(t):
-        return np.clip(np.asarray(t, dtype=np.float64) / u, -1.0, 1.0)
-
-    return PiecewiseLinearLink(net=net, closed_form=closed, range_bound=1.0, half_width=u)
+    return ScalarNet([1.0 / u, -1.0 / u, -1.0], [1.0, 1.0, 0.0], [u, -u, 1.0])
 
 
 # -- Monte Carlo risk functionals ------------------------------------------

@@ -29,7 +29,6 @@ from convrates.compiler import (
     ShallowNet,
     compose_with_scalar_net,
     neuron_to_cnn,
-    scalar_norm,
     shallow_norm,
     shallow_to_cnn,
     sweep_depth,
@@ -112,7 +111,7 @@ class TestCriterion01CompilerExactness:
                 rng.standard_normal(k), rng.standard_normal(k), rng.standard_normal(k)
             )
             params, rep = compose_with_scalar_net(net, g, s)
-            bound = 36.0 * 3.0**rep.sweep_depth * n * shallow_norm(net) * k * scalar_norm(g)
+            bound = 36.0 * 3.0**rep.sweep_depth * n * shallow_norm(net) * k * shallow_norm(g)
             assert rep.norm_achieved <= bound * (1 + 1e-12)
             X = unit_cube_points(d, 10_000, seed=2000 + trial)
             ref = g(net(X))
@@ -211,7 +210,7 @@ class TestCriterion05LogLink:
             assert np.max(np.abs(g)) <= math.log(n) * (1 + 1e-12)
             assert abs(link(0.0) + math.log(n)) <= 1e-12 * math.log(n)
             assert abs(link(1.0) - math.log(n)) <= 1e-12 * math.log(n)
-            assert link.constraint_norm <= 6.0 * n
+            assert shallow_norm(link) <= 6.0 * n
         report(
             "criterion 5: log link",
             "N = 3..200: psi(g) within 3/N, |g| <= log N, boundary values "

@@ -5,6 +5,7 @@ matrix-vector product for convolutions, and central finite differences for
 gradients.
 """
 
+import math
 import os
 import sys
 import threading
@@ -84,6 +85,14 @@ class TestConvMatrix:
         with pytest.raises((PreconditionError, ShapeError)):
             conv_matrix([], 3)
 
+    @pytest.mark.parametrize("w, d, error, match", [
+        ([[1.0, 2.0]], 3, ShapeError, "one-dimensional"),
+        ([1.0, math.nan], 3, PreconditionError, "filter must be finite"),
+    ])
+    def test_refusals(self, w, d, error, match):
+        with pytest.raises(error, match=match):
+            conv_matrix(w, d)
+
     @given(
         st.lists(st.floats(-10, 10), min_size=2, max_size=4),
         st.lists(st.floats(-10, 10), min_size=2, max_size=4),
@@ -130,6 +139,26 @@ class TestConvApply:
         layer = ConvLayer(rng.standard_normal((2, 2, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
             conv_apply(layer, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("x, error, match", [
+        (np.zeros(4), ShapeError, r"shape \(d, channels\)"),
+        (np.zeros((1, 2)), PreconditionError, "shorter than the filter"),
+        (np.full((4, 2), math.nan), PreconditionError, "signal must be finite"),
+    ])
+    def test_refusals(self, x, error, match):
+        with pytest.raises(error, match=match):
+            conv_apply(ConvLayer(np.ones((2, 2, 2)), np.zeros(2)), x)
+
+    @pytest.mark.parametrize("weights, bias, error, match", [
+        (np.ones((2, 2)), np.zeros(2), ShapeError, "filter must have shape"),
+        (np.ones((2, 2, 1)), np.zeros(3), ShapeError, "bias length"),
+        (np.ones((2, 2, 1)), np.zeros((2, 1)), ShapeError, "bias length"),
+        (np.full((2, 2, 1), math.inf), np.zeros(2), PreconditionError, "filter must be finite"),
+        (np.ones((2, 2, 1)), [0.0, math.nan], PreconditionError, "bias must be finite"),
+    ])
+    def test_layer_refusals(self, weights, bias, error, match):
+        with pytest.raises(error, match=match):
+            ConvLayer(weights, bias)
 
 
 class TestConvNormProperties:
@@ -218,6 +247,22 @@ class TestForward:
         batch = forward(params, X)
         singles = [forward(params, xi) for xi in X]
         assert np.allclose(batch, singles, atol=1e-14)
+
+    @pytest.mark.parametrize("d, s, shapes, out_shape, fill, error, match", [
+        (1, 1, [(1, 2, 1)], (1, 2), 1.0, PreconditionError, "d must be at least 2"),
+        (2, 3, [(3, 2, 1)], (2, 2), 1.0, PreconditionError, "filter size s=3 outside"),
+        (2, 2, [], (2, 2), 1.0, PreconditionError, "at least one layer"),
+        (2, 2, [(2, 2, 2)], (2, 2), 1.0, ShapeError, "single input channel"),
+        (3, 2, [(2, 2, 1), (3, 2, 2)], (3, 2), 1.0, ShapeError, "layer 1 filter size 3"),
+        (3, 2, [(2, 2, 1), (2, 3, 2)], (3, 2), 1.0, ShapeError, "layer 1 output channels 3"),
+        (3, 2, [(2, 2, 1), (2, 2, 3)], (3, 2), 1.0, ShapeError, "layer 1 input channels 3"),
+        (3, 2, [(2, 2, 1)], (2, 2), 1.0, ShapeError, "output weights shape"),
+        (2, 2, [(2, 2, 1)], (2, 2), math.nan, PreconditionError, "output weights must be finite"),
+    ])
+    def test_params_refusals(self, d, s, shapes, out_shape, fill, error, match):
+        layers = [ConvLayer(np.ones(shape), np.zeros(shape[1])) for shape in shapes]
+        with pytest.raises(error, match=match):
+            CnnParams(d, s, layers, np.full(out_shape, fill))
 
     def test_memory_does_not_grow_with_depth(self, monkeypatch, rng):
         # forward keeps only the grid it is about to read, not one per layer:
@@ -524,7 +569,7 @@ class TestTapLowering:
         net = ShallowNet(
             rng.standard_normal(3), rng.standard_normal((3, 8)), rng.standard_normal(3)
         )
-        params, _ = compose_with_scalar_net(net, log_link_net(50).net, 3)
+        params, _ = compose_with_scalar_net(net, log_link_net(50), 3)
         X = rng.random((200, 8))
         _, grids, _ = stacked_reference(params, X, np.ones(200))
         got = OpenCnn(params.d, params.s, params.layers).final_grid(X)
@@ -560,7 +605,7 @@ class TestZeroTaps:
         net = ShallowNet(
             rng.standard_normal(3), rng.standard_normal((3, 5)), rng.standard_normal(3)
         )
-        yield compose_with_scalar_net(net, log_link_net(7).net, 2)[0]
+        yield compose_with_scalar_net(net, log_link_net(7), 2)[0]
         signed = random_cnn(rng, d=5, s=3, J=4, L=3)  # -0.0 taps, entries and biases
         signed.layers[1].weights[1:] = -0.0
         signed.layers[1].bias[::2] = -0.0
@@ -638,7 +683,7 @@ def _forward_case(rng):
 
 def _open_case(rng):
     net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, 8)), rng.standard_normal(2))
-    params, _ = compose_with_scalar_net(net, log_link_net(3).net, 3)
+    params, _ = compose_with_scalar_net(net, log_link_net(3), 3)
     open_net = OpenCnn(params.d, params.s, params.layers)
     return open_net.final_grid, (8,), _BLOCK_FLOATS // 48
 
@@ -649,7 +694,7 @@ def _shallow_case(rng):
 
 
 def _scalar_case(rng):
-    net = log_link_net(50).net
+    net = log_link_net(50)
     return net, (), compiler._BLOCK_BYTES // (8 * net.n_neurons)
 
 

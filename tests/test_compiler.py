@@ -25,7 +25,6 @@ from convrates.compiler import (
     ShallowNet,
     compose_with_scalar_net,
     neuron_to_cnn,
-    scalar_norm,
     shallow_norm,
     shallow_to_cnn,
     shallow_to_cnn_open,
@@ -242,7 +241,7 @@ class TestComposeWithScalarNet:
             )
             params, report = compose_with_scalar_net(net, g, s)
             L0 = sweep_depth(d, s)
-            bound = 36.0 * 3.0**L0 * n * shallow_norm(net) * k * scalar_norm(g)
+            bound = 36.0 * 3.0**L0 * n * shallow_norm(net) * k * shallow_norm(g)
             assert report.norm_achieved <= bound * (1 + 1e-12)
             X = rng.random((300, d))
             ref = g(net(X))
@@ -262,7 +261,7 @@ class TestComposeWithScalarNet:
         # L0 = 699: 3^L0 would raise OverflowError if computed before the guard
         net = ShallowNet([1.0], np.ones((1, 700)), [0.0])
         for compile_ in (shallow_to_cnn, shallow_to_cnn_open,
-                         lambda net, s: compose_with_scalar_net(net, links.sign_link_net(0.2).net, s)):
+                         lambda net, s: compose_with_scalar_net(net, links.sign_link_net(0.2), s)):
             with pytest.raises(PreconditionError, match="overflows"):
                 compile_(net, 2)
 
@@ -281,9 +280,9 @@ class TestScalarNet:
         net = ShallowNet(coeffs, slopes[:, None], offsets)
         t = rng.uniform(-2.0, 2.0, 1001)
         assert g(t).tobytes() == net(t[:, None]).tobytes()
-        for link in (g, links.log_link_net(50).net, links.sign_link_net(0.2).net):
+        for link in (g, links.log_link_net(50), links.sign_link_net(0.2)):
             terms = np.abs(link.coeffs) * (np.abs(link.slopes) + np.abs(link.offsets))
-            assert scalar_norm(link) == shallow_norm(link) == float(np.sum(terms))
+            assert shallow_norm(link) == float(np.sum(terms))
 
     @pytest.mark.parametrize("args", [
         ([[1.0]], [1.0], [0.0]),  # 2-D coefficients
@@ -364,10 +363,10 @@ class TestBlockedEvaluation:
         assert np.max(np.abs(net(X) - ref) / (1 + np.abs(ref))) < 1e-13
         g = links.log_link_net(200)
         t = np.linspace(0.0, 1.0, 10_001)
-        assert np.max(np.abs(g(t) - g.closed(t))) < 1e-11
+        assert np.max(np.abs(g(t) - links.log_link(200, t))) < 1e-11
 
     def test_return_types_and_shapes(self, rng):
-        g = links.log_link_net(5).net
+        g = links.log_link_net(5)
         assert isinstance(g(0.25), float)
         assert g(np.float64(0.25)) == g(0.25)
         assert g(rng.random(6)).shape == (6,)
@@ -419,7 +418,7 @@ class TestGoldenCompile:
         # sha256 of every compiled parameter vector, open layer and report repr
         # on d = 2..8 and every s, recorded before the three constructions
         # shared one assembly
-        link_nets = [links.log_link_net(7).net, links.sign_link_net(0.2).net]
+        link_nets = [links.log_link_net(7), links.sign_link_net(0.2)]
         digest = hashlib.sha256()
         for d in range(2, 9):
             for s in range(2, d + 1):

@@ -178,6 +178,12 @@ class TestEtaTsybakov:
         assert float(spec.margin_cdf(0.0)) == 0.0
         assert float(spec.margin_cdf(1.0)) == 1.0
 
+    def test_step_margin_law(self):
+        # |2 eta - 1| = 1 almost surely: the law is 0 below t = 1 and 1 from it
+        spec = make_eta_tsybakov(math.inf)
+        t = np.array([-1.0, 0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0, math.inf])
+        assert spec.margin_cdf(t).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
     def test_step_limit(self, rng):
         spec = make_eta_tsybakov(float("inf"))
         X = rng.random((1000, 2))
@@ -187,6 +193,15 @@ class TestEtaTsybakov:
     def test_invalid_steepness(self):
         with pytest.raises(PreconditionError):
             make_eta_tsybakov(0.0)
+        # c and d are refused when the target is built, before any draw
+        for c, d, match in [
+            ("abc", 2, "steepness c"), (math.nan, 2, "steepness c"), (-math.inf, 2, "steepness c"),
+            (4.0, -1, "integer d must be between 1"), (4.0, 2.5, "integer d must be whole"),
+            (4.0, 10**12, "integer d must be between 1"), (math.inf, 0, "integer d must be"),
+            (4.0, "x", "d must be a rectangular array"),
+        ]:
+            with pytest.raises(PreconditionError, match=match):
+                make_eta_tsybakov(c, d=d)
 
 
 class TestEtaSvb:
@@ -224,6 +239,13 @@ class TestEtaSvb:
     def test_invalid_exponent(self):
         with pytest.raises(PreconditionError):
             make_eta_svb(1.5)
+        for beta, d, match in [
+            ("x", 2, "exponent beta"), (math.nan, 2, "exponent beta"), (-0.5, 2, "exponent beta"),
+            (1.0, 0, "integer d must be between 1"), (0.0, 2.5, "integer d must be whole"),
+            (0.5, 10**12, "integer d must be between 1"), (1.0, [2, 3], "d must be one number"),
+        ]:
+            with pytest.raises(PreconditionError, match=match):
+                make_eta_svb(beta, d=d)
 
 
 class TestGoldenTargets:
@@ -272,6 +294,16 @@ class TestSampleDataset:
         a = sample_dataset(spec, 64, seed=9)
         b = sample_dataset(spec, 64, seed=9)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+    def test_uniform_noise_labels_lie_within_the_scale(self):
+        spec = make_regression_target("coordinate-clamp", {"d": 2})
+        noise = NoiseSpec("uniform", 0.3)
+        data = sample_dataset(spec, 2000, noise, seed=4)
+        offsets = data.y - spec(data.X)
+        assert np.max(np.abs(offsets)) <= 0.3 + 1e-12
+        assert np.min(offsets) < -0.25 and np.max(offsets) > 0.25  # the band is filled
+        again = sample_dataset(spec, 2000, noise, seed=4)
+        assert data.X.tobytes() == again.X.tobytes() and data.y.tobytes() == again.y.tobytes()
 
     def test_noise_admissibility_recorded(self):
         assert NoiseSpec("gaussian", 0.5).admissible_moment_exponent(1.0) < math.inf

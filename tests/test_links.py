@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from convrates.compiler import shallow_norm
 from convrates.errors import PreconditionError
 from convrates.links import (
     check_kl_bound,
@@ -24,9 +25,11 @@ from convrates.links import (
     hinge_excess_risk,
     kl_divergence,
     kl_small_value_bound,
+    log_link,
     log_link_net,
     logistic,
     logistic_excess_risk,
+    sign_link,
     sign_link_net,
     sign_plus,
     squared_excess_risk,
@@ -125,13 +128,13 @@ class TestLogLink:
             g = link(t)
             assert np.max(np.abs(g)) <= math.log(n) + 1e-12
             assert np.max(np.abs(logistic(g) - t)) <= 3.0 / n
-            assert link.constraint_norm <= 6 * n
+            assert shallow_norm(link) <= 6 * n
 
     def test_net_matches_closed_form(self):
         t = np.linspace(-0.5, 1.5, 4001)
         for n in (3, 17, 128):
             link = log_link_net(n)
-            assert np.max(np.abs(link(t) - link.closed(t))) < 1e-12
+            assert np.max(np.abs(link(t) - log_link(n, t))) < 1e-12
 
     def test_small_n_rejected(self):
         with pytest.raises(PreconditionError):
@@ -151,10 +154,10 @@ class TestSignLink:
         t = np.linspace(-2, 2, 10_000)
         for u in (0.1, 0.3, 0.9):
             link = sign_link_net(u)
-            assert np.max(np.abs(link(t) - np.clip(t / u, -1, 1))) < 1e-14
+            assert np.max(np.abs(link(t) - sign_link(u, t))) < 1e-14
         # round-off scales with the 1/u amplification
         link = sign_link_net(0.01)
-        assert np.max(np.abs(link(t) - np.clip(t / 0.01, -1, 1))) < 1e-12
+        assert np.max(np.abs(link(t) - sign_link(0.01, t))) < 1e-12
 
     @given(st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-300, 1.0, exclude_max=True)))
     def test_half_width_domain(self, u):
@@ -162,7 +165,7 @@ class TestSignLink:
             with pytest.raises(PreconditionError):
                 sign_link_net(u)
         else:
-            assert sign_link_net(u).half_width == u
+            assert sign_link_net(u)(np.array([u / 2, u])) == pytest.approx([0.5, 1.0])
 
 
 class TestHingeExcessRisk:
@@ -455,6 +458,12 @@ class TestLogisticVarianceBound:
             with pytest.raises(PreconditionError, match="not finite"):
                 check_logistic_variance_bound(f, eta, 1000.0, 2, 500, 0)
 
+    def test_scores_beyond_b_rejected(self):
+        with pytest.raises(PreconditionError, match="exceeds the declared bound B"):
+            check_logistic_variance_bound(
+                lambda X: np.full(len(X), 3.0), lambda X: np.full(len(X), 0.5), 2.0, 2, 100, 0
+            )
+
     def test_small_b_rejected(self):
         with pytest.raises(PreconditionError):
             check_logistic_variance_bound(
@@ -494,6 +503,21 @@ class TestKlBound:
         assert kl_small_value_bound(0.01, 1.0, 0.0, 1.0) == pytest.approx(
             4 * (1 + 1) ** 2 * 0.01, rel=1e-12
         )
+
+    @pytest.mark.parametrize("u, beta, match", [
+        (0.0, 1.0, "u must lie"), (0.5, 1.0, "u must lie"), (math.nan, 1.0, "u must lie"),
+        (0.1, -0.1, "beta must lie"), (0.1, 1.5, "beta must lie"), (0.1, math.nan, "beta must lie"),
+    ])
+    def test_small_value_bound_refusals(self, u, beta, match):
+        with pytest.raises(PreconditionError, match=match):
+            kl_small_value_bound(u, 1.0, beta, 1.0)
+
+    def test_distance_violation_rejected(self):
+        # h = 1/2 lies in [u, 1-u], but |h - eta| reaches 1/2 > C*u = 0.1
+        with pytest.raises(PreconditionError, match=r"within C\*u"):
+            check_kl_bound(
+                lambda X: X[:, 0], lambda X: np.full(len(X), 0.5), 0.1, 1.0, 1.0, 1.0, 2, 1000, 0
+            )
 
     def test_range_violation_rejected(self):
         u = 0.1
