@@ -47,7 +47,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,24 +125,6 @@ class CnnParams:
     @property
     def depth(self):
         return len(self.layers)
-
-
-@dataclass
-class CnnGrad:
-    """Gradient of a scalar w.r.t. all parameters, mirroring CnnParams.
-
-    The per-layer arrays are views of `vector`, one flat buffer in
-    `param_vector` order.
-    """
-
-    layer_weights: list
-    layer_biases: list
-    output_weights: np.ndarray
-    vector: np.ndarray = field(repr=False)
-
-    def as_vector(self):
-        """The flat gradient in `param_vector` order (the buffer, not a copy)."""
-        return self.vector
 
 
 def conv_matrix(w, d):
@@ -318,7 +300,9 @@ def forward(params, x):
 
 
 def backward(params, x, dout=None):
-    """Reverse-mode gradient of the network output w.r.t. all parameters.
+    """Reverse-mode gradient of the network output w.r.t. all parameters, as
+    one flat float64 vector in `param_vector` order (`params_view` splits it
+    into per-layer arrays).
 
     For a batch X of shape (n, d), `dout` (shape (n,)) weights each sample's
     contribution and the per-sample gradients are summed: the result is the
@@ -360,7 +344,7 @@ def backward(params, x, dout=None):
             back = _conv_forward(w.transpose(0, 2, 1), np.zeros(w.shape[2]),
                                  np.ascontiguousarray(gz.transpose(1, 0, 2)[::-1]))
             ga = back[::-1].transpose(1, 0, 2)
-    return CnnGrad(grad_w, grad_b, g_out, vec)
+    return vec
 
 
 def layer_norm(layer):

@@ -166,19 +166,12 @@ _BLOCK_BYTES = 4 << 20  # one block of grid-network values in the exhaustive sea
 class CoverCheckReport:
     """Outcome of a brute-force cover validation run."""
 
-    d: int
-    s: int
-    J: int
-    L: int
-    eps: float
     n_params: int
     resolution: int
     candidate_count: int
     covering_radius: float
     target_radius: float
-    param_lipschitz: float
     n_points: int
-    trials: int
     worst_distance: float
     passed: bool
     distances: np.ndarray = field(repr=False)
@@ -262,10 +255,9 @@ def empirical_cover_check(
     check_size("parameters of a grid enumeration", n, limit=_COVER_PARAM_GUARD)
     result = covering_recursion(cnn_complexity_spec(d, s, J, L, M))
     B = result.param_bound
-    c = result.param_lipschitz
-    target_radius = eps / c
+    target_radius = eps / result.param_lipschitz
     if grid_resolution is None:
-        steps = B / target_radius if target_radius > 0 else math.inf  # eps / c may underflow
+        steps = B / target_radius if target_radius > 0 else math.inf  # eps / C may underflow
         check_size("grid points per dimension", steps + 1, limit=_GRID_GUARD)
         grid_resolution = math.ceil(steps) + 1
     grid = _grid_values(B, grid_resolution)
@@ -308,19 +300,12 @@ def empirical_cover_check(
 
     worst = float(distances.max())
     return CoverCheckReport(
-        d=d,
-        s=s,
-        J=J,
-        L=L,
-        eps=eps,
         n_params=n,
         resolution=grid_resolution,
         candidate_count=candidate_count,
         covering_radius=covering_radius,
         target_radius=target_radius,
-        param_lipschitz=c,
         n_points=n_points,
-        trials=trials,
         worst_distance=worst,
         passed=bool(worst <= eps),
         distances=distances,

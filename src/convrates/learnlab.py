@@ -212,14 +212,20 @@ def _reject_unknown(params, family):
         raise PreconditionError(f"unknown {family} parameters: {sorted(params)}")
 
 
-def _class_probability(name, fn, d, detail, lipschitz=None, **certificates):
+def _class_probability(name, fn, d, detail, given, lipschitz=None, **certificates):
     """A class-probability target; with `lipschitz`, eta is certified
     Lipschitz (smoothness 1, radius max(1, lipschitz)), the counterpart of
     `_lipschitz_target`.  `certificates` are its margin and small-value laws;
-    d is read by `_term_array`, as `make_regression_target` reads it."""
+    d is read by `_term_array`, as `make_regression_target` reads it.  Every
+    certified constant must be finite and > 0; a refusal names `given`, the
+    family's parameter and its value ("c=4.0")."""
     d = _term_array({"d": d}, "d", scalar=True, integer=(1,))
     if lipschitz is not None:
         certificates.update(smoothness=1.0, holder_radius=max(1.0, lipschitz), lipschitz=lipschitz)
+    for key in ("lipschitz", "holder_radius", "sup_bound", "noise_constant", "svb_constant"):
+        value = certificates.get(key)
+        if value is not None and not 0 < value < math.inf:  # c/2 may underflow, 2/c overflow
+            raise PreconditionError(f"{name} at {given} certifies {key} = {value}, not finite > 0")
     return TargetSpec(
         kind="class-probability", fn=fn, d=d, name=name, detail=detail, **certificates
     )
@@ -246,7 +252,7 @@ def make_eta_tsybakov(c, d=2):
             return np.where(t >= 1.0, 1.0, 0.0)
 
         return _class_probability(
-            "eta-step", fn, d, "step eta; |2 eta - 1| = 1 almost surely",
+            "eta-step", fn, d, "step eta; |2 eta - 1| = 1 almost surely", f"c={c!r}",
             noise_exponent=math.inf, noise_constant=1.0, margin_cdf=margin_cdf,
         )
 
@@ -259,8 +265,8 @@ def make_eta_tsybakov(c, d=2):
 
     return _class_probability(
         "eta-ramp", fn, d, f"ramp steepness {c}; P(|2 eta - 1| <= t) = min(2t/{c}, 1) below 1",
-        lipschitz=c / 2, sup_bound=1.0, noise_exponent=1.0, noise_constant=max(1.0, 2.0 / c),
-        margin_cdf=margin_cdf,
+        f"c={c!r}", lipschitz=c / 2, sup_bound=1.0, noise_exponent=1.0,
+        noise_constant=max(1.0, 2.0 / c), margin_cdf=margin_cdf,
     )
 
 
@@ -288,8 +294,8 @@ def make_eta_svb(beta, d=2):
 
         return _class_probability(
             "eta-svb0", fn, d, f"eta in [{floor}, {1 - floor}]; small-value condition trivial",
-            lipschitz=span, sup_bound=1.0 - floor, svb_exponent=0.0, svb_constant=1.0,
-            small_value_cdf=small_value_cdf,
+            f"beta={beta!r}", lipschitz=span, sup_bound=1.0 - floor, svb_exponent=0.0,
+            svb_constant=1.0, small_value_cdf=small_value_cdf,
         )
 
     power = 1.0 / beta
@@ -304,7 +310,7 @@ def make_eta_svb(beta, d=2):
 
     return _class_probability(
         "eta-svb", fn, d, f"eta = x1^{power:.4g}; P(eta <= t) = t^{beta} exactly",
-        lipschitz=power, sup_bound=1.0, svb_exponent=beta, svb_constant=1.0,
+        f"beta={beta!r}", lipschitz=power, sup_bound=1.0, svb_exponent=beta, svb_constant=1.0,
         small_value_cdf=small_value_cdf,
     )
 
@@ -340,9 +346,6 @@ class NoiseSpec:
 class Dataset:
     X: np.ndarray
     y: np.ndarray
-    spec: TargetSpec
-    noise: NoiseSpec | None
-    seed: int
 
 
 def sample_dataset(spec, n, noise=None, seed=0):
@@ -368,10 +371,10 @@ def sample_dataset(spec, n, noise=None, seed=0):
                     y = y + rng.uniform(-noise.scale, noise.scale, n)
             if not np.all(np.isfinite(y)):
                 raise PreconditionError(f"noise scale {noise.scale} makes labels non-finite")
-        return Dataset(X, y, spec, noise, seed)
+        return Dataset(X, y)
     if spec.kind == "class-probability":
         y = np.where(rng.random(n) < spec(X), 1.0, -1.0)
-        return Dataset(X, y, spec, None, seed)
+        return Dataset(X, y)
     raise PreconditionError(f"unknown target kind: {spec.kind!r}")
 
 
@@ -537,7 +540,7 @@ def train_erm(data, cfg):
                 for lo in range(0, n, batch):
                     idx = order[lo : lo + batch]
                     y_batch = y[idx]  # read by batch_loss_grad
-                    grad = backward(params, X[idx], batch_loss_grad).as_vector()
+                    grad = backward(params, X[idx], batch_loss_grad)
                     step += 1
                     m1 *= beta1
                     m1 += (1 - beta1) * grad

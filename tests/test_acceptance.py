@@ -371,7 +371,7 @@ class TestCriterion09GradientCheck:
                 continue
             vec = param_vector(params)
             arch = (params.d, params.s, params.J, params.depth)
-            g = backward(params, x).as_vector()
+            g = backward(params, x)
             fd = np.empty_like(vec)
             for i in range(len(vec)):
                 vp, vm = vec.copy(), vec.copy()

@@ -80,6 +80,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing required"):
             cli.load_config(cfg)
 
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), (" Yes ", True), ("1", True),
+        ("false", False), ("NO", False), ("0", False), ("maybe", None), ("", None),
+    ])
+    def test_parse_bool(self, text, value):
+        if value is None:
+            with pytest.raises(ValueError, match="not a boolean"):
+                cli._parse_bool(text)
+        else:
+            assert cli._parse_bool(text) is value
+
+    @pytest.mark.parametrize("parse, text, match", [
+        (cli._parse_int_list, "", "empty integer list"),
+        (cli._parse_int_list, " , ,", "empty integer list"),
+        (cli._parse_float_list, "", "empty float list"),
+        (cli._parse_float_list, ",", "empty float list"),
+    ])
+    def test_empty_lists_refused(self, parse, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse(text)
+
+    @pytest.mark.parametrize("text, match", [
+        (None, "cannot read config"),  # no such file
+        ("verb = entropy\n", "config parse error"),  # a key before any section
+        ("[run]\n[run]\n", "config parse error"),  # a duplicate section
+    ])
+    def test_unreadable_or_unparseable_config(self, tmp_path, capsys, text, match):
+        path = tmp_path / "run.ini"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            cli.load_config(str(path))
+        assert cli.main([str(path)]) == cli.EXIT_CONFIG
+        assert match in json.loads(capsys.readouterr().err)["detail"]
+
     def test_range_syntax(self):
         assert cli._parse_int_list("1:4, 9") == [1, 2, 3, 4, 9]
         assert cli._parse_int_list("3:3") == [3]
@@ -375,6 +410,37 @@ class TestNonFiniteAndEmptyInputs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["exit_code"] == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb, body, code, match",
+        [
+            ("compile", "[compile]\nlink = tanh:3\n", cli.EXIT_CONFIG,
+             "unknown link spec 'tanh:3'"),
+            ("experiment", _TINY_EXPERIMENT.replace("squared", "cubic"), cli.EXIT_CONFIG,
+             "unknown loss 'cubic'"),
+            ("experiment", _TINY_EXPERIMENT.replace("coordinate-clamp", "ramp"), cli.EXIT_CONFIG,
+             "unknown target 'ramp'"),
+            ("experiment", _TINY_EXPERIMENT.replace("coordinate-clamp", "eta-step"),
+             cli.EXIT_PRECONDITION, "squared loss expects a regression target"),
+            ("experiment", _TINY_EXPERIMENT.replace("coordinate-clamp", "eta-svb"),
+             cli.EXIT_PRECONDITION, "squared loss expects a regression target"),
+            ("fit-rate", "[fit-rate]\ninput = {empty}\nloss = squared\n", cli.EXIT_CONFIG,
+             "no data rows in results file"),
+        ],
+        ids=["unknown-link-kind", "unknown-loss", "unknown-target", "eta-step-for-squared",
+             "eta-svb-for-squared", "results-without-data-rows"],
+    )
+    def test_record_names_the_cause(self, tmp_path, capsys, verb, body, code, match):
+        out, empty = tmp_path / "out.csv", tmp_path / "empty.csv"  # empty: a header only
+        empty.write_text(",".join(cli._RESULT_HEADER) + "\n")
+        run = f"[run]\nverb = {verb}\nseed = 0\noutput = {out}\n"
+        cfg = write_config(tmp_path, run + body.format(empty=empty))
+        assert cli.main([cfg]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["exit_code"] == code and match in record["detail"]
         assert not out.exists()
 
 

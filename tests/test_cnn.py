@@ -320,7 +320,7 @@ class TestBackward:
     def test_output_layer_gradient_is_final_grid(self, rng):
         params = random_cnn(rng)
         x = rng.random(params.d)
-        grad = backward(params, x)
+        grad = params_view(backward(params, x), params.d, params.s, params.J, params.depth)
         final = activation_grids(params, x)[-1][0]
         assert np.allclose(grad.output_weights, final, atol=1e-14)
 
@@ -331,13 +331,13 @@ class TestBackward:
         X = np.zeros((0, d))
         assert forward(params, X).shape == (0,)
         for dout in (None, np.zeros(0), lambda f: 2.0 * f):
-            vec = backward(params, X, dout).as_vector()
+            vec = backward(params, X, dout)
             assert vec.shape == param_vector(params).shape and not vec.any()
 
     def test_zero_network_output_gradient(self, rng):
         params = random_cnn(rng, scale=0.0)
         x = rng.random(params.d)
-        grad = backward(params, x)
+        grad = params_view(backward(params, x), params.d, params.s, params.J, params.depth)
         assert np.array_equal(grad.output_weights, np.zeros_like(params.output_weights))
 
     def test_zero_filters_bias_driven_gradient(self, rng):
@@ -348,7 +348,7 @@ class TestBackward:
             ConvLayer(np.zeros((2, 2, 2)), np.array([0.2, 0.7])),
         ]
         params = CnnParams(3, 2, layers, rng.standard_normal((3, 2)))
-        grad = backward(params, rng.random(3))
+        grad = params_view(backward(params, rng.random(3)), 3, 2, 2, 2)
         expected = np.tile([0.2, 0.7], (3, 1))
         assert np.allclose(grad.output_weights, expected, atol=1e-15)
 
@@ -378,7 +378,7 @@ class TestBackward:
             if not ok:
                 continue
             vec = param_vector(params)
-            g = backward(params, x).as_vector()
+            g = backward(params, x)
             fd = np.empty_like(vec)
             for i in range(len(vec)):
                 vp, vm = vec.copy(), vec.copy()
@@ -397,7 +397,7 @@ class TestBackward:
         x = rng.random(params.d) + 0.5
         vec = param_vector(params)
         arch = (params.d, params.s, params.J, params.depth)
-        g = backward(params, x).as_vector()
+        g = backward(params, x)
         i = len(vec) - 1  # an output weight: f is globally linear in it
         for h in (1e-3, 1e-1, 1.0):
             vp, vm = vec.copy(), vec.copy()
@@ -421,8 +421,8 @@ class TestBackward:
                 seen.append(f_vals)
                 return weights * np.tanh(f_vals)
 
-            g_fn = backward(params, X, fn).as_vector()
-            g_arr = backward(params, X, fn(forward(params, X))).as_vector()
+            g_fn = backward(params, X, fn)
+            g_arr = backward(params, X, fn(forward(params, X)))
             assert np.array_equal(seen[0], forward(params, X))
             assert g_fn.tobytes() == g_arr.tobytes()
 
@@ -447,18 +447,13 @@ class TestBackward:
         with pytest.raises(PreconditionError, match="dout must be finite"):
             backward(params, X, lambda f: dout)
 
-    def test_as_vector_follows_param_vector_layout(self, rng):
+    def test_gradient_is_one_flat_vector(self, rng):
         for _ in range(10):
             params = random_cnn(rng)
             grad = backward(params, rng.random((4, params.d)), rng.standard_normal(4))
-            mirror = CnnParams(
-                params.d,
-                params.s,
-                [ConvLayer(w, b) for w, b in zip(grad.layer_weights, grad.layer_biases)],
-                grad.output_weights,
-            )
-            assert np.array_equal(grad.as_vector(), param_vector(mirror))
-            assert grad.as_vector().size == param_vector(params).size
+            assert isinstance(grad, np.ndarray) and grad.dtype == np.float64
+            assert grad.ndim == 1 and grad.flags.c_contiguous
+            assert grad.size == param_vector(params).size
 
 
 def stacked_conv_forward(weights, bias, x):
@@ -514,7 +509,7 @@ class TestTapLowering:
         assert forward(params, X).tobytes() == values.tobytes()
         got = activation_grids(params, X)
         assert [g.tobytes() for g in got] == [g.tobytes() for g in grids]
-        assert backward(params, X, dout).as_vector().tobytes() == vec.tobytes()
+        assert backward(params, X, dout).tobytes() == vec.tobytes()
 
     @pytest.mark.parametrize("n, d, J, L", SHAPES)
     def test_network_matches_stacked_reference(self, rng, n, d, J, L):
@@ -958,6 +953,18 @@ class TestSerialization:
             path.write_text("\n".join(lines[:cut]) + "\n")
             with pytest.raises(PreconditionError, match="unexpected end of file"):
                 load_cnn(path)
+
+    @pytest.mark.parametrize("old, new", [
+        ("cnn v1", "cnn v2"), ("bias", "weights"), ("output", "input"), ("end", "more"),
+    ])
+    def test_unexpected_line_is_a_precondition_error(self, rng, tmp_path, old, new):
+        path = tmp_path / "net.txt"
+        save_cnn(random_cnn(rng), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index(old)] = new
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PreconditionError, match=f"expected '{old}', got '{new}'"):
+            load_cnn(path)
 
     @pytest.mark.parametrize("section", ["d", "filter", "bias", "output"])
     def test_non_numeric_token_is_a_precondition_error(self, rng, tmp_path, section):

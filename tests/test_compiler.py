@@ -118,6 +118,15 @@ class TestNeuronToCnn:
 
 
 class TestShallowToCnn:
+    @pytest.mark.parametrize("args, match", [
+        (([1.0], [1.0, 2.0], [0.0]), "directions must have shape \\(neurons, d\\)"),
+        (([1.0], np.ones((1, 2, 1)), [0.0]), "directions must have shape \\(neurons, d\\)"),
+        (([1.0, 2.0], [[1.0, 2.0]], [0.0, 0.0]), "must align"),
+    ])
+    def test_malformed_nets_rejected(self, args, match):
+        with pytest.raises(PreconditionError, match=match):
+            ShallowNet(*args)
+
     def test_single_neuron_matches_neuron_path(self, rng):
         a = rng.standard_normal(4)
         b, c = rng.standard_normal(2)

@@ -78,6 +78,15 @@ class TestCoveringRecursion:
         with pytest.raises(PreconditionError):
             LayeredComplexitySpec(np.array([1.0, 1.0]), np.array([-1.0, 1.0]), 1.0, 2)
 
+    @pytest.mark.parametrize("gammas, lambdas, match", [
+        ([1.0, 1.0], [1.0], "equal-length vectors"),
+        ([[1.0, 1.0]], [[1.0, 1.0]], "equal-length vectors"),
+        ([], [], "need at least one layer"),
+    ])
+    def test_malformed_constants_rejected(self, gammas, lambdas, match):
+        with pytest.raises(PreconditionError, match=match):
+            LayeredComplexitySpec(np.array(gammas), np.array(lambdas), 1.0, 2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_constants_rejected(self, bad):
         ones = np.ones(2)

@@ -199,6 +199,9 @@ class TestEtaTsybakov:
             (4.0, -1, "integer d must be between 1"), (4.0, 2.5, "integer d must be whole"),
             (4.0, 10**12, "integer d must be between 1"), (math.inf, 0, "integer d must be"),
             (4.0, "x", "d must be a rectangular array"),
+            # 2/c overflows, c/2 underflows: a certified constant must be finite and > 0
+            (1e-320, 2, r"c=1e-320 certifies noise_constant = inf"),
+            (5e-324, 2, r"c=5e-324 certifies lipschitz = 0\.0"),
         ]:
             with pytest.raises(PreconditionError, match=match):
                 make_eta_tsybakov(c, d=d)
@@ -243,6 +246,7 @@ class TestEtaSvb:
             ("x", 2, "exponent beta"), (math.nan, 2, "exponent beta"), (-0.5, 2, "exponent beta"),
             (1.0, 0, "integer d must be between 1"), (0.0, 2.5, "integer d must be whole"),
             (0.5, 10**12, "integer d must be between 1"), (1.0, [2, 3], "d must be one number"),
+            (1e-320, 2, "beta=1e-320 certifies lipschitz = inf"),  # 1/beta overflows
         ]:
             with pytest.raises(PreconditionError, match=match):
                 make_eta_svb(beta, d=d)
@@ -305,6 +309,16 @@ class TestSampleDataset:
         again = sample_dataset(spec, 2000, noise, seed=4)
         assert data.X.tobytes() == again.X.tobytes() and data.y.tobytes() == again.y.tobytes()
 
+    @pytest.mark.parametrize("n, kind, match", [
+        (0, "regression", "need at least one sample"),
+        (-3, "regression", "need at least one sample"),
+        (4, "density", "unknown target kind: 'density'"),
+    ])
+    def test_refusals(self, n, kind, match):
+        spec = TargetSpec(kind=kind, fn=lambda X: X[:, 0], d=2, name="first coordinate")
+        with pytest.raises(PreconditionError, match=match):
+            sample_dataset(spec, n, seed=0)
+
     def test_noise_admissibility_recorded(self):
         assert NoiseSpec("gaussian", 0.5).admissible_moment_exponent(1.0) < math.inf
         assert NoiseSpec("uniform", 0.5).admissible_moment_exponent(1.0) == math.inf
@@ -339,6 +353,14 @@ class TestTrainConfigValidation:
         with pytest.raises(PreconditionError):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("loss", "cubic", "unknown loss: 'cubic'"),
+        ("learning_rate", 0.0, "learning rates must be finite, the first > 0"),
+    ])
+    def test_refusal_messages(self, field, value, match):
+        with pytest.raises(PreconditionError, match=match):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["l_const", "m_const", "b_const"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_schedule_constants_must_be_finite(self, field, value):
@@ -365,7 +387,7 @@ class TestTrainErm:
         spec = make_eta_tsybakov(float("inf"))
         raw = sample_dataset(spec, 400, seed=2)
         keep = np.abs(raw.X[:, 0] - 0.5) > 0.1
-        data = Dataset(raw.X[keep], raw.y[keep], spec, None, 2)
+        data = Dataset(raw.X[keep], raw.y[keep])
 
         # certificate: clamp((x1 - 1/2) / 0.1) has hinge risk exactly 0
         half_space = ShallowNet([1.0, -1.0], [[1.0, 0.0], [-1.0, 0.0]], [-0.5, 0.5])
@@ -506,6 +528,12 @@ class TestMeasureExcess:
         exact = quad(lambda x: abs(2 * x - 1), 0, 0.5)[0]  # = 1/4
         assert est.value == pytest.approx(exact, abs=5 * est.standard_error)
 
+    def test_unknown_loss(self):
+        zero = ShallowNet([0.0], [[0.0, 0.0]], [0.0])
+        params, _ = shallow_to_cnn(zero, 2)
+        with pytest.raises(PreconditionError, match="unknown loss: 'cubic'"):
+            measure_excess(params, make_eta_svb(1.0), "cubic", 100, 0, trunc_level=1.0)
+
     def test_loss_target_mismatch(self):
         spec = make_eta_svb(1.0)
         zero = ShallowNet([0.0], [[0.0, 0.0]], [0.0])
@@ -563,6 +591,14 @@ class TestSchedules:
             L, _, _ = architecture_schedule(loss, 2**20, 2, 1.0)
             assert L <= learnlab._DEPTH_GUARD // 100
 
+    @pytest.mark.parametrize("call", [
+        lambda: learnlab.default_constants("cubic"),
+        lambda: theory_slope("cubic", 1.0, 2),
+    ], ids=["default_constants", "theory_slope"])
+    def test_unknown_loss(self, call):
+        with pytest.raises(PreconditionError, match="unknown loss: 'cubic'"):
+            call()
+
     def test_theory_slopes(self):
         assert theory_slope("squared", 1.0, 2) == pytest.approx(-0.5)
         assert theory_slope("hinge", 1.0, 2, q=1.0) == pytest.approx(-0.4)
@@ -596,6 +632,16 @@ class TestFitLoglog:
         ns = np.array([10.0, 20.0, 40.0, 80.0])
         slope, _, _ = fit_loglog(ns, np.full(4, 0.25))
         assert slope == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("ns, errors, match", [
+        ([1.0, 2.0, 4.0, 8.0], [1.0, 0.5, 0.25], "equal-length vectors"),
+        ([[1.0, 2.0], [4.0, 8.0]], [[1.0, 0.5], [0.25, 0.125]], "equal-length vectors"),
+        ([1.0, 2.0, 4.0, 8.0], [1.0, 0.5, 0.0, 0.125], "errors must be positive"),
+        ([1.0, 2.0, 4.0, 8.0], [1.0, -0.5, 0.25, 0.125], "errors must be positive"),
+    ])
+    def test_malformed_inputs(self, ns, errors, match):
+        with pytest.raises(PreconditionError, match=match):
+            fit_loglog(ns, errors)
 
     def test_too_few_points(self):
         with pytest.raises(PreconditionError):
@@ -636,6 +682,18 @@ class TestRunRateExperiment:
         spec = make_regression_target("coordinate-clamp", {"d": 2})
         with pytest.raises(PreconditionError):
             run_rate_experiment(spec, "squared", [64, 32, 128, 256])
+
+    @pytest.mark.parametrize("loss, repeats, match", [
+        ("squared", 0, "repeats=0 must be positive"),
+        ("cubic", 1, "unknown loss: 'cubic'"),
+    ])
+    def test_refused_before_sampling(self, monkeypatch, loss, repeats, match):
+        calls = []
+        monkeypatch.setattr(learnlab, "sample_dataset", lambda *a, **k: calls.append(a))
+        spec = make_regression_target("coordinate-clamp", {"d": 2})
+        with pytest.raises(PreconditionError, match=match):
+            run_rate_experiment(spec, loss, [32, 64, 128, 256], repeats=repeats)
+        assert calls == []
 
     @pytest.mark.parametrize("key", ["loss", "L", "M", "trunc_level", "seed", "bogus"])
     def test_scheduled_or_unknown_train_option_rejected_before_sampling(self, monkeypatch, key):

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from convrates.compiler import shallow_norm
 from convrates.errors import PreconditionError
 from convrates.links import (
+    RiskEstimate,
     check_kl_bound,
     check_log2_inequality,
     check_logistic_variance_bound,
@@ -251,6 +252,15 @@ class TestLogisticExcessRisk:
         with pytest.raises(PreconditionError, match="finite"):
             logistic_excess_risk(scores, lambda X: X[:, 0], 2, 100, 0)
 
+    @pytest.mark.parametrize("score", [40.0, -800.0])
+    def test_saturated_scores_refused_not_estimated_as_inf(self, score):
+        # logistic(40) rounds to 1 and logistic(-800) to 0, so KL(eta, .) is inf
+        eta = lambda X: (1.0 + np.clip(4.0 * (X[:, 0] - 0.5), -1.0, 1.0)) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="loss overflows float64"):
+                logistic_excess_risk(lambda X: np.full(len(X), score), eta, 2, 100, 0)
+
 
 class TestSquaredExcessRisk:
     def test_regression_function_has_zero_excess(self):
@@ -270,6 +280,13 @@ class TestSquaredExcessRisk:
         scores = lambda X: np.where(X[:, 1] < 0.5, np.nan, 1.0)
         with pytest.raises(PreconditionError, match="finite"):
             squared_excess_risk(scores, lambda X: X[:, 0], 2, 100, 0)
+
+    def test_overflowing_loss_rejected(self):
+        # (1e200)^2 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="loss overflows float64"):
+                squared_excess_risk(lambda X: np.full(len(X), 1e200), lambda X: X[:, 0], 2, 100, 0)
 
     def test_overflowing_spread_rejected(self):
         # finite values near 1e306 whose sum of squared deviations overflows
@@ -299,6 +316,26 @@ class TestClassificationExcessRisk:
         scores = lambda X: np.where(X[:, 1] < 0.5, np.nan, 1.0)
         with pytest.raises(PreconditionError, match="finite"):
             classification_excess_risk(scores, lambda X: X[:, 0], 2, 100, 0)
+
+
+class TestRiskEstimate:
+    @pytest.mark.parametrize("samples, se, match", [
+        (0, 0.0, "at least one sample"),
+        (10, -1.0, "standard error must be nonnegative"),
+        (10, -math.inf, "standard error must be nonnegative"),
+    ])
+    def test_refusals(self, samples, se, match):
+        with pytest.raises(PreconditionError, match=match):
+            RiskEstimate(0.5, se, samples, 0)
+
+    @pytest.mark.parametrize("estimator", [
+        squared_excess_risk, hinge_excess_risk, logistic_excess_risk, classification_excess_risk,
+    ])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_draws_refused(self, estimator, m):
+        zero = lambda X: np.zeros(len(X))
+        with pytest.raises(PreconditionError, match="at least one Monte Carlo draw"):
+            estimator(zero, lambda X: np.full(len(X), 0.5), 2, m, 0)
 
 
 class TestGoldenEstimators:
