@@ -32,6 +32,10 @@ Architecture conventions used throughout the package:
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
+* A network file lists d, s, J, L and then the parameters in `param_vector`
+  order under keyword lines.  `_layout` defines its lines once, for
+  `save_cnn` and `load_cnn`: a file loads only if each line is what
+  `save_cnn` writes for the architecture in its header.
 
 All values are float64; "exact" claims are meant up to round-off.  Every
 function here is pure: inputs are never mutated and the returned objects
@@ -45,6 +49,7 @@ vector with each grid network.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -266,24 +271,23 @@ def run_row_blocks(n, rows, run):
         raise errors[0]
 
 
-def final_grid(net, x):
-    """Activated grid after the last layer, C-contiguous, shape (n, d, J).
+def final_grid(params, x):
+    """Activated grid after the last layer of `params`, C-contiguous, shape (n, d, J).
 
-    `net` is anything with `d` and `layers` (`CnnParams`, `compiler.OpenCnn`);
     x is checked as `forward` checks it, and a single d-vector gives n = 1.
     A larger batch than one row block goes through all layers block by block.
     """
-    X = _check_input(net, x)
-    (n, d), J = X.shape, len(net.layers[-1].bias)
+    X = _check_input(params, x)
+    (n, d), J = X.shape, params.J
     if n * d * J <= _BLOCK_FLOATS:
-        for a in _activations(net.layers, X):
+        for a in _activations(params.layers, X):
             pass
         return np.ascontiguousarray(a)
     rows, out = max(1, _BLOCK_FLOATS // (d * J)), np.empty((n, d, J))
 
     def run(lo, hi):
         for start in range(lo, hi, rows):
-            for a in _activations(net.layers, X[start : start + rows]):
+            for a in _activations(params.layers, X[start : start + rows]):
                 pass
             out[start : start + rows] = a
 
@@ -357,16 +361,13 @@ def layer_norm(layer):
     return float(per_channel.max())
 
 
-def layer_norm_product(layers, value=1.0):
-    """value * prod_l max(layer_norm_l, 1), multiplied in from the left in layer order."""
-    for layer in layers:
+def path_norm(params):
+    """Weight-constraint functional: ||W_out||_1 * prod_l max(layer_norm_l, 1),
+    multiplied in from the left in layer order."""
+    value = float(np.abs(params.output_weights).sum())
+    for layer in params.layers:
         value *= max(layer_norm(layer), 1.0)
     return value
-
-
-def path_norm(params):
-    """Weight-constraint functional: ||W_out||_1 * prod_l max(layer_norm_l, 1)."""
-    return layer_norm_product(params.layers, float(np.abs(params.output_weights).sum()))
 
 
 def rescale(params):
@@ -504,79 +505,64 @@ def params_from_vector(vec, d, s, J, L):
 # -- serialization ---------------------------------------------------------
 
 
+def _layout(d, s, J, L):
+    """The lines of a (d, s, J, L) network file in `param_vector` order: each
+    keyword line as its string, each number line as the count of its floats."""
+    yield "cnn v1"
+    yield from (f"{key} {count}" for key, count in zip("dsJL", (d, s, J, L)))
+    for i in range(L):
+        in_c = 1 if i == 0 else J
+        yield f"layer {i} out {J} in {in_c}"
+        yield "filter"
+        yield from [J * in_c] * s  # one line per tap
+        yield "bias"
+        yield J
+    yield "output"
+    yield from [J] * d  # one line per row
+    yield "end"
+
+
 def save_cnn(params, path):
     """Write parameters as self-describing text; round-trip is value-exact.
 
     Floats are written with repr, whose shortest decimal form recovers the
     identical IEEE double on load.
     """
-    lines = [
-        "cnn v1",
-        f"d {params.d}",
-        f"s {params.s}",
-        f"J {params.J}",
-        f"L {params.depth}",
-    ]
-    for i, layer in enumerate(params.layers):
-        lines.append(f"layer {i} out {layer.out_channels} in {layer.in_channels}")
-        lines.append("filter")
-        for tap in layer.weights:
-            lines.append(" ".join(repr(float(v)) for v in tap.ravel()))
-        lines.append("bias")
-        lines.append(" ".join(repr(float(v)) for v in layer.bias))
-    lines.append("output")
-    for row in params.output_weights:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append("end")
+    values = iter(param_vector(params).tolist())
+    lines = [" ".join(repr(next(values)) for _ in range(line)) if isinstance(line, int) else line
+             for line in _layout(params.d, params.s, params.J, params.depth)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_cnn(path):
-    """Read a network written by save_cnn."""
+    """Read a network written by save_cnn.  The header's d, s, J and L fix
+    every later line: each keyword line must be the one save_cnn writes, each
+    number line must hold as many floats, and nothing may follow `end`."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    it = iter(lines)
-
-    def next_line():
-        line = next(it, None)
-        if line is None:
-            raise PreconditionError("malformed cnn file: unexpected end of file")
-        return line
-
-    def expect(prefix):
-        line = next_line()
-        if not line.startswith(prefix):
-            raise PreconditionError(f"malformed cnn file: expected {prefix!r}, got {line!r}")
-        return line
-
+    vec = []
     try:
-        expect("cnn v1")
-        d, s, J, L = (int(expect(f"{key} ").split()[1]) for key in "dsJL")
-        # every count is checked before the arrays it sizes are allocated
+        if len(lines) < 5:
+            raise ValueError("unexpected end of file")
+        d, s, J, L = (int(line.split()[1]) for line in lines[1:5])
+        # a count the lab could not hold is refused by name, before any later line is read
         for key, count in (("d", d), ("s", s), ("J", J), ("L", L), ("d * J", d * J)):
             check_size(f"cnn file {key}", count)
-        layers = []
-        for i in range(L):
-            head = expect(f"layer {i} ").split()
-            out_c, in_c = int(head[3]), int(head[5])
-            for key, count in (("out", out_c), ("in", in_c), ("s * out * in", s * out_c * in_c)):
-                check_size(f"cnn file layer {i} {key}", count)
-            expect("filter")
-            w = np.empty((s, out_c, in_c))
-            for tap in range(s):
-                vals = [float(v) for v in next_line().split()]
-                w[tap] = np.array(vals).reshape(out_c, in_c)
-            expect("bias")
-            b = np.array([float(v) for v in next_line().split()])
-            layers.append(ConvLayer(w, b))
-        expect("output")
-        W = np.empty((d, J))
-        for r in range(d):
-            W[r] = [float(v) for v in next_line().split()]
-        expect("end")
-    except PreconditionError:
+        for want, line in itertools.zip_longest(_layout(d, s, J, L), lines):
+            if line is None:
+                raise ValueError("unexpected end of file")
+            if want is None:
+                raise ValueError(f"expected nothing after 'end', got {line!r}")
+            if isinstance(want, int):
+                vals = [float(v) for v in line.split()]
+                if len(vals) != want:
+                    raise ValueError(f"expected {want} numbers on a line, got {len(vals)}")
+                vec += vals
+            elif line != want:
+                raise ValueError(f"expected {want!r}, got {line!r}")
+    except PreconditionError:  # a size guard, whose message names the count
         raise
-    except (IndexError, ValueError) as exc:  # a non-numeric or missing token
+    except (IndexError, ValueError) as exc:  # a missing, extra or non-numeric token or line
         raise PreconditionError(f"malformed cnn file: {exc}") from exc
-    return CnnParams(d, s, layers, W)
+    return params_from_vector(vec, d, s, J, L)

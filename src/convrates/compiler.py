@@ -17,12 +17,13 @@ are controlled:
 * the assembly's readout, a 6-vector on row 0 of the last grid, gives the
   sum's value.  `shallow_to_cnn` makes it the output weights;
   `shallow_to_cnn_open` writes it into one layer exposing relu(f) and
-  relu(-f); `compose_with_scalar_net` follows that layer with K layers that
-  accumulate the neurons of a scalar ReLU net g the same way.
+  relu(-f), and reads out relu(f); `compose_with_scalar_net` follows that
+  layer with K layers that accumulate the neurons of a scalar ReLU net g the
+  same way.
 
-All constructions come with explicit path-norm bounds; compile reports carry
-the achieved and guaranteed values and the guarantee is asserted on every
-call.
+Every construction returns a `CnnParams` and a `CompileReport`, which carries
+the achieved path norm and its explicit guaranteed bound; the guarantee is
+asserted on every call.
 
 `ShallowNet` (the reference the compiled networks are checked against) and
 `ScalarNet`, the one-dimensional `ShallowNet` behind the surrogate links,
@@ -39,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnn import (CnnParams, ConvLayer, final_grid, layer_norm_product, path_norm, rescale,
-                  run_row_blocks)
+from .cnn import CnnParams, ConvLayer, path_norm, rescale, run_row_blocks
 from .errors import PreconditionError, PropertyFailure, check_finite, check_size
 
 # channel roles in 6-channel assemblies (0-based)
@@ -190,31 +190,6 @@ class CompileReport:
             )
 
 
-@dataclass
-class OpenCnn:
-    """Convolutional layers without an output contraction.
-
-    The interesting values live in designated channels of spatial row 0 of
-    the final activated grid; other entries are construction byproducts.
-    """
-
-    d: int
-    s: int
-    layers: list
-
-    @property
-    def depth(self):
-        return len(self.layers)
-
-    def final_grid(self, X):
-        """Activated grid after the last layer, shape (n, d, channels); see `cnn.final_grid`."""
-        return final_grid(self, X)
-
-    def norm_product(self):
-        """Product of max(layer_norm, 1); the open analogue of the path norm."""
-        return layer_norm_product(self.layers)
-
-
 def _neuron_layers(direction, offset, s):
     """3-channel layer stack computing relu(direction . x + offset) at grid (0, 0).
 
@@ -349,21 +324,24 @@ def _expose_layer(s, readout, pos_channel, neg_channel):
 
 
 def shallow_to_cnn_open(net, s):
-    """Compile into layers exposing relu(f(x)) and relu(-f(x)) on the grid.
+    """Compile into a 6-channel CNN computing relu(f(x)) that also exposes relu(-f(x)).
 
-    The final activated grid holds relu(net(x)) at (row 0, channel 0) and
-    relu(-net(x)) at (row 0, channel 1); channels 2-5 of row 0 are zero.
-    f(x) is recovered as the difference of the two entries.
+    Returns (params, report).  The final activated grid holds relu(net(x)) at
+    (row 0, channel 0) and relu(-net(x)) at (row 0, channel 1); channels 2-5
+    of row 0 are zero, and f(x) is the difference of the two entries.  The
+    output weights are 1 at (0, 0) and 0 elsewhere.
     """
     layers, readout, N, M, L0 = _sum_layers(net, s, 1)
     layers.append(_expose_layer(s, readout, 0, 1))
-    open_net = OpenCnn(net.d, s, layers)
+    W = np.zeros((net.d, 6))
+    W[0, 0] = 1.0
+    params = CnnParams(net.d, s, layers, W)
 
-    # the max(.,1) floor in norm_product keeps it >= 1 even for a zero net,
-    # so the guarantee is the construction bound or 3, whichever is larger
+    # the layer norms' max(., 1) floors keep the path norm >= 1 even for a zero
+    # net, so the guarantee is the construction bound or 3, whichever is larger
     bound = max(3.0 ** (L0 + 1) * N * M, 3.0)
-    report = CompileReport(N * L0 + 1, 6, open_net.norm_product(), bound, L0)
-    return open_net, report
+    report = CompileReport(N * L0 + 1, 6, path_norm(params), bound, L0)
+    return params, report
 
 
 def compose_with_scalar_net(net, g, s):

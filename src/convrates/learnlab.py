@@ -335,8 +335,9 @@ class NoiseSpec:
         if self.kind == "uniform" and not math.isfinite(2 * self.scale):
             raise PreconditionError(f"uniform noise scale {self.scale} overflows its range")
 
-    def admissible_moment_exponent(self, mean_bound):
-        """A c > 0 with E exp(c Y^2) < inf, from the analytic argument."""
+    def admissible_moment_exponent(self):
+        """A c > 0 with E exp(c Y^2) < inf, from the analytic argument; it holds
+        whatever the bound on the mean is."""
         if self.kind == "uniform" or self.scale == 0:
             return math.inf
         return 1.0 / (4 * self.scale**2) * 0.999
@@ -483,7 +484,8 @@ def train_erm(data, cfg):
     projected back into the class (output-layer scaling).  The best iterate
     by full-sample risk, across all epochs and restarts and including the
     initializations, is returned, so the result never does worse than any
-    initialization.  Raises TrainingFailure if the loss turns non-finite.
+    initialization.  Raises TrainingFailure if the risk, at an initialization
+    or after an epoch, or a loss gradient is non-finite.
 
     Each restart keeps its parameters in one flat vector; the network it
     trains is a `params_view` of that vector, so Adam and the projection
@@ -509,18 +511,21 @@ def train_erm(data, cfg):
             vec = param_vector(_init_cnn(*arch, cfg.M, rng, cfg.init_scale))
             params = params_view(vec, *arch)
             step = 0
-            risks = [empirical_risk(params, X, y, cfg.loss, level)]
-            if best is None or risks[0] < best[0]:
-                best = (risks[0], params_from_vector(vec, *arch), restart, 0)
-
-            m1 = np.zeros_like(vec)
-            m2 = np.zeros_like(vec)
 
             def fail(reason):
                 return TrainingFailure(
                     reason,
                     TrainTrace(all_risks + [np.array(risks)], -1, -1, math.nan, 0.0),
                 )
+
+            risks = [empirical_risk(params, X, y, cfg.loss, level)]
+            if not math.isfinite(risks[0]):
+                raise fail("non-finite empirical risk")
+            if best is None or risks[0] < best[0]:
+                best = (risks[0], params_from_vector(vec, *arch), restart, 0)
+
+            m1 = np.zeros_like(vec)
+            m2 = np.zeros_like(vec)
 
             def batch_loss_grad(f_vals):
                 g = _loss_grad(cfg.loss, f_vals, y_batch, level) / len(y_batch)

@@ -392,6 +392,7 @@ class TestCriterion09GradientCheck:
         )
 
 
+@pytest.mark.slow
 class TestCriterion10RateExperiments:
     """Schedule trend checks: strictly decreasing mean excess risk up to one
     inversion, negative fitted slope, predicted slope printed alongside.

@@ -27,6 +27,7 @@ from convrates.cnn import (
     conv_apply,
     conv_matrix,
     embed,
+    final_grid,
     forward,
     layer_norm,
     load_cnn,
@@ -40,7 +41,7 @@ from convrates.cnn import (
     truncate,
 )
 from convrates.complexity import empirical_cover_check
-from convrates.compiler import OpenCnn, ShallowNet, compose_with_scalar_net
+from convrates.compiler import ShallowNet, compose_with_scalar_net
 from convrates.errors import PreconditionError, ShapeError
 from convrates.learnlab import TrainConfig, make_eta_tsybakov, sample_dataset, train_erm
 from convrates.links import log_link_net
@@ -567,7 +568,7 @@ class TestTapLowering:
         params, _ = compose_with_scalar_net(net, log_link_net(50), 3)
         X = rng.random((200, 8))
         _, grids, _ = stacked_reference(params, X, np.ones(200))
-        got = OpenCnn(params.d, params.s, params.layers).final_grid(X)
+        got = final_grid(params, X)
         assert got.flags.c_contiguous
         assert got.tobytes() == grids[-1].tobytes()
 
@@ -679,8 +680,7 @@ def _forward_case(rng):
 def _open_case(rng):
     net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, 8)), rng.standard_normal(2))
     params, _ = compose_with_scalar_net(net, log_link_net(3), 3)
-    open_net = OpenCnn(params.d, params.s, params.layers)
-    return open_net.final_grid, (8,), _BLOCK_FLOATS // 48
+    return (lambda X: final_grid(params, X)), (8,), _BLOCK_FLOATS // 48
 
 
 def _shallow_case(rng):
@@ -956,6 +956,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("old, new", [
         ("cnn v1", "cnn v2"), ("bias", "weights"), ("output", "input"), ("end", "more"),
+        ("filter", "filters"), ("bias", "biases"), ("output", "outputs"), ("end", "ending"),
     ])
     def test_unexpected_line_is_a_precondition_error(self, rng, tmp_path, old, new):
         path = tmp_path / "net.txt"
@@ -978,14 +979,42 @@ class TestSerialization:
         with pytest.raises(PreconditionError, match="malformed cnn file: .*'abc'"):
             load_cnn(path)
 
+    def test_line_after_end_is_a_precondition_error(self, rng, tmp_path):
+        path = tmp_path / "net.txt"
+        save_cnn(random_cnn(rng), path)
+        path.write_text(path.read_text() + "end\n")
+        with pytest.raises(PreconditionError, match="expected nothing after 'end', got 'end'"):
+            load_cnn(path)
+
+    @pytest.mark.parametrize("section", ["filter", "bias", "output"])
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_number_line_of_another_length_is_a_precondition_error(
+            self, rng, tmp_path, section, change):
+        path = tmp_path / "net.txt"
+        save_cnn(random_cnn(rng, d=4, s=2, J=3, L=2), path)
+        lines = path.read_text().splitlines()
+        row = lines.index(section) + 1
+        values = lines[row].split()
+        lines[row] = " ".join(values + ["0.5"] if change > 0 else values[:-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PreconditionError, match=(
+                f"malformed cnn file: expected {len(values)} numbers on a line, "
+                f"got {len(values) + change}$")):
+            load_cnn(path)
+
     @pytest.mark.parametrize(
-        "line, name",
-        [("d 100000000000", "d"), ("s 100000000000", "s"), ("J 0", "J"),
-         ("L 100000000000", "L"), ("J 5000000", "d \\* J"),
-         ("layer 0 out 100000000000 in 1", "layer 0 out"), ("layer 0 out 3 in -1", "layer 0 in"),
-         ("layer 1 out 4000 in 4000", "layer 1 s \\* out \\* in")],
+        "line, refusal",
+        [("d 100000000000", "cnn file d must be between"),
+         ("s 100000000000", "cnn file s must be between"),
+         ("J 0", "cnn file J must be between"),
+         ("L 100000000000", "cnn file L must be between"),
+         ("J 5000000", "cnn file d \\* J must be between"),
+         # the header fixes every layer line, so a layer line's counts are never read
+         ("layer 0 out 100000000000 in 1", "expected 'layer 0 out 3 in 1'"),
+         ("layer 0 out 3 in -1", "expected 'layer 0 out 3 in 1'"),
+         ("layer 1 out 4000 in 4000", "expected 'layer 1 out 3 in 3'")],
     )
-    def test_counts_the_file_cannot_hold_are_refused(self, rng, tmp_path, line, name):
+    def test_counts_the_file_cannot_hold_are_refused(self, rng, tmp_path, line, refusal):
         path = tmp_path / "net.txt"
         save_cnn(random_cnn(rng, d=4, s=2, J=3, L=2), path)
         lines = path.read_text().splitlines()
@@ -993,7 +1022,7 @@ class TestSerialization:
         row = next(i for i, old in enumerate(lines) if old.split()[: len(head)] == head)
         lines[row] = line
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PreconditionError, match=f"cnn file {name} must be between"):
+        with pytest.raises(PreconditionError, match=refusal):
             load_cnn(path)
 
 

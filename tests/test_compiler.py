@@ -13,6 +13,7 @@ import pytest
 from convrates import cli, compiler, links
 from convrates.cnn import (
     activation_grids,
+    final_grid,
     forward,
     layer_norm,
     param_vector,
@@ -173,7 +174,7 @@ class TestShallowToCnnOpen:
     def test_zero_net_exposes_zeros(self, rng):
         net = ShallowNet([0.0], [[0.0, 0.0, 0.0]], [0.0])
         open_net, _ = shallow_to_cnn_open(net, 2)
-        grid = open_net.final_grid(rng.random((20, 3)))
+        grid = final_grid(open_net, rng.random((20, 3)))
         assert np.all(grid[:, 0, :2] == 0.0)
 
     def test_reconstruction(self, rng):
@@ -181,7 +182,7 @@ class TestShallowToCnnOpen:
         open_net, report = shallow_to_cnn_open(net, 2)
         assert open_net.depth == 7 * sweep_depth(5, 2) + 1
         X = rng.random((1000, 5))
-        grid = open_net.final_grid(X)
+        grid = final_grid(open_net, X)
         rec = grid[:, 0, 0] - grid[:, 0, 1]
         ref = net(X)
         assert np.max(np.abs(rec - ref)) < 1e-10
@@ -189,11 +190,22 @@ class TestShallowToCnnOpen:
         assert np.all(grid[:, 0, 2:] == 0.0)
         assert report.norm_achieved <= report.norm_bound * (1 + 1e-12)
 
+    def test_computes_relu_of_the_net(self, rng):
+        for trial in range(5):
+            d = int(rng.integers(2, 8))
+            s = int(rng.integers(2, d + 1))
+            net = random_shallow(rng, d, int(rng.integers(1, 16)))
+            open_net, report = shallow_to_cnn_open(net, s)
+            X = unit_cube_points(d, 2000, seed=trial)
+            ref = np.maximum(net(X), 0.0)
+            assert np.max(np.abs(forward(open_net, X) - ref) / (1 + ref)) < 1e-10
+            assert report.norm_achieved == path_norm(open_net)
+
     def test_negative_branch_is_zero_where_positive(self, rng):
         net = random_shallow(rng, 4, 5)
         open_net, _ = shallow_to_cnn_open(net, 2)
         X = rng.random((500, 4))
-        grid = open_net.final_grid(X)
+        grid = final_grid(open_net, X)
         vals = net(X)
         assert np.all(grid[vals > 0, 0, 1] == 0.0)
         assert np.all(grid[vals < 0, 0, 0] == 0.0)
@@ -204,20 +216,20 @@ class TestShallowToCnnOpen:
         X = rng.random((5, 3))
         X[2, 1] = bad
         with pytest.raises(PreconditionError):
-            open_net.final_grid(X)
+            final_grid(open_net, X)
 
     @pytest.mark.parametrize("shape", [(4, 5), (4, 2), (5,), (2, 3, 1)])
     def test_batch_of_another_width_rejected(self, rng, shape):
         open_net, _ = shallow_to_cnn_open(random_shallow(rng, 3, 2), 2)
         with pytest.raises(ShapeError):
-            open_net.final_grid(rng.random(shape))
+            final_grid(open_net, rng.random(shape))
 
     def test_single_point_gives_one_grid(self, rng):
         open_net, _ = shallow_to_cnn_open(random_shallow(rng, 3, 2), 2)
         x = rng.random(3)
-        grid = open_net.final_grid(x)
+        grid = final_grid(open_net, x)
         assert grid.shape == (1, 3, 6)
-        assert grid.tobytes() == open_net.final_grid(x[None]).tobytes()
+        assert grid.tobytes() == final_grid(open_net, x[None]).tobytes()
 
 
 class TestComposeWithScalarNet:

@@ -320,8 +320,8 @@ class TestSampleDataset:
             sample_dataset(spec, n, seed=0)
 
     def test_noise_admissibility_recorded(self):
-        assert NoiseSpec("gaussian", 0.5).admissible_moment_exponent(1.0) < math.inf
-        assert NoiseSpec("uniform", 0.5).admissible_moment_exponent(1.0) == math.inf
+        assert NoiseSpec("gaussian", 0.5).admissible_moment_exponent() < math.inf
+        assert NoiseSpec("uniform", 0.5).admissible_moment_exponent() == math.inf
         with pytest.raises(PreconditionError):
             NoiseSpec("cauchy", 1.0)
 
@@ -457,6 +457,16 @@ class TestTrainErm:
         with pytest.raises(TrainingFailure, match="non-finite loss gradient") as info:
             train_erm(data, cfg)
         assert len(info.value.trace.risks) == 1 and len(info.value.trace.risks[0]) == 1
+
+    def test_nonfinite_initial_risk_raises_before_any_step(self, monkeypatch):
+        steps, backward = [], learnlab.backward
+        monkeypatch.setattr(learnlab, "backward", lambda *a: steps.append(a) or backward(*a))
+        X = np.random.default_rng(0).random((50, 2))
+        cfg = TrainConfig(epochs=2, batch_size=10, restarts=1)
+        with pytest.raises(TrainingFailure, match="non-finite empirical risk") as info:
+            train_erm(Dataset(X, np.full(50, 1e200)), cfg)
+        assert steps == []
+        assert [list(risks) for risks in info.value.trace.risks] == [[math.inf]]
 
     def test_errstate_covers_the_blocked_full_sample_risk(self, monkeypatch):
         # n = 8192 at d = 2, J = 6 is several row blocks, so the full-sample risk's
