@@ -27,10 +27,14 @@ asserted on every call.
 
 `ShallowNet` (the reference the compiled networks are checked against) and
 `ScalarNet`, the one-dimensional `ShallowNet` behind the surrogate links,
-evaluate their points in row blocks through one reused pre-activation buffer
-of about `_BLOCK_BYTES` per core.  Inner products and the neuron sum are formed
-in a fixed order without BLAS, so a value does not depend on the block size,
-the number of points, the worker count or the BLAS thread count.
+refuse non-finite points.  With d >= 2 they evaluate every point by the dense
+sum: in row blocks through one reused pre-activation buffer of about
+`_BLOCK_BYTES` per core, with inner products and the neuron sum formed in a
+fixed order without BLAS.  With d = 1 the net is piecewise linear, so the
+dense sum runs on its distinct kinks only, and each point is interpolated
+linearly between the two kinks around it, or extended with the end slope
+beyond the outermost kink.  Either way a value does not depend on the block
+size, the number of points, the worker count or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ def _as_1d(x, name):
     return arr
 
 
-_BLOCK_BYTES = 256 << 10  # one block of pre-activations in `_relu_sum`
+_BLOCK_BYTES = 256 << 10  # one block of pre-activations in `_dense_relu_sum`
 
 
-def _relu_sum(X, directions, offsets, coeffs):
+def _dense_relu_sum(X, directions, offsets, coeffs):
     """sum_k coeffs[k] * relu(directions[k] . X[i] + offsets[k]) for each row i of X.
 
     The rows are taken in blocks whose pre-activations fill a buffer of about
@@ -88,6 +92,65 @@ def _relu_sum(X, directions, offsets, coeffs):
             np.einsum("ij,j->i", p, coeffs, out=out[start : start + rows])
 
     run_row_blocks(n, rows, run)
+    return out
+
+
+def _relu_sum(X, directions, offsets, coeffs):
+    """`_dense_relu_sum` for d >= 2; for d = 1, the same net evaluated at its kinks.
+
+    A one-dimensional net is piecewise linear with kinks at t = -b_k/a_k.  Its
+    values at the distinct finite kinks come from `_dense_relu_sum`, one row
+    per kink.  Between two kinks the net is affine: a point there takes the
+    value at the nearer of the two plus its signed distance times the slope
+    through both, so a small value never comes from cancelling larger ones.
+    Beyond the outermost kinks the slope is sum_k c_k a_k over the neurons on
+    there.  A neuron without a finite kink (a_k = 0, or -b_k/a_k past the
+    float range) is on for every finite t when b_k > 0 and off otherwise.
+    Each point is interpolated on its own, in blocks of `_BLOCK_BYTES // 8`
+    points: its value does not depend on the number of points, the block size
+    or the worker count.  A net that overflows float64 at a kink, between two
+    kinks or in a slope is summed densely at every point instead, since the
+    interpolant would spread the overflow over a whole segment.
+    """
+    if X.shape[1] > 1:
+        return _dense_relu_sum(X, directions, offsets, coeffs)
+    a = directions[:, 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        kinks = -offsets / a
+        finite = np.isfinite(kinks)
+        nodes = np.unique(kinks[finite])  # sorted
+        if nodes.size == 0:  # a constant net
+            nodes = np.zeros(1)
+        values = _dense_relu_sum(nodes[:, None], directions, offsets, coeffs)
+        always_on = ~finite & (offsets > 0)
+        ca = coeffs * a
+        left = np.sum(ca[(finite & (a < 0)) | always_on])
+        right = np.sum(ca[(finite & (a > 0)) | always_on])
+        # slope[k] on segment k: left of every kink, between kinks k-1 and k,
+        # right of every kink
+        width = np.concatenate([[1.0], np.diff(nodes), [1.0]])
+        slope = np.concatenate([[left], np.diff(values), [right]]) / width
+    if not (np.isfinite(values).all() and np.isfinite(width).all() and np.isfinite(slope).all()):
+        return _dense_relu_sum(X, directions, offsets, coeffs)
+    # each segment halved at its midpoint: half h (past breaks[h - 1]) is
+    # anchored at its segment's end nearer to it
+    breaks = np.empty(2 * nodes.size - 1)
+    breaks[0::2] = nodes
+    breaks[1::2] = nodes[:-1] + width[1:-1] / 2
+    anchor, anchor_value = np.repeat(nodes, 2), np.repeat(values, 2)
+    half_slope = np.repeat(slope, 2)[1:-1]
+
+    t = X[:, 0]
+    out = np.empty(len(t))
+    rows = _BLOCK_BYTES // 8
+
+    def run(lo, hi):
+        for start in range(lo, hi, rows):
+            x = t[start : start + rows]
+            h = np.searchsorted(breaks, x, side="right")
+            out[start : start + len(x)] = anchor_value[h] + (x - anchor[h]) * half_slope[h]
+
+    run_row_blocks(len(t), rows, run)
     return out
 
 
@@ -123,11 +186,14 @@ class ShallowNet:
         """The net's value at one point x of shape (d,), as a float, or at each
         row of X of shape (n, d), as an array of shape (n,).
 
-        Evaluated by `_relu_sum`: in row blocks on every usable core, without
-        BLAS, so a row's value does not depend on how many rows come with it,
-        on the worker count or on the BLAS thread count.
+        Non-finite entries are refused.  With d >= 2 each row goes through the
+        fixed-order dense sum; with d = 1 the dense sum runs on the net's
+        kinks and each row is interpolated between them (see `_relu_sum`).
+        Either way, in blocks on every usable core, without BLAS, so a row's
+        value does not depend on how many rows come with it, on the worker
+        count or on the BLAS thread count.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = check_finite(x, "points")
         if x.ndim not in (1, 2) or x.shape[-1] != self.d:
             raise PreconditionError(f"points must have shape (d,) or (n, d) with d={self.d}")
         out = _relu_sum(x.reshape(-1, self.d), self.directions, self.offsets, self.coeffs)
@@ -149,11 +215,14 @@ class ScalarNet(ShallowNet):
         """The net's value at each entry of t: a float for a scalar t, else an
         array of t's shape.
 
-        Evaluated by `_relu_sum` as a one-dimensional shallow net, so an
+        Non-finite entries are refused.  Evaluated by `_relu_sum` as a
+        one-dimensional shallow net: the fixed-order dense sum gives the
+        values at the net's kinks, and each entry is interpolated linearly
+        between them or extended with the end slope beyond them, so an
         entry's value does not depend on t's size, on the worker count or on
         the BLAS thread count.
         """
-        t = np.asarray(t, dtype=np.float64)
+        t = check_finite(t, "points")
         out = _relu_sum(t.reshape(-1, 1), self.directions, self.offsets, self.coeffs)
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 

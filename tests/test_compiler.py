@@ -6,9 +6,13 @@ and every compile call is checked against its guaranteed norm bound.
 import hashlib
 import os
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrates import cli, compiler, links
 from convrates.cnn import (
@@ -416,6 +420,115 @@ class TestBlockedEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+
+def _magnitudes(high):
+    # zero or at least 1e-50 in magnitude, so that no product of three
+    # underflows: the bound below models rounding, not underflow
+    return st.one_of(st.just(0.0), st.floats(1e-50, high), st.floats(-high, -1e-50))
+
+
+@st.composite
+def _scalar_nets_and_points(draw):
+    """A ScalarNet of 1-8 neurons, with zero weights and repeated kinks, and
+    points on, beside and between its kinks and beyond the outermost ones."""
+    weight = _magnitudes(1e3)
+    neurons = []
+    for _ in range(draw(st.integers(1, 8))):
+        if neurons and draw(st.booleans()):  # an earlier neuron's kink, scaled exactly
+            _, a, b = draw(st.sampled_from(neurons))
+            scale = draw(st.sampled_from([-4.0, -1.0, 0.5, 2.0]))
+            neurons.append((draw(weight), scale * a, scale * b))
+        else:
+            neurons.append((draw(weight), draw(weight), draw(weight)))
+    kinks = [-b / a for _, a, b in neurons if a != 0 and abs(b / a) <= 1e6]
+    beside = [x for k in kinks for x in (np.nextafter(k, -2e6), np.nextafter(k, 2e6))
+              if x == 0 or abs(x) >= 1e-50]
+    point = _magnitudes(1e6)
+    if kinks:
+        point = st.one_of(point, st.sampled_from(kinks + beside))
+    t = draw(st.lists(point, min_size=1, max_size=20))
+    return ScalarNet(*map(np.array, zip(*neurons))), np.array(t)
+
+
+def _record_dense_rows(monkeypatch):
+    rows = []
+    dense = compiler._dense_relu_sum
+
+    def recording(X, *args):
+        rows.append(len(X))
+        return dense(X, *args)
+
+    monkeypatch.setattr(compiler, "_dense_relu_sum", recording)
+    return rows
+
+
+class TestKinkEvaluation:
+    """A one-dimensional net is summed densely at its kinks only and
+    interpolated between them; d >= 2 nets are summed densely at every point."""
+
+    @settings(max_examples=300)  # fewer miss a point that cancels against a far kink
+    @given(_scalar_nets_and_points())
+    def test_within_the_rounding_bound_of_the_exact_value(self, case):
+        net, t = case
+        u = Fraction(2) ** -53
+        K = net.n_neurons
+        terms = [tuple(map(Fraction, w)) for w in zip(net.coeffs, net.slopes, net.offsets)]
+        for x, value in zip(t, net(t)):
+            x = Fraction(x)
+            exact = sum(c * max(a * x + b, 0) for c, a, b in terms)
+            scale = sum(abs(c) * (abs(a * x) + abs(b)) for c, a, b in terms)
+            assert abs(Fraction(value) - exact) <= 4 * K * u * scale + u * abs(exact)
+
+    def test_one_dense_row_per_distinct_kink(self, monkeypatch, rng):
+        rows = _record_dense_rows(monkeypatch)
+        t = rng.uniform(-2.0, 2.0, 10_000)
+        for net in (links.log_link_net(200), links.sign_link_net(0.2),
+                    ScalarNet([1.0, 2.0, 3.0], [1.0, -2.0, 0.0], [-1.0, 2.0, 5.0])):
+            rows.clear()
+            net(t)
+            kinks = np.unique(-net.offsets[net.slopes != 0] / net.slopes[net.slopes != 0])
+            assert sum(rows) <= len(kinks)
+        rows.clear()
+        constant = ScalarNet([1.0, -2.0], [0.0, 0.0], [3.0, 1.0])
+        assert np.all(constant(t) == 1.0)
+        assert rows == [1]
+
+    def test_one_dense_row_per_point_in_two_dimensions(self, monkeypatch, rng):
+        rows = _record_dense_rows(monkeypatch)
+        random_shallow(rng, 2, 5)(rng.random((1000, 2)))
+        assert rows == [1000]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_points_rejected(self, rng, bad):
+        g = links.log_link_net(5)
+        with pytest.raises(PreconditionError, match="points must be finite"):
+            g(bad)
+        with pytest.raises(PreconditionError, match="points must be finite"):
+            g(np.array([0.5, bad]))
+        for d in (1, 2):
+            x = np.zeros((3, d))
+            x[1, 0] = bad
+            with pytest.raises(PreconditionError, match="points must be finite"):
+                random_shallow(rng, d, 3)(x)
+
+    def test_a_kink_past_the_float_range_is_never_crossed(self):
+        # the second neuron's kink, 1e310, overflows: for every finite t it
+        # is off, and adds nothing to the right end slope
+        net = ScalarNet([1.0, 1e290], [1.0, 1e-300], [0.0, -1e10])
+        t = np.array([-1e20, -1.0, 0.0, 1.0, 1e20])
+        assert net(t).tobytes() == compiler._dense_relu_sum(
+            t[:, None], net.directions, net.offsets, net.coeffs).tobytes()
+
+    def test_overflow_at_a_kink_falls_back_to_the_dense_sum(self):
+        # the second neuron's kink sits at 1e303, where the first overflows
+        net = ScalarNet([1e3, 1.0], [1e3, 1e-300], [0.0, -1e3])
+        t = np.linspace(-5.0, 5.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = net(t)
+        assert values.tobytes() == compiler._dense_relu_sum(
+            t[:, None], net.directions, net.offsets, net.coeffs).tobytes()
 
 
 def _golden_nets(d, s):

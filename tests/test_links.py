@@ -141,6 +141,13 @@ class TestLogLink:
         with pytest.raises(PreconditionError):
             log_link_net(2)
 
+    @given(st.floats(1.0, np.finfo(float).max))
+    def test_flat_outside_its_kinks_when_the_end_slopes_are_zero(self, t):
+        # the float sum of log_link_net(3)'s coefficients is exactly 0
+        link = log_link_net(3)
+        assert link(t) == link(1.0)
+        assert link(-t) == link(-1.0)
+
 
 class TestSignLink:
     def test_zero_at_zero(self):
@@ -150,6 +157,13 @@ class TestSignLink:
         link = sign_link_net(0.25)
         assert link(0.5) == pytest.approx(1.0, abs=1e-14)
         assert link(-0.5) == pytest.approx(-1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("t", [1e3, 1e20, 1e300])
+    def test_saturates_far_from_its_kinks(self, t):
+        link = sign_link_net(0.2)
+        u = np.finfo(float).eps / 2
+        assert abs(link(t) - 1.0) <= 4 * u
+        assert abs(link(-t) + 1.0) <= 4 * u
 
     def test_matches_clamp_oracle(self):
         t = np.linspace(-2, 2, 10_000)
