@@ -10,18 +10,24 @@ Architecture conventions used throughout the package:
   where T(w) is the upper-banded matrix of `conv_matrix` (one-sided zero
   padding, stride one).
 * The forward loop (`_conv_forward`, `_activations`) holds a batch of grids
-  spatial-major, shape (d, n, J): tap k is one GEMM over the contiguous rows
-  x[k:], added onto out[:d-k] in tap order after the bias.  A one-row tap
-  with J_in > 1 keeps numpy's per-sample gemv and a J_in = 1 tap is one
-  broadcast product, so results are bit-identical to the per-sample form,
-  except that a J_in = 1 pre-activation may be -0.0 where the per-sample sum,
-  which starts from +0, gives +0.0; ReLU makes both +0.
+  channel-major, shape (J, d, n): tap k is one GEMM w[k] @ x[:, k:], whose
+  right factor is a (J_in, (d-k) n) view with row stride d n, so the points
+  are the long dimension BLAS packs; it is added onto out[:, :d-k] in tap
+  order after the bias.  Its bits are those of the row-major x @ w[k]^T of
+  the per-sample form.  Two taps on J_in > 1 channels would make numpy
+  switch to gemv in this orientation, so they keep the row-major product on
+  a C-contiguous copy of their rows: a one-row tap (numpy's per-sample gemv)
+  and a tap with one output channel (only outside a network, in
+  `conv_apply`).  A J_in = 1 tap is one broadcast product, so results are
+  bit-identical to the per-sample form, except that a J_in = 1
+  pre-activation may be -0.0 where the per-sample sum, which starts from
+  +0, gives +0.0; ReLU makes both +0.
   A tap k > 0 with J_in > 1 whose filter block is all +-0 (a third of the
   taps of a compiled log link) is skipped, bit for bit where grids are finite:
   BLAS sums each entry from +0, so out holds no -0.0 once tap 0 and the
   bias are in, and the skipped tap's +0 would change no entry.
   Each layer's pre-activation grid is fresh, and ReLU overwrites it in
-  place.  `final_grid` takes a batch of several 256 KiB row blocks through
+  place.  `final_grid` takes a batch of several 512 KiB row blocks through
   all layers block by block, on every usable core (`run_row_blocks`); a
   row's value depends neither on the worker count nor on the BLAS thread
   count.  `backward`'s input gradient is the same loop on the adjoint:
@@ -153,10 +159,11 @@ def conv_matrix(w, d):
 
 
 def _conv_forward(weights, bias, x, last=False):
-    """Spatial-major layer map: x (d, n, J_in) -> (d, n, J_out), pre-activation.
+    """Channel-major layer map: x (J_in, d, n) -> (J_out, d, n), pre-activation.
 
     A net's last layer on one input channel has elementwise taps, so it writes
     (n, d, J_out) storage for free and spares the caller a transposed copy.
+    Where x is not C-contiguous, each matrix-product tap copies its rows.
 
     An all-zero tap is skipped as the module docstring says; that is exact
     only while x is finite.  Where x holds +-inf (only after a float64
@@ -164,24 +171,32 @@ def _conv_forward(weights, bias, x, last=False):
     and which are inf may differ from summing every tap.
     """
     s, J, K = weights.shape
-    d, n = x.shape[:2]
+    d, n = x.shape[1:]
     n_major = last and K == 1
-    out = np.empty((n, d, J)).transpose(1, 0, 2) if n_major else np.empty((d, n, J))
-    buf = np.empty((d - 1, n, J)) if s > 1 else None  # one product buffer for the shifted taps
+    out = np.empty((n, d, J)).transpose(2, 1, 0) if n_major else np.empty((J, d, n))
+    if K == 1:  # one-term dots: each tap is the GEMM's single rounded product
+        x, w = x[0], weights[..., None]
+        np.multiply(x, w[0], out=out)
+        out += bias[:, None, None]
+        for k in range(1, s):
+            out[:, : d - k] += x[k:] * w[k]
+        return out
+    buf = np.empty((J, d - 1, n)) if s > 1 else None  # one product buffer for the shifted taps
     for k in range(s):
-        t = out if k == 0 else buf[: d - k]
-        if K == 1:  # a one-term dot: the GEMM's single rounded product
-            np.multiply(x[k:], weights[k, :, 0], out=t)
-        elif k and not weights[k, 0, 0] and not weights[k].any():  # a trained tap stops at [0, 0]
+        t = out if k == 0 else buf[:, : d - k]
+        if k and not weights[k, 0, 0] and not weights[k].any():  # a trained tap stops at [0, 0]
             continue  # it would add +0 to an out that holds no -0.0
-        elif d - k == 1:  # one grid row: numpy's per-sample gemv, not a GEMM
-            t[0] = (x[k][:, None, :] @ weights[k].T)[:, 0]
+        elif d - k == 1:  # one grid row: numpy's per-sample gemv, on C-contiguous (n, K) rows
+            t[:, 0] = (np.ascontiguousarray(x[:, k].T)[:, None, :] @ weights[k].T)[:, 0].T
+        elif J == 1:  # one output channel: numpy's matrix-vector gemv, on C-contiguous rows
+            np.matmul(np.ascontiguousarray(x[:, k:].reshape(K, -1).T), weights[k].T,
+                      out=t.reshape(-1, 1))
+        else:  # the rows x[:, k:] are a (K, (d-k)*n) view with row stride d*n
+            np.matmul(weights[k], x[:, k:].reshape(K, -1), out=t.reshape(J, -1))
+        if k == 0:  # t0 + b is the same double as b + t0
+            out += bias[:, None, None]
         else:
-            np.matmul(x[k:].reshape(-1, K), weights[k].T, out=t.reshape(-1, J))
-        if k == 0:  # t0 + b is the same double as b + t0; one (n*J) row per grid row
-            out += bias if n_major else bias[None].repeat(n, 0)
-        else:
-            out[: d - k] += t
+            out[:, : d - k] += t
     return out
 
 
@@ -197,7 +212,7 @@ def conv_apply(layer, x):
         )
     if x.shape[0] < layer.filter_size:
         raise PreconditionError("signal length shorter than the filter")
-    return _conv_forward(layer.weights, layer.bias, x[:, None, :])[:, 0, :]
+    return _conv_forward(layer.weights, layer.bias, x.T[:, :, None])[:, :, 0].T
 
 
 def _check_input(params, x):
@@ -213,14 +228,14 @@ def _activations(layers, X):
     """Yield the activated grid after each layer for an (n, d) batch X.
 
     The package's one forward loop.  It yields (n, d, J) views of its
-    spatial-major grids; a caller that keeps only the last one holds a few
+    channel-major grids; a caller that keeps only the last one holds a few
     grids at a time, whatever the depth.
     """
-    a = X.T[:, :, None]
+    a = X.T[None]
     for i, layer in enumerate(layers, 1 - len(layers)):  # i = 0 at the last layer
         a = _conv_forward(layer.weights, layer.bias, a, last=i == 0)
         np.maximum(a, 0.0, out=a)  # the grid is fresh, so ReLU can overwrite it
-        yield a.transpose(1, 0, 2)
+        yield a.transpose(2, 1, 0)
 
 
 def activation_grids(params, x):
@@ -232,7 +247,9 @@ def activation_grids(params, x):
     return [np.ascontiguousarray(a) for a in _activations(params.layers, _check_input(params, x))]
 
 
-_BLOCK_FLOATS = 32 << 10  # one (d, rows, J) row block of `final_grid`: 256 KiB
+# one (J, d, rows) row block of `final_grid`, 512 KiB: half as many blocks as at
+# 256 KiB halve the per-layer Python work, and a block's three live grids fit in L2
+_BLOCK_FLOATS = 64 << 10
 
 
 def run_row_blocks(n, rows, run):
@@ -346,8 +363,8 @@ def backward(params, x, dout=None):
             # T(w)^T = P T(w^T) P: the forward core on the reversed grid
             w = params.layers[i].weights
             back = _conv_forward(w.transpose(0, 2, 1), np.zeros(w.shape[2]),
-                                 np.ascontiguousarray(gz.transpose(1, 0, 2)[::-1]))
-            ga = back[::-1].transpose(1, 0, 2)
+                                 np.ascontiguousarray(gz.transpose(2, 1, 0)[:, ::-1]))
+            ga = back[:, ::-1].transpose(2, 1, 0)
     return vec
 
 

@@ -63,11 +63,12 @@ def _as_1d(x, name):
 _BLOCK_BYTES = 256 << 10  # one block of pre-activations in `_dense_relu_sum`
 
 
-def _dense_relu_sum(X, directions, offsets, coeffs):
+def _dense_relu_sum(X, directions, offsets, coeffs, threads=True):
     """sum_k coeffs[k] * relu(directions[k] . X[i] + offsets[k]) for each row i of X.
 
     The rows are taken in blocks whose pre-activations fill a buffer of about
-    `_BLOCK_BYTES` (at least one row), one per run of `run_row_blocks`.  Each
+    `_BLOCK_BYTES` (at least one row), one per run of `run_row_blocks`, or all
+    on the calling thread when `threads` is false.  Each
     inner product adds its d products in coordinate order and each row's
     neuron sum is one einsum over that row, neither through BLAS: a row's value
     is the same double whatever the block size, the number of rows, the worker
@@ -91,7 +92,7 @@ def _dense_relu_sum(X, directions, offsets, coeffs):
             np.maximum(p, 0.0, out=p)
             np.einsum("ij,j->i", p, coeffs, out=out[start : start + rows])
 
-    run_row_blocks(n, rows, run)
+    run_row_blocks(n, rows, run) if threads else run(0, n)
     return out
 
 
@@ -100,7 +101,8 @@ def _relu_sum(X, directions, offsets, coeffs):
 
     A one-dimensional net is piecewise linear with kinks at t = -b_k/a_k.  Its
     values at the distinct finite kinks come from `_dense_relu_sum`, one row
-    per kink.  Between two kinks the net is affine: a point there takes the
+    per kink, on the calling thread: they are too few rows to pay for starting
+    another.  Between two kinks the net is affine: a point there takes the
     value at the nearer of the two plus its signed distance times the slope
     through both, so a small value never comes from cancelling larger ones.
     Beyond the outermost kinks the slope is sum_k c_k a_k over the neurons on
@@ -110,7 +112,10 @@ def _relu_sum(X, directions, offsets, coeffs):
     points: its value does not depend on the number of points, the block size
     or the worker count.  A net that overflows float64 at a kink, between two
     kinks or in a slope is summed densely at every point instead, since the
-    interpolant would spread the overflow over a whole segment.
+    interpolant would spread the overflow over a whole segment.  So is a net
+    with a product c_k a_k or a slope that underflows to a subnormal or to
+    zero: its absolute error, up to half the least subnormal, would grow with
+    the distance to the kink.
     """
     if X.shape[1] > 1:
         return _dense_relu_sum(X, directions, offsets, coeffs)
@@ -121,7 +126,7 @@ def _relu_sum(X, directions, offsets, coeffs):
         nodes = np.unique(kinks[finite])  # sorted
         if nodes.size == 0:  # a constant net
             nodes = np.zeros(1)
-        values = _dense_relu_sum(nodes[:, None], directions, offsets, coeffs)
+        values = _dense_relu_sum(nodes[:, None], directions, offsets, coeffs, threads=False)
         always_on = ~finite & (offsets > 0)
         ca = coeffs * a
         left = np.sum(ca[(finite & (a < 0)) | always_on])
@@ -129,8 +134,15 @@ def _relu_sum(X, directions, offsets, coeffs):
         # slope[k] on segment k: left of every kink, between kinks k-1 and k,
         # right of every kink
         width = np.concatenate([[1.0], np.diff(nodes), [1.0]])
-        slope = np.concatenate([[left], np.diff(values), [right]]) / width
-    if not (np.isfinite(values).all() and np.isfinite(width).all() and np.isfinite(slope).all()):
+        rise = np.concatenate([[left], np.diff(values), [right]])
+        slope = rise / width
+    tiny = np.finfo(np.float64).tiny
+    if (
+        np.any((np.abs(ca) < tiny) & (coeffs != 0) & (a != 0))
+        or np.any((np.abs(slope) < tiny) & (rise != 0))
+        or not (np.isfinite(values).all() and np.isfinite(width).all()
+                and np.isfinite(slope).all())
+    ):
         return _dense_relu_sum(X, directions, offsets, coeffs)
     # each segment halved at its midpoint: half h (past breaks[h - 1]) is
     # anchored at its segment's end nearer to it

@@ -17,6 +17,7 @@ import pytest
 from convrates import cli
 from convrates.cnn import (
     backward,
+    conv_apply,
     forward,
     layer_norm,
     param_vector,
@@ -352,13 +353,11 @@ class TestCriterion09GradientCheck:
         while checked < 50:
             params = random_cnn(rng)
             x = rng.random(params.d)
-            from convrates.cnn import _conv_forward
-
             def min_pre(p, x):
-                a = x[:, None, None]  # spatial-major: (d, n = 1, 1)
+                a = x[:, None]  # the (d, 1) input grid
                 m = np.inf
                 for layer in p.layers:
-                    z = _conv_forward(layer.weights, layer.bias, a)
+                    z = conv_apply(layer, a)
                     m = min(m, float(np.abs(z).min()))
                     a = np.maximum(z, 0.0)
                 return m

@@ -5,6 +5,7 @@ matrix-vector product for convolutions, and central finite differences for
 gradients.
 """
 
+import hashlib
 import math
 import os
 import sys
@@ -45,6 +46,7 @@ from convrates.compiler import ShallowNet, compose_with_scalar_net
 from convrates.errors import PreconditionError, ShapeError
 from convrates.learnlab import TrainConfig, make_eta_tsybakov, sample_dataset, train_erm
 from convrates.links import log_link_net
+from convrates.sampling import spawn_rng, unit_cube_points
 
 from conftest import random_cnn
 
@@ -175,7 +177,7 @@ class TestConvNormProperties:
                 rng.standard_normal((s, J_out, J_in)), rng.standard_normal(J_out)
             )
             X = rng.uniform(-3, 3, (100, d, J_in))
-            out = _conv_forward(layer.weights, layer.bias, X.transpose(1, 0, 2)).transpose(1, 0, 2)
+            out = _conv_forward(layer.weights, layer.bias, X.transpose(2, 1, 0)).transpose(2, 1, 0)
             lhs = np.abs(out).max(axis=(1, 2))
             rhs = layer_norm(layer) * np.maximum(np.abs(X).max(axis=(1, 2)), 1.0)
             assert np.all(lhs <= rhs + 1e-12)
@@ -190,10 +192,10 @@ class TestConvNormProperties:
             layer = ConvLayer(rng.standard_normal((s, J, J)), rng.standard_normal(J))
             X = rng.uniform(-3, 3, (100, d, J))
             Y = rng.uniform(-3, 3, (100, d, J))
-            diff = _conv_forward(layer.weights, layer.bias, X.transpose(1, 0, 2)) - _conv_forward(
-                layer.weights, layer.bias, Y.transpose(1, 0, 2)
+            diff = _conv_forward(layer.weights, layer.bias, X.transpose(2, 1, 0)) - _conv_forward(
+                layer.weights, layer.bias, Y.transpose(2, 1, 0)
             )
-            diff = diff.transpose(1, 0, 2)
+            diff = diff.transpose(2, 1, 0)
             lhs = np.abs(diff).max(axis=(1, 2))
             rhs = layer_norm(layer) * np.abs(X - Y).max(axis=(1, 2))
             assert np.all(lhs <= rhs + 1e-12)
@@ -355,13 +357,11 @@ class TestBackward:
 
     def test_matches_central_differences(self, rng):
         """Backprop vs the finite-difference oracle, away from ReLU kinks."""
-        from convrates.cnn import _conv_forward
-
         def min_preactivation(params, x):
-            a = x[:, None, None]  # spatial-major: (d, n = 1, 1)
+            a = x[:, None]  # the (d, 1) input grid
             worst = np.inf
             for layer in params.layers:
-                z = _conv_forward(layer.weights, layer.bias, a)
+                z = conv_apply(layer, a)
                 worst = min(worst, np.abs(z).min())
                 a = np.maximum(z, 0.0)
             return worst
@@ -529,7 +529,7 @@ class TestTapLowering:
                 b = rng.standard_normal(j_out)
                 x = rng.standard_normal((n, d, j_in))
                 expected = stacked_conv_forward(w, b, x)
-                got = _conv_forward(w, b, x.transpose(1, 0, 2)).transpose(1, 0, 2)
+                got = _conv_forward(w, b, x.transpose(2, 1, 0)).transpose(2, 1, 0)
                 assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 10_000])
@@ -559,6 +559,23 @@ class TestTapLowering:
         assert np.array_equal(conv_apply(ConvLayer(w, b), x), expected)
         params = CnnParams(3, 2, [ConvLayer(w, b)], np.array([[1.0], [-2.0], [0.5]]))
         self.assert_bitwise(params, x.T, np.ones(1))
+
+    def test_benchmark_net_bytes(self):
+        # sha256 of forward and final_grid on the verify benchmark's net (32
+        # neurons, d = 8, s = 3, link log:50: 229 layers, 6 channels; seed 0) at
+        # 10 000 points, recorded before the grids became channel-major
+        rng = spawn_rng(0, 0)
+        net = ShallowNet(rng.standard_normal(32), rng.standard_normal((32, 8)),
+                         rng.standard_normal(32))
+        params, report = compose_with_scalar_net(net, log_link_net(50), 3)
+        X = unit_cube_points(8, 10_000, seed=0)
+        assert (report.depth, params.J) == (229, 6)
+        assert hashlib.sha256(forward(params, X).tobytes()).hexdigest() == (
+            "68a5e72e5d4798f97ed7600ea2626c0be50a1b521bc524f65457fec3f30e68d2"
+        )
+        assert hashlib.sha256(final_grid(params, X).tobytes()).hexdigest() == (
+            "7e1c11794c555325d1686eebd2f1e74cedac4d317cf95bd1c45054a8ffdcbe03"
+        )
 
     def test_open_final_grid_matches_stacked_reference(self, rng):
         # the verify benchmark's kind of net: a shallow net composed with the log:50 link
@@ -592,6 +609,19 @@ class TestZeroTaps:
             for product in (gemm, gemv):
                 assert not np.signbit(product).any(), (
                     "BLAS made a -0.0, so skipping zero taps is not exact")
+
+    @pytest.mark.parametrize("M", [2, 3, 7, 16, 17, 18, 100, 682, 1365, 5456, 10_000])
+    def test_channel_major_products_match_row_major_ones(self, rng, M):
+        # the channel-major layout's premise: a tap's W @ X^T, with X^T a
+        # strided view (row stride above M), has the bits of the row-major
+        # X @ W^T, for a contiguous filter and for the adjoint's transposed view
+        for K in range(2, 9):
+            Xt = rng.standard_normal((K, M + 5))[:, :M]
+            X = np.ascontiguousarray(Xt.T)
+            for J in range(2, 9):
+                W = rng.standard_normal((J, K))
+                for w in (W, np.ascontiguousarray(W.T).T):
+                    assert (w @ Xt).tobytes() == (X @ w.T).T.tobytes()
 
     @staticmethod
     def zero_tap_nets(rng):
@@ -648,7 +678,7 @@ class TestZeroTaps:
         w[1] = 0.0  # a GEMM tap
         w[2, :, ::2] = -0.0
         w[2, :, 1::2] = 0.0  # the one-row gemv tap at d = 3
-        x, b = rng.random((3, 7, 5)), rng.standard_normal(4)
+        x, b = rng.random((5, 3, 7)), rng.standard_normal(4)  # channel-major (J_in, d, n)
         _conv_forward(w.view(Counted), b, x)
         assert calls.count("matmul") == 1
         calls.clear()

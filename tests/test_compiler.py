@@ -5,13 +5,14 @@ and every compile call is checked against its guaranteed norm bound.
 
 import hashlib
 import os
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convrates import cli, compiler, links
@@ -422,17 +423,19 @@ class TestBlockedEvaluation:
         assert peak < 2 << 20
 
 
-def _magnitudes(high):
-    # zero or at least 1e-50 in magnitude, so that no product of three
-    # underflows: the bound below models rounding, not underflow
-    return st.one_of(st.just(0.0), st.floats(1e-50, high), st.floats(-high, -1e-50))
+def _magnitudes(high, low):
+    return st.one_of(st.just(0.0), st.floats(low, high), st.floats(-high, -low))
+
+
+# weights down to the least subnormal, with a share near the underflow threshold
+_WEIGHTS = st.one_of(_magnitudes(1e3, 5e-324), _magnitudes(1e-290, 5e-324))
 
 
 @st.composite
 def _scalar_nets_and_points(draw):
     """A ScalarNet of 1-8 neurons, with zero weights and repeated kinks, and
     points on, beside and between its kinks and beyond the outermost ones."""
-    weight = _magnitudes(1e3)
+    weight = _WEIGHTS
     neurons = []
     for _ in range(draw(st.integers(1, 8))):
         if neurons and draw(st.booleans()):  # an earlier neuron's kink, scaled exactly
@@ -444,7 +447,7 @@ def _scalar_nets_and_points(draw):
     kinks = [-b / a for _, a, b in neurons if a != 0 and abs(b / a) <= 1e6]
     beside = [x for k in kinks for x in (np.nextafter(k, -2e6), np.nextafter(k, 2e6))
               if x == 0 or abs(x) >= 1e-50]
-    point = _magnitudes(1e6)
+    point = _magnitudes(1e6, 1e-50)
     if kinks:
         point = st.one_of(point, st.sampled_from(kinks + beside))
     t = draw(st.lists(point, min_size=1, max_size=20))
@@ -455,9 +458,9 @@ def _record_dense_rows(monkeypatch):
     rows = []
     dense = compiler._dense_relu_sum
 
-    def recording(X, *args):
+    def recording(X, *args, **kwargs):
         rows.append(len(X))
-        return dense(X, *args)
+        return dense(X, *args, **kwargs)
 
     monkeypatch.setattr(compiler, "_dense_relu_sum", recording)
     return rows
@@ -469,16 +472,32 @@ class TestKinkEvaluation:
 
     @settings(max_examples=300)  # fewer miss a point that cancels against a far kink
     @given(_scalar_nets_and_points())
+    @example((ScalarNet([5e-324], [1.5], [0.0]), np.array([9.0, 1e6])))  # a subnormal end slope
     def test_within_the_rounding_bound_of_the_exact_value(self, case):
         net, t = case
-        u = Fraction(2) ** -53
+        u, eta = Fraction(2) ** -53, Fraction(2) ** -1074  # eta: the least subnormal
         K = net.n_neurons
         terms = [tuple(map(Fraction, w)) for w in zip(net.coeffs, net.slopes, net.offsets)]
+        # an underflow errs by at most eta / 2, in a * t, in the kink -b / a (an
+        # error a times larger in a * t + b) and in c * relu(.); the kink path
+        # adds one product to a value from two such dense sums
+        underflow = eta * (1 + 2 * sum(1 + abs(c) * (1 + abs(a)) for c, a, _ in terms))
         for x, value in zip(t, net(t)):
             x = Fraction(x)
             exact = sum(c * max(a * x + b, 0) for c, a, b in terms)
             scale = sum(abs(c) * (abs(a * x) + abs(b)) for c, a, b in terms)
-            assert abs(Fraction(value) - exact) <= 4 * K * u * scale + u * abs(exact)
+            assert abs(Fraction(value) - exact) <= 4 * K * u * scale + u * abs(exact) + underflow
+
+    def test_kink_values_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        g = links.log_link_net(200)
+        kinks = np.unique(-g.offsets[g.slopes != 0] / g.slopes[g.slopes != 0])
+        assert kinks.size > compiler._BLOCK_BYTES // (8 * g.n_neurons)  # more than one block
+        g(np.linspace(-2.0, 2.0, 10_000))
+        assert started == []
 
     def test_one_dense_row_per_distinct_kink(self, monkeypatch, rng):
         rows = _record_dense_rows(monkeypatch)
