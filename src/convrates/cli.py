@@ -22,12 +22,15 @@ parameters.  Unknown sections or keys are errors.  Example:
 Verbs: compile, verify-compile, entropy, cover-check, approx-log,
 check-ineq, experiment, fit-rate.  A verb is one entry of the `_VERBS`
 table: its handler, registered with `@_verb` together with the keys of its
-section.  A CSV verb's handler builds its rows as dicts, so its columns are
-its rows' keys.  All CSV output is written with a fixed header and
-17-significant-digit floats, so identical configs and seeds reproduce
-byte-identical files (the wall_time column of experiment results is the
-one documented exception).  Relative output paths resolve against
-$CONVRATES_OUTDIR when it is set; the output's directory must exist.
+section.  A handler builds its rows as dicts, so its columns are its rows'
+keys.  Every file a verb writes but `compile`'s network file is a CSV
+written by `_write_rows` with a fixed header and 17-significant-digit
+floats, so identical configs and seeds reproduce byte-identical files (the
+wall_time column of experiment results is the one documented exception).
+`experiment` writes its cells to the output and its rate fit to
+`<output>.fit`, the one-row `slope,intercept,theory_slope` record that
+`fit-rate` writes.  Relative output paths resolve against $CONVRATES_OUTDIR
+when it is set; the output's directory must exist.
 
 Exit codes: 0 success, 2 config error, 3 precondition violation, 4 property
 check failed.  Failures emit a one-line JSON error record on stderr.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -292,9 +296,8 @@ def _run_compile(p, seed, output):
     _require_directory(report_path)
     _, params, report, _ = _compile_net(p, seed)
     cnn.save_cnn(params, output)
-    with open(report_path, "w") as fh:
-        for key in ("depth", "channels", "sweep_depth", "norm_achieved", "norm_bound"):
-            fh.write(f"{key} {_fmt(getattr(report, key))}\n")
+    keys = ("depth", "channels", "sweep_depth", "norm_achieved", "norm_bound")
+    _write_rows(report_path, [{key: getattr(report, key) for key in keys}])
 
 
 @_verb("verify-compile", **_NET_KEYS, points=(int, 10_000), tolerance=(float, 1e-10))
@@ -415,47 +418,70 @@ def _run_check_ineq(p, seed, output):
 
 
 _TRIG_TERMS = ("amps", "freqs", "coords", "phases")
+_MIXTURES = ("trig-mixture", "gaussian-bump-mixture")
+_REGRESSION_TARGETS = (*_MIXTURES, "coordinate-clamp")
+_TARGETS = (*_REGRESSION_TARGETS, "eta-ramp", "eta-step", "eta-svb")
+
+# [experiment] keys that only some targets read: key -> (parser, the targets
+# that read it, the value it takes unset); setting one for another target is
+# a config error
+_TARGET_KEYS = {
+    "target_seed": (_parse_seed, _MIXTURES, 0),
+    "steepness": (float, ("eta-ramp",), 4.0),
+    "beta": (float, ("eta-svb",), 1.0),
+    "slope": (float, ("coordinate-clamp",), 4.0),
+    "n_terms": (int, _MIXTURES, 2),
+    # the trig-mixture terms; unset, they are drawn from target_seed
+    "amps": (_parse_float_list, ("trig-mixture",), None),
+    "freqs": (_parse_float_list, ("trig-mixture",), None),
+    "coords": (_parse_int_list, ("trig-mixture",), None),
+    "phases": (_parse_float_list, ("trig-mixture",), None),
+    "noise_kind": (_parse_str, _REGRESSION_TARGETS, "gaussian"),
+    "noise_scale": (float, _REGRESSION_TARGETS, 0.25),
+}
+
+
+def _target_options(p):
+    """`p` with each `_TARGET_KEYS` key its target reads, unset ones at their
+    defaults; a key set for a target that does not read it is a ConfigError."""
+    kind = p["target"]
+    if kind not in _TARGETS:
+        raise ConfigError(f"unknown target {kind!r}")
+    unread = [key for key, (_, readers, _) in _TARGET_KEYS.items()
+              if p[key] is not None and kind not in readers]
+    if unread:
+        raise ConfigError(f"[experiment] target {kind!r} does not read {', '.join(unread)}")
+    return {**p, **{key: default for key, (_, _, default) in _TARGET_KEYS.items()
+                    if p[key] is None}}
 
 
 def make_target(p):
-    """The `TargetSpec` an `[experiment]` section's parsed options `p` name."""
-    kind, d, n_terms = p["target"], p["d"], p["n_terms"]
+    """The `TargetSpec` an `[experiment]` section's options `p` name, as
+    `_target_options` returns them."""
+    kind, d = p["target"], p["d"]
     check_size("[experiment] d", d, low=2, error=ConfigError)  # the networks need d >= 2
-    check_size("[experiment] n_terms", n_terms, error=ConfigError)
-    terms = {key: p[key] for key in _TRIG_TERMS if p[key] is not None}
-    if terms and kind != "trig-mixture":
-        raise ConfigError(f"{', '.join(terms)} set the terms of a trig-mixture, not {kind!r}")
-    if kind in ("trig-mixture", "gaussian-bump-mixture"):
+    if kind in _MIXTURES:
+        check_size("[experiment] n_terms", p["n_terms"], error=ConfigError)
+        terms = {key: p[key] for key in _TRIG_TERMS if p[key] is not None}
         return learnlab.make_regression_target(
-            kind, {"n_terms": n_terms, "d": d, **terms}, seed=p["target_seed"]
+            kind, {"n_terms": p["n_terms"], "d": d, **terms}, seed=p["target_seed"]
         )
     if kind == "coordinate-clamp":
-        return learnlab.make_regression_target(
-            kind, {"slope": p["slope"], "d": d}, seed=p["target_seed"]
-        )
+        return learnlab.make_regression_target(kind, {"slope": p["slope"], "d": d})
     if kind == "eta-ramp":
         return learnlab.make_eta_tsybakov(p["steepness"], d=d)
     if kind == "eta-step":
         return learnlab.make_eta_tsybakov(float("inf"), d=d)
-    if kind == "eta-svb":
-        return learnlab.make_eta_svb(p["beta"], d=d)
-    raise ConfigError(f"unknown target {kind!r}")
+    return learnlab.make_eta_svb(p["beta"], d=d)
 
 
 _RESULT_HEADER = [f.name for f in fields(learnlab.ExperimentRow)]
 
 
-def write_results(path, rows, fit=None):
-    """Write rate-experiment rows as a results CSV, plus a summary row for `fit`.
-
-    The columns are the fields of `learnlab.ExperimentRow`.  The summary row
-    is labelled "ratefit" and carries the slope, intercept and theory slope
-    in the M, B and excess_risk columns.
-    """
-    if fit is not None:
-        summary = ("ratefit", 0, 0, fit.slope, fit.intercept, 0, fit.theory_slope, 0.0, 0.0)
-        rows = [*rows, learnlab.ExperimentRow(*summary)]
-    _write_rows(path, [asdict(row) for row in rows], header=_RESULT_HEADER)
+def _write_fit(path, fit):
+    """Write a `learnlab.RateFit` as the one-row fit record."""
+    keys = ("slope", "intercept", "theory_slope")
+    _write_rows(path, [{key: getattr(fit, key) for key in keys}])
 
 
 _TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "init_scale")
@@ -466,22 +492,12 @@ _TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "i
     loss=(_parse_str, _REQUIRED),
     target=(_parse_str, _REQUIRED),
     d=(int, 2),
-    target_seed=(_parse_seed, 0),
-    steepness=(float, 4.0),  # eta-ramp
-    beta=(float, 1.0),  # eta-svb
-    slope=(float, 4.0),  # coordinate-clamp
-    n_terms=(int, 2),  # mixtures
-    amps=(_parse_float_list, None),  # trig-mixture terms; None -> seeded draw
-    freqs=(_parse_float_list, None),
-    coords=(_parse_int_list, None),
-    phases=(_parse_float_list, None),
-    noise_kind=(_parse_str, "gaussian"),
-    noise_scale=(float, 0.25),
+    **{key: (parse, None) for key, (parse, _, _) in _TARGET_KEYS.items()},
     n_schedule=(_parse_int_list, _REQUIRED),
     repeats=(int, 5),
     l_const=(float, 0.0),  # 0 -> per-loss default
     m_const=(float, 0.0),
-    b_const=(float, 0.0),
+    b_const=(float, None),  # None: unset; the hinge loss refuses a set one
     s=(int, 2),
     J=(int, 6),
     epochs=(int, 60),
@@ -493,12 +509,15 @@ _TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "i
     mc_samples=(int, 20_000),
 )
 def _run_experiment(p, seed, output):
+    p = _target_options(p)
     spec = make_target(p)
     loss = p["loss"]
     if loss not in learnlab.LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")
+    if loss == "hinge" and p["b_const"] is not None:
+        raise ConfigError("[experiment] loss 'hinge' does not read b_const: its B is fixed at 1")
     consts = learnlab.default_constants(loss)
-    for key in ("l_const", "m_const", "b_const"):  # 0 keeps the per-loss default
+    for key in ("l_const", "m_const", "b_const"):  # unset or 0 keeps the per-loss default
         if p[key]:
             setattr(consts, key, p[key])
     regression = spec.kind == "regression"
@@ -511,9 +530,12 @@ def _run_experiment(p, seed, output):
             consts=consts, train_options=train_options, mc_samples=p["mc_samples"],
         )
     except TrainingFailure as exc:
-        write_results(output, exc.partial_rows)
+        _write_rows(output, [asdict(row) for row in exc.partial_rows], header=_RESULT_HEADER)
+        with contextlib.suppress(FileNotFoundError):  # an earlier run's fit of other cells
+            os.remove(output + ".fit")
         raise
-    write_results(output, rows, fit)
+    _write_rows(output, [asdict(row) for row in rows], header=_RESULT_HEADER)
+    _write_fit(output + ".fit", fit)
     print(
         f"{loss}: fitted slope {fit.slope:+.3f} (theory {fit.theory_slope:+.3f}), "
         f"mean errors {np.array2string(fit.mean_errors, precision=5)}"
@@ -540,24 +562,21 @@ def _run_fit_rate(p, seed, output):
             raise ConfigError(f"unexpected results header in {p['input']!r}")
         cells = []
         for row in reader:
-            if row["loss"] == "ratefit":
-                continue
+            where = f"results row {reader.line_num} in {p['input']!r}"
+            if row["loss"] != p["loss"]:
+                raise ConfigError(f"{where} has loss {row['loss']!r}, not {p['loss']!r}")
             try:
                 n, risk = float(int(row["n"])), float(row["excess_risk"])
                 if not math.isfinite(risk):
                     raise ValueError(f"non-finite excess_risk {row['excess_risk']!r}")
             except (TypeError, ValueError, OverflowError) as exc:  # overflow: n beyond float64
-                raise ConfigError(
-                    f"malformed results row {reader.line_num} in {p['input']!r}: {exc}"
-                ) from exc
+                raise ConfigError(f"malformed {where}: {exc}") from exc
             cells.append((n, risk))
     if not cells:
         raise ConfigError("no data rows in results file")
     theory = learnlab.theory_slope(p["loss"], p["alpha"], p["d"], q=p["q"], beta=p["beta"])
     fit = learnlab.fit_rate(cells, theory)
-    _write_rows(output, [
-        {"slope": fit.slope, "intercept": fit.intercept, "theory_slope": fit.theory_slope}
-    ])
+    _write_fit(output, fit)
     print(f"fitted slope {fit.slope:+.4f}, intercept {fit.intercept:+.4f}, "
           f"theory {fit.theory_slope:+.4f}")
 

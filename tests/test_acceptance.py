@@ -409,11 +409,12 @@ class TestCriterion10RateExperiments:
         config.output = str(tmp_path / f"rates_{loss}.csv")
         assert cli.run(config) == 0
         with open(config.output, newline="") as fh:
-            *rows, fit = csv.DictReader(fh)
-        assert fit["loss"] == "ratefit"
+            rows = list(csv.DictReader(fh))
+        with open(f"{config.output}.fit", newline="") as fh:
+            (fit,) = csv.DictReader(fh)
         ns = sorted({int(r["n"]) for r in rows})
         means = [np.mean([float(r["excess_risk"]) for r in rows if int(r["n"]) == n]) for n in ns]
-        slope, theory = float(fit["M"]), float(fit["excess_risk"])
+        slope, theory = float(fit["slope"]), float(fit["theory_slope"])
         errs = " ".join(f"{e:.4f}" for e in means)
         inversions = int(np.sum(np.diff(means) > 0))
         assert inversions <= 1, f"{name}: means not decreasing: {errs}"
@@ -477,8 +478,9 @@ class TestCriterion11Determinism:
             b = (outputs["second"] / fname).read_bytes()
             assert a == b, f"{fname} not byte-identical"
 
-        # experiment output is byte-identical except the wall_time column
-        frames = []
+        # experiment cells are byte-identical except the wall_time column, and
+        # their fit record is byte-identical
+        frames, fits = [], []
         for tag in ("first", "second"):
             out = outputs[tag] / "exp.csv"
             self._run_cli(
@@ -495,9 +497,12 @@ class TestCriterion11Determinism:
             for row in rows[1:]:
                 row[wall] = "-"
             frames.append(rows)
+            fits.append((outputs[tag] / "exp.csv.fit").read_bytes())
         assert frames[0] == frames[1]
+        assert fits[0] == fits[1]
         report(
             "criterion 11: determinism",
             "entropy/cover/approx-log/compile outputs byte-identical across "
-            f"reruns; experiment identical up to wall_time ({time.perf_counter() - t0:.1f}s)",
+            f"reruns; experiment cells identical up to wall_time and their fit "
+            f"byte-identical ({time.perf_counter() - t0:.1f}s)",
         )

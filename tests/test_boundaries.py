@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports another module's
-private (underscore) names, with no exception, and every private
-module-level name is used in its own module.  The input rules several
+private (underscore) names, with no exception, every private
+module-level name is used in its own module, and only the one CSV writer
+and the network file writer open a file for writing.  The input rules several
 modules share (the size guard, the finiteness check and the norm-budget
 check) are public names of `errors`, and their own tests are here.
 """
@@ -117,6 +118,58 @@ def test_the_unused_check_sees_each_definition_form():
         "def public(): return _helper()\n"
     )
     assert unused_private_names(source) == ["_DEAD", "_Dead", "_recursive"]
+
+
+def writing_opens(source):
+    """The enclosing function ("<module>" outside any) of each `open(path, mode)`
+    or `path.open(mode)` call whose mode writes ('w', 'a', 'x' or '+') or is
+    not a literal, in the order they occur."""
+
+    def writes(call):
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            position = 1
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            position = 0
+        else:
+            return False
+        modes = [k.value for k in call.keywords if k.arg == "mode"] or call.args[position:][:1]
+        return bool(modes) and (
+            not isinstance(modes[0], ast.Constant) or any(c in str(modes[0].value) for c in "wax+")
+        )
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_two_writers_open_files_for_writing():
+    # every file the CLI writes is a CSV by `_write_rows`, or a network file
+    writers = sorted(f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                     for scope in writing_opens(path.read_text()))
+    assert writers == ["cli._write_rows", "cnn.save_cnn"]
+
+
+def test_the_write_check_sees_each_open_form():
+    source = (
+        "def reads(p):\n    return open(p), open(p, 'r'), open(p, newline=''), p.open()\n"
+        "def writes(p):\n    open(p, 'w')\n"
+        "def appends(p):\n    open(p, mode='a')\n"
+        "def path_method(p):\n    return p.open('x')\n"
+        "def unknown_mode(p, m):\n    def inner():\n        return open(p, m)\n    return inner\n"
+        "open('log', 'r+')\n"
+    )
+    assert writing_opens(source) == ["writes", "appends", "path_method", "inner", "<module>"]
 
 
 def test_size_guard_accepts_both_ends():

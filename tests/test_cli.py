@@ -169,8 +169,11 @@ class TestCompileVerbs:
         assert cli.main([cfg]) == 0
         loaded = cnn.load_cnn(out)
         assert loaded.J == 6 and loaded.d == 3
-        report = (tmp_path / "net.txt.report").read_text()
-        assert "norm_bound" in report and "depth" in report
+        with open(tmp_path / "net.txt.report", newline="") as fh:
+            (report,) = csv.DictReader(fh)
+        assert list(report) == ["depth", "channels", "sweep_depth", "norm_achieved", "norm_bound"]
+        assert int(report["channels"]) == 6
+        assert float(report["norm_achieved"]) <= float(report["norm_bound"])
 
     def test_compile_from_net_file(self, tmp_path):
         net_file = tmp_path / "shallow.txt"
@@ -444,6 +447,67 @@ class TestNonFiniteAndEmptyInputs:
         assert not out.exists()
 
 
+class TestUnreadInputs:
+    """A key that the experiment's target or loss does not read, and a results
+    row of another loss than fit-rate's, end in one config record that names
+    the key or the row, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "loss, target, extra, named",
+        [
+            ("hinge", "eta-ramp", "beta = 0.5\nslope = 9\nnoise_scale = 3\ntarget_seed = 7\n",
+             "target_seed, beta, slope, noise_scale"),
+            ("logistic", "eta-svb", "steepness = 4\n", "steepness"),
+            ("hinge", "eta-ramp", "beta = 1\n", "beta"),
+            ("squared", "trig-mixture", "slope = 2\n", "slope"),
+            ("squared", "coordinate-clamp", "n_terms = 2\n", "n_terms"),
+            ("squared", "coordinate-clamp", "target_seed = 1\n", "target_seed"),
+            ("squared", "gaussian-bump-mixture", "freqs = 1, 2\n", "freqs"),
+            ("hinge", "eta-step", "noise_kind = gaussian\n", "noise_kind"),
+            ("logistic", "eta-svb", "noise_scale = 0.25\n", "noise_scale"),
+            ("hinge", "eta-ramp", "b_const = 2\n", "b_const"),
+        ],
+        ids=["four-keys-for-eta-ramp", "steepness-for-eta-svb", "beta-for-eta-ramp",
+             "slope-for-trig-mixture", "n_terms-for-clamp", "target_seed-for-clamp",
+             "trig-term-for-bumps", "noise_kind-for-eta-step", "noise_scale-for-eta-svb",
+             "b_const-for-hinge"],
+    )
+    def test_unread_experiment_key(self, tmp_path, capsys, loss, target, extra, named):
+        body = (
+            f"[run]\nverb = experiment\nseed = 0\noutput = {tmp_path / 'out.csv'}\n"
+            f"[experiment]\nloss = {loss}\ntarget = {target}\nn_schedule = 8,12,16,20\n" + extra
+        )
+        assert cli.main([write_config(tmp_path, body)]) == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["exit_code"] == cli.EXIT_CONFIG and named in record["detail"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+    @pytest.mark.parametrize(
+        "losses, named",
+        [
+            (["hinge", "hinge", "squared", "logistic"], "results row 2 in {res!r} has loss 'hinge'"),
+            (["squared"] * 4 + ["ratefit"], "results row 6 in {res!r} has loss 'ratefit'"),
+        ],
+        ids=["other-losses", "summary-row-of-an-old-file"],
+    )
+    def test_results_row_of_another_loss(self, tmp_path, capsys, losses, named):
+        out, res = tmp_path / "fit.csv", tmp_path / "res.csv"
+        rows = [[loss, 64 << i, 1, 1, 1, 0, 0.5 / (i + 1), 0, 0] for i, loss in enumerate(losses)]
+        res.write_text("".join(",".join(map(str, r)) + "\n" for r in [cli._RESULT_HEADER, *rows]))
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nverb = fit-rate\nseed = 0\noutput = {out}\n"
+            f"[fit-rate]\ninput = {res}\nloss = squared\n",
+        )
+        assert cli.main([cfg]) == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["exit_code"] == cli.EXIT_CONFIG
+        assert named.format(res=str(res)) in record["detail"]
+        assert not out.exists()
+
+
 class TestValidationBeforeSampling:
     @pytest.mark.parametrize(
         "extra", ["batch_size = 0\n", "l_const = 1e308\n", "slope = nan\n", "slope = inf\n"]
@@ -554,7 +618,7 @@ _FUZZ_KEYS["experiment"] = {
     "init_scale": ("1.0", _ANY_FLOAT),
     "l_const": ("0", _ANY_FLOAT),
     "m_const": ("0", _ANY_FLOAT),
-    "b_const": ("0", _ANY_FLOAT),
+    "b_const": (None, _ANY_FLOAT),  # unset: the hinge loss refuses it
 }
 
 
@@ -593,10 +657,9 @@ def _corrupted(draw, rows, token, sep, header=""):
     return text[:draw(st.one_of(st.just(len(text)), st.integers(0, len(text))))]
 
 
-# a results CSV of four cells and a ratefit row
+# a results CSV of four cells
 _fuzzed_results = _corrupted(
-    [["squared", str(n), "1", "1", "1", "0", repr(0.5 / n), "0", "0"] for n in (64, 128, 256, 512)]
-    + [["ratefit", "0", "0", "-1", "0", "0", "-0.5", "0", "0"]],
+    [["squared", str(n), "1", "1", "1", "0", repr(0.5 / n), "0", "0"] for n in (64, 128, 256, 512)],
     _CSV_TOKEN, ",", header=",".join(cli._RESULT_HEADER) + "\n",
 )
 # a shallow net file of two neurons in d = 2; rows are: coeff a_1 a_2 offset
@@ -628,6 +691,10 @@ def _fuzzed_configs(draw):
     # that follow differ between processes
     for key in sorted(drawn):
         values[key] = draw(keys[key][1])
+    if verb == "experiment":  # keep only the baseline keys the drawn target reads
+        for key, (_, readers, _) in cli._TARGET_KEYS.items():
+            if key not in drawn and values["target"] not in readers:
+                values[key] = None
     seed = draw(st.integers(-1, 3))
     body = "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
     aux = ""
@@ -812,15 +879,19 @@ class TestExperimentVerb:
             "restarts = 1\nmc_samples = 1000\n"
         )
 
-    def test_csv_layout_and_summary_row(self, tmp_path):
+    def test_csv_layout_and_fit_record(self, tmp_path):
         out = tmp_path / "exp.csv"
         cfg = write_config(tmp_path, self._config(out))
         assert cli.main([cfg]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == cli._RESULT_HEADER
-        assert len(rows) == 1 + 4 + 1
-        assert rows[-1][0] == "ratefit"
+        assert len(rows) == 1 + 4
+        assert {row[0] for row in rows[1:]} == {"squared"}
+        with open(f"{out}.fit", newline="") as fh:
+            (fit,) = csv.DictReader(fh)
+        assert list(fit) == ["slope", "intercept", "theory_slope"]
+        assert float(fit["theory_slope"]) == -0.5
 
     def test_deterministic_up_to_wall_time(self, tmp_path):
         frames = []
@@ -844,23 +915,24 @@ class TestExperimentVerb:
         fit_cfg = write_config(
             tmp_path,
             f"[run]\nverb = fit-rate\nseed = 0\noutput = {fit_out}\n"
-            f"[fit-rate]\ninput = {out}\nloss = squared\nalpha = 1\nd = 2\n",
+            f"[fit-rate]\ninput = {out}\nloss = squared\n",
             name="fit.ini",
         )
         assert cli.main([fit_cfg]) == 0
-        with open(fit_out, newline="") as fh:
-            row = next(csv.DictReader(fh))
-        # recompute from the data rows
+        # the experiment's fit record is fit-rate's, byte for byte
+        assert fit_out.read_bytes() == pathlib.Path(f"{out}.fit").read_bytes()
+        # and it is the log-log fit of the cells' mean excess risks
         with open(out, newline="") as fh:
-            data = [r for r in csv.DictReader(fh) if r["loss"] != "ratefit"]
+            data = list(csv.DictReader(fh))
         ns = sorted({int(r["n"]) for r in data})
         means = [
             np.mean([float(r["excess_risk"]) for r in data if int(r["n"]) == n])
             for n in ns
         ]
         slope, intercept, _ = learnlab.fit_loglog(ns, means)
-        assert float(row["slope"]) == pytest.approx(slope, rel=1e-12)
-        assert float(row["theory_slope"]) == pytest.approx(-0.5)
+        with open(fit_out, newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert (float(row["slope"]), float(row["intercept"])) == (slope, intercept)
 
 
 class TestOutputHygiene:
@@ -995,6 +1067,17 @@ class TestOutputHygiene:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == cli._RESULT_HEADER  # partial results file exists
+        assert not (tmp_path / "exp.csv.fit").exists()
+
+    def test_training_failure_removes_an_earlier_fit(self, tmp_path, capsys):
+        out = tmp_path / "exp.csv"
+        run = f"[run]\nverb = experiment\nseed = 0\noutput = {out}\n" + _TINY_EXPERIMENT
+        assert cli.main([write_config(tmp_path, run)]) == 0
+        assert (tmp_path / "exp.csv.fit").exists()
+        diverging = run + "learning_rate = 1e200\nfinal_learning_rate = 0\n"
+        assert cli.main([write_config(tmp_path, diverging)]) == cli.EXIT_PRECONDITION
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "training"
+        assert out.exists() and not (tmp_path / "exp.csv.fit").exists()
 
 
 _HEADER_CASES = {
@@ -1066,12 +1149,7 @@ class TestScripts:
                 name=f"fit_{loss}.ini",
             )
             assert cli.main([cfg]) == 0
-            with open(config.output, newline="") as fh:
-                summary = list(csv.DictReader(fh))[-1]
-            with open(fit_out, newline="") as fh:
-                fitted = next(csv.DictReader(fh))
-            assert summary["loss"] == "ratefit"
-            assert float(fitted["slope"]) == pytest.approx(float(summary["M"]), rel=1e-12)
+            assert fit_out.read_bytes() == pathlib.Path(f"{config.output}.fit").read_bytes()
 
 
 _IMPORT_PROBE = """
