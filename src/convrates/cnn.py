@@ -13,15 +13,16 @@ Architecture conventions used throughout the package:
   channel-major, shape (J, d, n): tap k is one GEMM w[k] @ x[:, k:], whose
   right factor is a (J_in, (d-k) n) view with row stride d n, so the points
   are the long dimension BLAS packs; it is added onto out[:, :d-k] in tap
-  order after the bias.  Its bits are those of the row-major x @ w[k]^T of
-  the per-sample form.  Two taps on J_in > 1 channels would make numpy
-  switch to gemv in this orientation, so they keep the row-major product on
-  a C-contiguous copy of their rows: a one-row tap (numpy's per-sample gemv)
-  and a tap with one output channel (only outside a network, in
-  `conv_apply`).  A J_in = 1 tap is one broadcast product, so results are
-  bit-identical to the per-sample form, except that a J_in = 1
-  pre-activation may be -0.0 where the per-sample sum, which starts from
-  +0, gives +0.0; ReLU makes both +0.
+  order after the bias.  A one-row tap (k = d-1 > 0) multiplies the row
+  before it too: one row at n = 1 is one column, which numpy runs as gemv,
+  and a lone point's gemv sums would differ from its sums in a batch.  The
+  bits are those of the row-major x @ w[k]^T over the whole grid.  A tap
+  with one output channel on J_in > 1 channels (only in `conv_apply`)
+  would make numpy switch to gemv in this orientation, so it keeps the
+  row-major product on a C-contiguous copy of its rows.  A J_in = 1 tap is
+  one broadcast product, so results are bit-identical to the row-major
+  form, except that a J_in = 1 pre-activation may be -0.0 where the
+  row-major sum, which starts from +0, gives +0.0; ReLU makes both +0.
   A tap k > 0 with J_in > 1 whose filter block is all +-0 (a third of the
   taps of a compiled log link) is skipped, bit for bit where grids are finite:
   BLAS sums each entry from +0, so out holds no -0.0 once tap 0 and the
@@ -30,11 +31,12 @@ Architecture conventions used throughout the package:
   place.  `final_grid` takes a batch of several 512 KiB row blocks through
   all layers block by block, on every usable core (`run_row_blocks`); a
   row's value depends neither on the worker count nor on the BLAS thread
-  count.  `backward`'s input gradient is the same loop on the adjoint:
-  T(w)^T = P T(w^T) P, with P the spatial reversal and w^T each tap's
-  channel block transposed.  Every other function takes and returns
-  (n, d, J) batches, and einsums read them C-contiguous: their summation
-  order follows the layout.
+  count.  `backward` reads these grids: a tap's filter gradient is one GEMM
+  of gz[:, :d-k] against a_in[:, k:], and its input gradient is the same
+  loop on the adjoint: T(w)^T = P T(w^T) P, with P the spatial reversal
+  and w^T each tap's channel block transposed.  Every other function takes
+  and returns (n, d, J) batches, and einsums read them C-contiguous: their
+  summation order follows the layout.
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
@@ -181,22 +183,21 @@ def _conv_forward(weights, bias, x, last=False):
         for k in range(1, s):
             out[:, : d - k] += x[k:] * w[k]
         return out
-    buf = np.empty((J, d - 1, n)) if s > 1 else None  # one product buffer for the shifted taps
+    buf = np.empty((J, max(d - 1, 2), n)) if s > 1 else None  # the shifted taps' products
     for k in range(s):
-        t = out if k == 0 else buf[:, : d - k]
+        lo = min(k, max(d - 2, 0))  # a one-row tap also multiplies the row before it
+        t = out if k == 0 else buf[:, : d - lo]
         if k and not weights[k, 0, 0] and not weights[k].any():  # a trained tap stops at [0, 0]
             continue  # it would add +0 to an out that holds no -0.0
-        elif d - k == 1:  # one grid row: numpy's per-sample gemv, on C-contiguous (n, K) rows
-            t[:, 0] = (np.ascontiguousarray(x[:, k].T)[:, None, :] @ weights[k].T)[:, 0].T
         elif J == 1:  # one output channel: numpy's matrix-vector gemv, on C-contiguous rows
-            np.matmul(np.ascontiguousarray(x[:, k:].reshape(K, -1).T), weights[k].T,
+            np.matmul(np.ascontiguousarray(x[:, lo:].reshape(K, -1).T), weights[k].T,
                       out=t.reshape(-1, 1))
-        else:  # the rows x[:, k:] are a (K, (d-k)*n) view with row stride d*n
-            np.matmul(weights[k], x[:, k:].reshape(K, -1), out=t.reshape(J, -1))
+        else:  # the rows x[:, lo:] are a (K, (d-lo)*n) view with row stride d*n
+            np.matmul(weights[k], x[:, lo:].reshape(K, -1), out=t.reshape(J, -1))
         if k == 0:  # t0 + b is the same double as b + t0
             out += bias[:, None, None]
         else:
-            out[:, : d - k] += t
+            out[:, : d - k] += t[:, k - lo :]
     return out
 
 
@@ -225,17 +226,17 @@ def _check_input(params, x):
 
 
 def _activations(layers, X):
-    """Yield the activated grid after each layer for an (n, d) batch X.
+    """Yield the activated channel-major (J, d, n) grid after each layer for an
+    (n, d) batch X.
 
-    The package's one forward loop.  It yields (n, d, J) views of its
-    channel-major grids; a caller that keeps only the last one holds a few
-    grids at a time, whatever the depth.
+    The package's one forward loop.  A caller that keeps only the last grid
+    holds a few grids at a time, whatever the depth.
     """
     a = X.T[None]
     for i, layer in enumerate(layers, 1 - len(layers)):  # i = 0 at the last layer
         a = _conv_forward(layer.weights, layer.bias, a, last=i == 0)
         np.maximum(a, 0.0, out=a)  # the grid is fresh, so ReLU can overwrite it
-        yield a.transpose(2, 1, 0)
+        yield a
 
 
 def activation_grids(params, x):
@@ -244,7 +245,8 @@ def activation_grids(params, x):
     Returns a list of L arrays of shape (n, d, J); the last one is the grid
     the output weights contract against.
     """
-    return [np.ascontiguousarray(a) for a in _activations(params.layers, _check_input(params, x))]
+    return [np.ascontiguousarray(a.transpose(2, 1, 0))
+            for a in _activations(params.layers, _check_input(params, x))]
 
 
 # one (J, d, rows) row block of `final_grid`, 512 KiB: half as many blocks as at
@@ -299,14 +301,14 @@ def final_grid(params, x):
     if n * d * J <= _BLOCK_FLOATS:
         for a in _activations(params.layers, X):
             pass
-        return np.ascontiguousarray(a)
+        return np.ascontiguousarray(a.transpose(2, 1, 0))
     rows, out = max(1, _BLOCK_FLOATS // (d * J)), np.empty((n, d, J))
 
     def run(lo, hi):
         for start in range(lo, hi, rows):
             for a in _activations(params.layers, X[start : start + rows]):
                 pass
-            out[start : start + rows] = a
+            out[start : start + rows] = a.transpose(2, 1, 0)
 
     run_row_blocks(n, rows, run)
     return out
@@ -332,13 +334,14 @@ def backward(params, x, dout=None):
     pass and returns the weights, so a loss gradient needs no separate
     `forward` call; whatever it raises propagates.  With a single d-vector
     input and no `dout` the result is the gradient of f(x) itself.  ReLU
-    uses subgradient 0 at 0.
+    uses subgradient 0 at 0.  A callable `dout` receives `forward`'s bits:
+    the same contraction, of a C-contiguous copy of the last grid.
     """
     X = _check_input(params, x)
     n, d = X.shape
-    grids = [np.ascontiguousarray(a) for a in _activations(params.layers, X)]
-    inputs = [X[:, :, None]] + grids[:-1]
-    a = grids[-1]
+    grids = list(_activations(params.layers, X))
+    inputs = [np.ascontiguousarray(X.T)[None]] + grids[:-1]
+    a = np.ascontiguousarray(grids[-1].transpose(2, 1, 0))
 
     if callable(dout):
         dout = dout(np.einsum("ndj,dj->n", a, params.output_weights))
@@ -349,22 +352,21 @@ def backward(params, x, dout=None):
     L, s, J = params.depth, params.s, params.J
     vec = np.empty(param_count(d, s, J, L))
     grad_w, grad_b, g_out = _split(vec, d, s, J, L)
-    g_out[...] = np.einsum("n,ndj->dj", dout, a)
-    ga = dout[:, None, None] * params.output_weights[None, :, :]
+    np.matmul(dout, a.reshape(n, d * J), out=g_out.reshape(-1))
+    ga = params.output_weights.T[:, :, None] * dout
     for i in range(L - 1, -1, -1):
-        # relu(z) > 0 exactly where z > 0; gz is C-ordered for the einsums below
-        gz = np.multiply(ga, grids[i] > 0.0, out=np.empty_like(grids[i]))
+        # relu(z) > 0 exactly where z > 0; gz is fresh and C-contiguous, so its
+        # rows gz[:, :d-k] are one (J, (d-k) n) view, as a_in's rows are
+        gz = np.multiply(ga, grids[i] > 0.0, out=np.empty((J, d, n)))
         a_in = inputs[i]
-        gw = grad_w[i]
         for k in range(s):
-            gw[k] = np.einsum("nio,nij->oj", gz[:, : d - k, :], a_in[:, k:, :])
-        grad_b[i][...] = gz.sum(axis=(0, 1))
+            np.matmul(gz[:, : d - k].reshape(J, -1), a_in[:, k:].reshape(len(a_in), -1).T,
+                      out=grad_w[i][k])
+        np.add.reduce(gz.reshape(J, -1), axis=1, out=grad_b[i])
         if i > 0:  # the input gradient of layer 0 is not needed
             # T(w)^T = P T(w^T) P: the forward core on the reversed grid
             w = params.layers[i].weights
-            back = _conv_forward(w.transpose(0, 2, 1), np.zeros(w.shape[2]),
-                                 np.ascontiguousarray(gz.transpose(2, 1, 0)[:, ::-1]))
-            ga = back[:, ::-1].transpose(2, 1, 0)
+            ga = _conv_forward(w.transpose(0, 2, 1), np.zeros(J), gz[:, ::-1])[:, ::-1]
     return vec
 
 

@@ -7,7 +7,7 @@ failing requirement.
 
 Three rules hold on several modules' inputs and are written once here:
 `check_size` (a count within the size guard, by default 1 to `SIZE_LIMIT`),
-`check_finite` (an array without NaN or inf) and `check_budget` (a norm
+`check_finite` (a real array without NaN or inf) and `check_budget` (a norm
 budget M that is finite and at least 1).
 """
 
@@ -62,8 +62,13 @@ def check_size(name, count, low=1, limit=SIZE_LIMIT, error=PreconditionError):
 
 
 def check_finite(x, name):
-    """x as a float64 array, after checking that every entry is finite."""
-    arr = np.asarray(x, dtype=np.float64)
+    """x as a float64 array, after checking that it is real and every entry is
+    finite.  A complex x is refused, not cast: the cast would drop the
+    imaginary parts with only a warning."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise PreconditionError(f"{name} must be real")
+    arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise PreconditionError(f"{name} must be finite")
     return arr

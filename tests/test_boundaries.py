@@ -3,19 +3,26 @@ private (underscore) names, with no exception, every private
 module-level name is used in its own module, and only the one CSV writer
 and the network file writer open a file for writing.  The input rules several
 modules share (the size guard, the finiteness check and the norm-budget
-check) are public names of `errors`, and their own tests are here.
+check) are public names of `errors`, and their own tests are here.  In
+`cnn` only the one forward loop builds grids layer by layer, and only it,
+`conv_apply` and `backward` call the layer core.
 """
 
 import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convrates
+from convrates.cnn import ConvLayer, backward, forward
+from convrates.compiler import ShallowNet
 from convrates.errors import (
     SIZE_LIMIT, ConfigError, PreconditionError, check_finite, check_size,
 )
+
+from conftest import random_cnn
 
 PACKAGE = Path(convrates.__file__).parent
 SHARED = set()
@@ -197,3 +204,103 @@ def test_finiteness_check_names_its_argument(bad):
     with pytest.raises(PreconditionError, match="offsets must be finite"):
         check_finite([0.0, bad], "offsets")
     assert check_finite([1, 2], "offsets").dtype == float
+
+
+def _complex_cases():
+    rng = np.random.default_rng(0)
+    params = random_cnn(rng, d=3, s=2, J=2, L=2)
+    X = rng.random((5, 3))
+    net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, 3)), rng.standard_normal(2))
+    w = rng.standard_normal((2, 3, 1))
+    return [
+        ("input", lambda: forward(params, X + 1j)),
+        ("dout", lambda: backward(params, X, np.ones(5) + 1j)),
+        ("dout", lambda: backward(params, X, lambda f: f + 1j)),
+        ("points", lambda: net(X + 0j)),
+        ("filter", lambda: ConvLayer(w + 0j, np.zeros(3))),
+    ]
+
+
+@pytest.mark.parametrize("name, call", _complex_cases(),
+                         ids=["forward", "dout", "callable-dout", "shallow-net", "filter"])
+def test_finiteness_check_refuses_complex_values(name, call):
+    # a cast to float64 would drop the imaginary parts with only a warning,
+    # even where they are all zero
+    with pytest.raises(PreconditionError, match=f"{name} must be real"):
+        call()
+
+
+def core_readers(source):
+    """The enclosing function ("<module>" outside any) of each use of
+    `_conv_forward` outside its own body, and of each loop over layers that
+    builds grids itself.
+
+    A loop over layers is a `for` statement or comprehension whose iterable
+    mentions `layers`; it builds grids if its body applies a layer to a grid:
+    a call of `_conv_forward`, `conv_apply`, `matmul`, `einsum`, `dot`,
+    `tensordot` or `maximum`, or the `@` operator.  Returns two sorted lists
+    of function names."""
+    grid_ops = {"_conv_forward", "conv_apply", "matmul", "einsum", "dot", "tensordot", "maximum"}
+
+    def called(node):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def builds_grids(nodes):
+        return any(
+            (isinstance(n, ast.Call) and called(n) in grid_ops)
+            or (isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult))
+            for node in nodes for n in ast.walk(node)
+        )
+
+    def over_layers(iterable):
+        return any(getattr(n, "attr", getattr(n, "id", None)) == "layers"
+                   for n in ast.walk(iterable))
+
+    uses, loops = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_conv_forward":
+                uses.add(scope)
+            if isinstance(child, ast.For) and over_layers(child.iter) and builds_grids(child.body):
+                loops.add(scope)
+            if isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                body = [child.elt] if hasattr(child, "elt") else [child.key, child.value]
+                if any(over_layers(g.iter) for g in child.generators) and builds_grids(body):
+                    loops.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(uses - {"_conv_forward"}), sorted(loops)
+
+
+def test_only_the_one_forward_loop_builds_grids():
+    # `_activations` is the forward loop; `conv_apply` maps one grid and
+    # `backward` runs the core on the adjoint
+    uses, loops = core_readers((PACKAGE / "cnn.py").read_text())
+    assert uses == ["_activations", "backward", "conv_apply"]
+    assert loops == ["_activations"]
+
+
+def test_the_core_check_sees_each_form():
+    source = (
+        "def _conv_forward(w, b, x):\n    return _conv_forward(w, b, x[1:])\n"
+        "def _activations(layers, X):\n"
+        "    for i, layer in enumerate(layers):\n        X = _conv_forward(layer, X)\n"
+        "def handle():\n    return _conv_forward\n"
+        "def nested(p, x):\n    def inner():\n"
+        "        return [np.maximum(conv_apply(l, x), 0) for l in p.layers]\n"
+        "def by_matmul(p, x):\n    for layer in p.layers:\n        x = layer.weights @ x\n"
+        "def by_einsum(p, x):\n"
+        "    return (np.einsum('ij,j', l.weights, x) for l in p.layers)\n"
+        "def norms(p):\n"
+        "    return [layer_norm(l) for l in p.layers], [l.bias / 2 for l in p.layers]\n"
+        "def checks(self):\n    for layer in self.layers:\n        assert layer.weights.ndim == 3\n"
+    )
+    uses, loops = core_readers(source)
+    assert uses == ["_activations", "handle"]
+    assert loops == ["_activations", "by_einsum", "by_matmul", "inner"]

@@ -458,18 +458,33 @@ class TestBackward:
 
 
 def stacked_conv_forward(weights, bias, x):
-    """Reference layer map: each tap as numpy's stacked (per-sample) matmul."""
-    s = weights.shape[0]
+    """Reference layer map on an (n, d, K) batch: each tap as one row-major 2-D
+    product over the whole grid, x.reshape(-1, K) @ w[k].T, whose rows k..
+    are added onto out[:, :d-k] in tap order after the bias.
+
+    The product has n d rows, so numpy runs it as a GEMM whenever d >= 2.
+    Over x[:, k:] alone a one-row tap at n = 1 would be a one-row product,
+    which numpy runs as gemv, and gemv's sums are not the GEMM's.
+    """
+    s, J, K = weights.shape
     n, d, _ = x.shape
-    out = np.empty((n, d, weights.shape[1]))
+    out = np.empty((n, d, J))
     out[...] = bias
+    rows = np.ascontiguousarray(x).reshape(-1, K)
     for k in range(s):
-        out[:, : d - k, :] += x[:, k:, :] @ weights[k].T
+        out[:, : d - k, :] += (rows @ weights[k].T).reshape(n, d, J)[:, k:]
     return out
 
 
 def stacked_reference(params, X, dout):
-    """Reference forward values, grids and backward vector over stacked-matmul taps."""
+    """Reference forward values and grids over `stacked_conv_forward`, and the
+    backward vector with einsum sums.
+
+    The backward vector comes with two more vectors in `param_vector` order:
+    each entry's sum of |products| (the same einsums on absolute values) and
+    its number of products m.  The input gradients are the same row-major
+    GEMMs over the whole grid as the forward taps.
+    """
     n, d = X.shape
     grids, a = [], X[:, :, None]
     for layer in params.layers:
@@ -477,24 +492,53 @@ def stacked_reference(params, X, dout):
         grids.append(a)
     inputs = [X[:, :, None]] + grids[:-1]
     parts = [np.einsum("n,ndj->dj", dout, a).ravel()]
+    mags = [np.einsum("n,ndj->dj", np.abs(dout), a).ravel()]
+    lengths = [np.full(a[0].size, n)]
     ga = dout[:, None, None] * params.output_weights[None, :, :]
     for i in range(params.depth - 1, -1, -1):
         gz = ga * (grids[i] > 0.0)
         w = params.layers[i].weights
-        gw = np.empty_like(w)
+        gw, mag = np.empty_like(w), np.empty_like(w)
         for k in range(params.s):
             gw[k] = np.einsum("nio,nij->oj", gz[:, : d - k, :], inputs[i][:, k:, :])
+            mag[k] = np.einsum("nio,nij->oj", np.abs(gz[:, : d - k, :]),
+                               np.abs(inputs[i][:, k:, :]))
         parts[:0] = [gw.ravel(), gz.sum(axis=(0, 1))]
+        mags[:0] = [mag.ravel(), np.abs(gz).sum(axis=(0, 1))]
+        taps = np.repeat(n * (d - np.arange(params.s)), w[0].size)
+        lengths[:0] = [taps, np.full(w.shape[1], n * d)]
         if i > 0:
             ga = np.zeros_like(inputs[i])
+            rows = gz.reshape(-1, gz.shape[2])
             for k in range(params.s):
-                ga[:, k:, :] += gz[:, : d - k, :] @ w[k]
+                ga[:, k:, :] += (rows @ w[k]).reshape(n, d, -1)[:, : d - k]
     values = np.einsum("ndj,dj->n", a, params.output_weights)
-    return values, grids, np.concatenate(parts)
+    return values, grids, np.concatenate(parts), np.concatenate(mags), np.concatenate(lengths)
+
+
+def assert_within_dot_product_bound(got, ref, mag, m):
+    """|got - ref| <= 2 gamma_m S / (1 - gamma_m) for each gradient entry.
+
+    Each entry is a sum of m products x_i y_i.  Evaluated in float64 in any
+    order, with or without fused multiply-adds, the computed sum is
+    sum x_i y_i (1 + t_i) with |t_i| <= gamma_m = m u / (1 - m u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1):
+    it is within gamma_m S of the exact sum, S = sum |x_i y_i|.  `backward`'s
+    GEMMs and the reference's einsums sum the same products in two orders, so
+    they are within 2 gamma_m S of each other.  `mag`, the computed S, is a
+    sum of nonnegative terms, so mag >= (1 - gamma_m) S.  The factors are
+    bitwise equal on both sides: the grids are pinned bit for bit, and the
+    input gradients are the same GEMMs.
+    """
+    u = np.finfo(np.float64).eps / 2
+    gamma = m * u / (1 - m * u)
+    assert np.all(np.abs(got - ref) <= 2 * gamma * mag / (1 - gamma))
 
 
 class TestTapLowering:
-    """The one-GEMM-per-tap layer map reproduces the stacked matmul bit for bit."""
+    """The one-GEMM-per-tap layer map reproduces the row-major reference bit
+    for bit; `backward`'s GEMM sums stay within the dot-product rounding bound
+    of the einsum reference."""
 
     SHAPES = [  # (n, d, J, L); every filter size s = 1..d is swept
         (n, d, J, L)
@@ -505,19 +549,19 @@ class TestTapLowering:
     ] + [(10_000, 8, 6, 2)]
 
     @staticmethod
-    def assert_bitwise(params, X, dout):
-        values, grids, vec = stacked_reference(params, X, dout)
+    def assert_matches(params, X, dout):
+        values, grids, vec, mag, m = stacked_reference(params, X, dout)
         assert forward(params, X).tobytes() == values.tobytes()
         got = activation_grids(params, X)
         assert [g.tobytes() for g in got] == [g.tobytes() for g in grids]
-        assert backward(params, X, dout).tobytes() == vec.tobytes()
+        assert_within_dot_product_bound(backward(params, X, dout), vec, mag, m)
 
     @pytest.mark.parametrize("n, d, J, L", SHAPES)
     def test_network_matches_stacked_reference(self, rng, n, d, J, L):
-        # s = d gives one-row taps (kept on gemv when J > 1); J = 1 gives J_in = 1
+        # s = d gives one-row taps; J = 1 gives J_in = 1
         for s in ([3] if n == 10_000 else range(1, d + 1)):
             params = random_cnn(rng, d=d, s=s, J=J, L=L)
-            self.assert_bitwise(params, rng.random((n, d)), rng.standard_normal(n))
+            self.assert_matches(params, rng.random((n, d)), rng.standard_normal(n))
 
     def test_layer_map_matches_stacked_reference(self, rng):
         # mixed channel counts, J_out = 1 included, through the raw layer map
@@ -534,12 +578,30 @@ class TestTapLowering:
 
     @pytest.mark.parametrize("n", [1, 10_000])
     def test_one_row_taps(self, rng, n):
-        # s = d: the last tap reads one grid row, which stays on numpy's gemv
+        # s = d: the last tap reads one grid row, a GEMM over two rows at n = 1 too
         params = random_cnn(rng, d=4, s=4, J=6, L=2)
-        self.assert_bitwise(params, rng.random((n, 4)), rng.standard_normal(n))
+        self.assert_matches(params, rng.random((n, 4)), rng.standard_normal(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 2048, 5461])
+    def test_one_row_products_match_row_major_ones(self, rng, n):
+        # the one-row tap's premise at the batch, full-sample and row-block
+        # sizes: the product over the last two rows of a channel-major grid, a
+        # strided (K, 2n) view, has in its last n columns the bits of the
+        # row-major GEMM over the whole grid, for a contiguous filter and for
+        # the adjoint's transposed view.  Over the one row alone the product
+        # would be one column at n = 1, which numpy runs as gemv
+        for d in (2, 3):
+            for K, J in ((6, 6), (2, 5), (8, 3)):
+                x = rng.standard_normal((K, d, n))
+                rows = np.ascontiguousarray(x.transpose(2, 1, 0)).reshape(-1, K)
+                W = rng.standard_normal((J, K))
+                for w in (W, np.ascontiguousarray(W.T).T):
+                    expected = (rows @ w.T).reshape(n, d, J)[:, d - 1].T
+                    got = (w @ x[:, d - 2 :].reshape(K, -1))[:, n:]
+                    assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_conv_apply_matches_stacked_reference(self, rng):
-        # d = s = 1 with J_in > 1 makes tap 0 itself a one-row gemv tap
+        # d = s = 1 with J_in > 1 makes tap 0 itself a one-row product, numpy's gemv
         for d, j_in, j_out in [(1, 3, 2), (2, 1, 4), (5, 6, 6), (8, 2, 1)]:
             for s in range(1, d + 1):
                 w, b = rng.standard_normal((s, j_out, j_in)), rng.standard_normal(j_out)
@@ -558,7 +620,7 @@ class TestTapLowering:
         expected = stacked_conv_forward(w, b, x[None])[0]
         assert np.array_equal(conv_apply(ConvLayer(w, b), x), expected)
         params = CnnParams(3, 2, [ConvLayer(w, b)], np.array([[1.0], [-2.0], [0.5]]))
-        self.assert_bitwise(params, x.T, np.ones(1))
+        self.assert_matches(params, x.T, np.ones(1))
 
     def test_benchmark_net_bytes(self):
         # sha256 of forward and final_grid on the verify benchmark's net (32
@@ -584,7 +646,7 @@ class TestTapLowering:
         )
         params, _ = compose_with_scalar_net(net, log_link_net(50), 3)
         X = rng.random((200, 8))
-        _, grids, _ = stacked_reference(params, X, np.ones(200))
+        _, grids, *_ = stacked_reference(params, X, np.ones(200))
         got = final_grid(params, X)
         assert got.flags.c_contiguous
         assert got.tobytes() == grids[-1].tobytes()
@@ -597,18 +659,16 @@ class TestZeroTaps:
     @pytest.mark.parametrize("rows", [1, 2, 7, 682, 5456])
     def test_blas_products_are_never_negative_zero(self, rng, rows):
         # the skip's premise: BLAS sums each entry from +0, so a zero filter
-        # block gives +0 even against negative or -0.0 inputs
+        # block gives +0 even against negative or -0.0 inputs (J = 1 is gemv)
         for K, J in ((2, 1), (6, 6), (3, 5)):
             x = -rng.random((rows, K))
             x[::3] = -0.0
             w = np.zeros((J, K))
             w[:, ::2] = -0.0
-            gemm = np.empty((rows, J))
-            np.matmul(x, w.T, out=gemm)
-            gemv = (x[:, None, :] @ w.T)[:, 0]  # the stacked one-row product
-            for product in (gemm, gemv):
-                assert not np.signbit(product).any(), (
-                    "BLAS made a -0.0, so skipping zero taps is not exact")
+            product = np.empty((rows, J))
+            np.matmul(x, w.T, out=product)
+            assert not np.signbit(product).any(), (
+                "BLAS made a -0.0, so skipping zero taps is not exact")
 
     @pytest.mark.parametrize("M", [2, 3, 7, 16, 17, 18, 100, 682, 1365, 5456, 10_000])
     def test_channel_major_products_match_row_major_ones(self, rng, M):
@@ -625,7 +685,7 @@ class TestZeroTaps:
 
     @staticmethod
     def zero_tap_nets(rng):
-        # identity layers at s = d (the last tap is a one-row gemv tap) and at s < d
+        # identity layers at s = d (the last tap reads one grid row) and at s < d
         yield embed(random_cnn(rng, d=4, s=4, J=3, L=2), channels=5, depth=4)
         yield embed(random_cnn(rng, d=6, s=3, J=4, L=1), depth=4)
         net = ShallowNet(
@@ -648,7 +708,7 @@ class TestZeroTaps:
             assert any(not w[k].any() for w in (l.weights for l in params.layers[1:])
                        for k in range(1, params.s))
             X = rng.random((n, params.d))
-            TestTapLowering.assert_bitwise(params, X, rng.standard_normal(n))
+            TestTapLowering.assert_matches(params, X, rng.standard_normal(n))
 
     def test_conv_apply_matches_stacked_reference(self, rng):
         for d, s in ((3, 3), (6, 3)):
@@ -677,7 +737,7 @@ class TestZeroTaps:
         w = rng.standard_normal((3, 4, 5))
         w[1] = 0.0  # a GEMM tap
         w[2, :, ::2] = -0.0
-        w[2, :, 1::2] = 0.0  # the one-row gemv tap at d = 3
+        w[2, :, 1::2] = 0.0  # the one-row tap at d = 3
         x, b = rng.random((5, 3, 7)), rng.standard_normal(4)  # channel-major (J_in, d, n)
         _conv_forward(w.view(Counted), b, x)
         assert calls.count("matmul") == 1

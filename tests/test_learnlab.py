@@ -434,8 +434,9 @@ class TestTrainErm:
 
     def test_golden_hinge_run(self):
         # sha256 of the selected parameters and every per-epoch risk, recorded
-        # before training moved to in-place updates of a flat vector; the
-        # projection binds on most steps of this run
+        # when backward's filter gradients became GEMMs over channel-major
+        # grids and every one-row tap a GEMM; the projection binds on most
+        # steps of this run
         spec = make_eta_tsybakov(4.0)
         data = sample_dataset(spec, 200, seed=11)
         cfg = TrainConfig(s=2, J=4, L=2, M=3.0, loss="hinge", trunc_level=1.0, epochs=6,
@@ -446,7 +447,7 @@ class TestTrainErm:
             digest.update(np.asarray(risks).tobytes())
         assert (trace.best_restart, trace.best_epoch) == (0, 6)
         assert digest.hexdigest() == (
-            "d45159949c48ccb5d924b9bc1149061034cbdfee183081182ce21e1b86603f60"
+            "396acaadac06fa336187f4a8fde53aace79ef3bd9415e0e7d3a33138b9298776"
         )
 
     def test_nonfinite_loss_gradient_raises(self, monkeypatch):
