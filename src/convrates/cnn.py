@@ -23,17 +23,27 @@ Architecture conventions used throughout the package:
   one broadcast product, so results are bit-identical to the row-major
   form, except that a J_in = 1 pre-activation may be -0.0 where the
   row-major sum, which starts from +0, gives +0.0; ReLU makes both +0.
-  A tap k > 0 with J_in > 1 whose filter block is all +-0 (a third of the
-  taps of a compiled log link) is skipped, bit for bit where grids are finite:
-  BLAS sums each entry from +0, so out holds no -0.0 once tap 0 and the
-  bias are in, and the skipped tap's +0 would change no entry.
+  On J_in > 1 channels tap 0 is always the GEMM, and `_tap_plan` decides
+  once per forward pass how each later tap runs, in one of three kinds:
+  - all +-0 (a third of the taps of a compiled log link): skipped;
+  - one input channel c (every other tap k > 0 of a compiled log link):
+    one broadcast product x[c, k:] * w[k, r0:r1, c], added onto only the
+    tap's nonzero output rows r0:r1;
+  - anything else: the GEMM.
+  An all-+-0 bias then makes no pass.  Every kind keeps the GEMM's bits
+  while grids are finite: BLAS sums each entry from +0, so out holds no
+  -0.0 once tap 0 and the bias are in; a one-channel sum's other terms are
+  +-0 weights times finite entries, so the sum is its one rounded product;
+  and what is left out would add +0.  A trained tap runs as the GEMM as
+  soon as its entry [0, 0] is nonzero, so training pays no filter scan.
   Each layer's pre-activation grid is fresh, and ReLU overwrites it in
-  place.  `final_grid` takes a batch of several 512 KiB row blocks through
-  all layers block by block, on every usable core (`run_row_blocks`); a
-  row's value depends neither on the worker count nor on the BLAS thread
-  count.  `backward` reads these grids: a tap's filter gradient is one GEMM
-  of gz[:, :d-k] against a_in[:, k:], and its input gradient is the same
-  loop on the adjoint: T(w)^T = P T(w^T) P, with P the spatial reversal
+  place.  `final_grid` plans every layer once, then takes a batch of
+  several 1 MiB row blocks through all layers block by block with that one
+  plan, on every usable core (`run_row_blocks`); a row's value depends
+  neither on the worker count nor on the BLAS thread count.  `backward`
+  reads these grids: a tap's filter gradient is one GEMM of gz[:, :d-k]
+  against a_in[:, k:], and its input gradient is the same core on the
+  adjoint, with no bias: T(w)^T = P T(w^T) P, with P the spatial reversal
   and w^T each tap's channel block transposed.  Every other function takes
   and returns (n, d, J) batches, and einsums read them C-contiguous: their
   summation order follows the layout.
@@ -160,17 +170,63 @@ def conv_matrix(w, d):
     return T
 
 
-def _conv_forward(weights, bias, x, last=False):
+def _tap_plan(weights, bias):
+    """How `_conv_forward` runs a layer's taps k > 0 and its bias; the one place
+    in this module that tests filter entries for zero.
+
+    Returns (taps, bias).  taps lists each live tap k > 0 of a layer on
+    J_in > 1 channels as (k, c, r0, r1): c is None for a GEMM over all
+    channels, else the tap reads only input channel c and writes only output
+    rows r0:r1, one broadcast product.  All-+-0 taps are left out.  bias is
+    None where it is all +-0, since then it would add +0 to a GEMM's output.
+    A tap whose entry [0, 0] is nonzero (all taps of a trained net) is a
+    GEMM without a scan, so a trained net's plan costs s - 1 scalar tests.
+    On one input channel every tap and the bias run (module docstring).
+    """
+    s, J, K = weights.shape
+    if K == 1:
+        return [], bias
+    taps = []
+    for k in range(1, s):
+        if weights[k, 0, 0]:
+            taps.append((k, None, 0, J))
+            continue
+        channels = np.flatnonzero(weights[k].any(axis=0))
+        if channels.size == 1:  # one input channel: its nonzero output rows
+            c = int(channels[0])
+            rows = np.flatnonzero(weights[k, :, c])
+            taps.append((k, c, int(rows[0]), int(rows[-1]) + 1))
+        elif channels.size:
+            taps.append((k, None, 0, J))
+    if bias is not None and not bias[0] and not bias.any():
+        bias = None
+    return taps, bias
+
+
+def _conv_forward(weights, bias, x, last=False, taps=None):
     """Channel-major layer map: x (J_in, d, n) -> (J_out, d, n), pre-activation.
+
+    `bias` and `taps` are a `_tap_plan`; without `taps` the plan is made
+    here.  A bias of None makes no pass, except on one input channel, where
+    +0 is added so that no -0.0 product survives it.
 
     A net's last layer on one input channel has elementwise taps, so it writes
     (n, d, J_out) storage for free and spares the caller a transposed copy.
     Where x is not C-contiguous, each matrix-product tap copies its rows.
 
-    An all-zero tap is skipped as the module docstring says; that is exact
-    only while x is finite.  Where x holds +-inf (only after a float64
-    overflow) the skipped tap adds no 0 * inf = NaN, so which entries are NaN
-    and which are inf may differ from summing every tap.
+    On J_in > 1 channels each of the plan's tap kinds and its bias rule
+    (module docstring) keeps the full GEMM's bits while x is finite:
+    - BLAS sums each entry from +0, so after tap 0 out holds no -0.0, and
+      after adding the bias or any later tap it still holds none;
+    - in the GEMM of a one-channel tap every other product in an entry's sum
+      is a +-0 weight times a finite entry, so the sum is the one rounded
+      product w * x, or +0 where that is +-0: the broadcast product differs
+      at most in the sign of a zero, which adding onto out cannot show;
+    - the taps, rows and bias left out would add +0 or -0 to an out without
+      -0.0, which changes no entry.
+    Where x holds +-inf (only after a float64 overflow) a left-out product
+    adds no 0 * inf = NaN, so which entries are NaN and which are inf may
+    differ from summing every product.
     """
     s, J, K = weights.shape
     d, n = x.shape[1:]
@@ -179,25 +235,32 @@ def _conv_forward(weights, bias, x, last=False):
     if K == 1:  # one-term dots: each tap is the GEMM's single rounded product
         x, w = x[0], weights[..., None]
         np.multiply(x, w[0], out=out)
-        out += bias[:, None, None]
+        out += 0.0 if bias is None else bias[:, None, None]  # +0 turns a -0.0 product to +0
         for k in range(1, s):
             out[:, : d - k] += x[k:] * w[k]
         return out
-    buf = np.empty((J, max(d - 1, 2), n)) if s > 1 else None  # the shifted taps' products
-    for k in range(s):
-        lo = min(k, max(d - 2, 0))  # a one-row tap also multiplies the row before it
-        t = out if k == 0 else buf[:, : d - lo]
-        if k and not weights[k, 0, 0] and not weights[k].any():  # a trained tap stops at [0, 0]
-            continue  # it would add +0 to an out that holds no -0.0
-        elif J == 1:  # one output channel: numpy's matrix-vector gemv, on C-contiguous rows
+    if taps is None:
+        taps, bias = _tap_plan(weights, bias)
+
+    def gemm(k, lo, t):  # t = w[k] @ x[:, lo:]
+        if J == 1:  # one output channel: numpy's matrix-vector gemv, on C-contiguous rows
             np.matmul(np.ascontiguousarray(x[:, lo:].reshape(K, -1).T), weights[k].T,
                       out=t.reshape(-1, 1))
         else:  # the rows x[:, lo:] are a (K, (d-lo)*n) view with row stride d*n
             np.matmul(weights[k], x[:, lo:].reshape(K, -1), out=t.reshape(J, -1))
-        if k == 0:  # t0 + b is the same double as b + t0
-            out += bias[:, None, None]
+
+    gemm(0, 0, out)
+    if bias is not None:  # t0 + b is the same double as b + t0
+        out += bias[:, None, None]
+    buf = np.empty((J, max(d - 1, 2), n)) if taps else None  # the shifted taps' products
+    for k, c, r0, r1 in taps:
+        if c is None:  # a one-row tap also multiplies the row before it
+            lo = min(k, max(d - 2, 0))
+            gemm(k, lo, buf[:, : d - lo])
+            out[:, : d - k] += buf[:, k - lo : d - lo]
         else:
-            out[:, : d - k] += t[:, k - lo :]
+            t = np.multiply(x[c, k:], weights[k, r0:r1, c, None, None], out=buf[r0:r1, : d - k])
+            out[r0:r1, : d - k] += t
     return out
 
 
@@ -225,16 +288,18 @@ def _check_input(params, x):
     return x
 
 
-def _activations(layers, X):
+def _activations(layers, X, plans=None):
     """Yield the activated channel-major (J, d, n) grid after each layer for an
     (n, d) batch X.
 
-    The package's one forward loop.  A caller that keeps only the last grid
-    holds a few grids at a time, whatever the depth.
+    The package's one forward loop.  `plans` holds each layer's `_tap_plan`;
+    without it `_conv_forward` makes each.  A caller that keeps only the last
+    grid holds a few grids at a time, whatever the depth.
     """
-    a = X.T[None]
-    for i, layer in enumerate(layers, 1 - len(layers)):  # i = 0 at the last layer
-        a = _conv_forward(layer.weights, layer.bias, a, last=i == 0)
+    a, last = X.T[None], len(layers) - 1
+    for i, layer in enumerate(layers):
+        taps, bias = (None, layer.bias) if plans is None else plans[i]
+        a = _conv_forward(layer.weights, bias, a, i == last, taps)
         np.maximum(a, 0.0, out=a)  # the grid is fresh, so ReLU can overwrite it
         yield a
 
@@ -249,9 +314,12 @@ def activation_grids(params, x):
             for a in _activations(params.layers, _check_input(params, x))]
 
 
-# one (J, d, rows) row block of `final_grid`, 512 KiB: half as many blocks as at
-# 256 KiB halve the per-layer Python work, and a block's three live grids fit in L2
-_BLOCK_FLOATS = 64 << 10
+# one (J, d, rows) row block of `final_grid`, 1 MiB.  Skipped and one-channel taps
+# leave less BLAS work per block, so the per-layer Python work weighs more: on
+# 2 cores (2 MiB L2 each) the verify benchmark's 10 000-point forward took 122 ms
+# at 512 KiB, 95 ms at 1 MiB and 249 ms at 1.5 MiB; on 1 core, 143 ms at 512 KiB
+# and 172 ms at 1 MiB
+_BLOCK_FLOATS = 128 << 10
 
 
 def run_row_blocks(n, rows, run):
@@ -303,10 +371,11 @@ def final_grid(params, x):
             pass
         return np.ascontiguousarray(a.transpose(2, 1, 0))
     rows, out = max(1, _BLOCK_FLOATS // (d * J)), np.empty((n, d, J))
+    plans = [_tap_plan(layer.weights, layer.bias) for layer in params.layers]
 
     def run(lo, hi):
         for start in range(lo, hi, rows):
-            for a in _activations(params.layers, X[start : start + rows]):
+            for a in _activations(params.layers, X[start : start + rows], plans):
                 pass
             out[start : start + rows] = a.transpose(2, 1, 0)
 
@@ -365,8 +434,8 @@ def backward(params, x, dout=None):
         np.add.reduce(gz.reshape(J, -1), axis=1, out=grad_b[i])
         if i > 0:  # the input gradient of layer 0 is not needed
             # T(w)^T = P T(w^T) P: the forward core on the reversed grid
-            w = params.layers[i].weights
-            ga = _conv_forward(w.transpose(0, 2, 1), np.zeros(J), gz[:, ::-1])[:, ::-1]
+            w = params.layers[i].weights.transpose(0, 2, 1)
+            ga = _conv_forward(w, None, gz[:, ::-1])[:, ::-1]
     return vec
 
 

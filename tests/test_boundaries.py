@@ -4,8 +4,9 @@ module-level name is used in its own module, and only the one CSV writer
 and the network file writer open a file for writing.  The input rules several
 modules share (the size guard, the finiteness check and the norm-budget
 check) are public names of `errors`, and their own tests are here.  In
-`cnn` only the one forward loop builds grids layer by layer, and only it,
-`conv_apply` and `backward` call the layer core.
+`cnn` only the one forward loop builds grids layer by layer, only it,
+`conv_apply` and `backward` call the layer core, and only the tap planner
+tests filter entries for zero.
 """
 
 import ast
@@ -304,3 +305,73 @@ def test_the_core_check_sees_each_form():
     uses, loops = core_readers(source)
     assert uses == ["_activations", "handle"]
     assert loops == ["_activations", "by_einsum", "by_matmul", "inner"]
+
+
+def zero_tests(source):
+    """The enclosing functions ("<module>" outside any) that test array entries
+    for zero, sorted: a call of `any`, `all`, `nonzero`, `flatnonzero`,
+    `count_nonzero` or `argwhere`, as a function or a method, or an indexed
+    entry used as a truth value (the test of an `if`, `while`, conditional
+    expression, comprehension filter or `assert`, or an operand of `and`,
+    `or` or `not`).  A bare name used as a truth value is not counted."""
+    scans = {"any", "all", "nonzero", "flatnonzero", "count_nonzero", "argwhere"}
+
+    def tested(node):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            return [node.test]
+        if isinstance(node, ast.BoolOp):
+            return node.values
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return [node.operand]
+        if isinstance(node, ast.comprehension):
+            return node.ifs
+        return []
+
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None)
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(child, ast.Call) and name in scans:
+                found.add(scope)
+            if any(isinstance(t, ast.Subscript) for t in tested(child)):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_only_the_tap_planner_tests_filters_for_zero():
+    # `_tap_plan` decides once per forward pass which taps run and how; the
+    # core and the loops only follow its plan, so a trained net pays no scan
+    assert zero_tests((PACKAGE / "cnn.py").read_text()) == ["_tap_plan"]
+    uses, loops = core_readers((PACKAGE / "cnn.py").read_text())
+    assert "_tap_plan" not in uses + loops
+
+
+def test_the_zero_check_sees_each_form():
+    source = (
+        "def method(w):\n    return w[1].any()\n"
+        "def function(w):\n    return np.flatnonzero(w), np.count_nonzero(w)\n"
+        "def where(w):\n    return np.argwhere(w), w.nonzero()\n"
+        "def entry(w):\n    if w[1, 0, 0]:\n        return 1\n"
+        "def negated(b):\n    return not b[0]\n"
+        "def chained(w, b):\n    return b is not None and b[0]\n"
+        "def ternary(w):\n    return 1 if w[0] else 2\n"
+        "def looped(w):\n    while w[0]:\n        pass\n"
+        "def filtered(w):\n    return [k for k in range(3) if w[k]]\n"
+        "def asserted(w):\n    assert w[0]\n"
+        "def nested():\n    def inner(w):\n        return all(w)\n    return inner\n"
+        "def fine(w, errors, x):\n"
+        "    if errors or x.ndim == 3 or w[0] > 1:\n        return np.abs(w).sum(), w[k]\n"
+        "np.any([0])\n"
+    )
+    assert zero_tests(source) == [
+        "<module>", "asserted", "chained", "entry", "filtered", "function", "inner",
+        "looped", "method", "negated", "ternary", "where",
+    ]

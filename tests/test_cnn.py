@@ -42,10 +42,10 @@ from convrates.cnn import (
     truncate,
 )
 from convrates.complexity import empirical_cover_check
-from convrates.compiler import ShallowNet, compose_with_scalar_net
+from convrates.compiler import ShallowNet, compose_with_scalar_net, shallow_to_cnn
 from convrates.errors import PreconditionError, ShapeError
 from convrates.learnlab import TrainConfig, make_eta_tsybakov, sample_dataset, train_erm
-from convrates.links import log_link_net
+from convrates.links import log_link_net, sign_link_net
 from convrates.sampling import spawn_rng, unit_cube_points
 
 from conftest import random_cnn
@@ -476,6 +476,15 @@ def stacked_conv_forward(weights, bias, x):
     return out
 
 
+def stacked_grids(params, X):
+    """Reference forward values and activated grids over `stacked_conv_forward`."""
+    grids, a = [], X[:, :, None]
+    for layer in params.layers:
+        a = np.maximum(stacked_conv_forward(layer.weights, layer.bias, a), 0.0)
+        grids.append(a)
+    return np.einsum("ndj,dj->n", a, params.output_weights), grids
+
+
 def stacked_reference(params, X, dout):
     """Reference forward values and grids over `stacked_conv_forward`, and the
     backward vector with einsum sums.
@@ -486,10 +495,8 @@ def stacked_reference(params, X, dout):
     GEMMs over the whole grid as the forward taps.
     """
     n, d = X.shape
-    grids, a = [], X[:, :, None]
-    for layer in params.layers:
-        a = np.maximum(stacked_conv_forward(layer.weights, layer.bias, a), 0.0)
-        grids.append(a)
+    values, grids = stacked_grids(params, X)
+    a = grids[-1]
     inputs = [X[:, :, None]] + grids[:-1]
     parts = [np.einsum("n,ndj->dj", dout, a).ravel()]
     mags = [np.einsum("n,ndj->dj", np.abs(dout), a).ravel()]
@@ -512,7 +519,6 @@ def stacked_reference(params, X, dout):
             rows = gz.reshape(-1, gz.shape[2])
             for k in range(params.s):
                 ga[:, k:, :] += (rows @ w[k]).reshape(n, d, -1)[:, : d - k]
-    values = np.einsum("ndj,dj->n", a, params.output_weights)
     return values, grids, np.concatenate(parts), np.concatenate(mags), np.concatenate(lengths)
 
 
@@ -742,9 +748,13 @@ class TestZeroTaps:
         _conv_forward(w.view(Counted), b, x)
         assert calls.count("matmul") == 1
         calls.clear()
-        w[1, 2, 3] = 5e-324  # one nonzero entry and the tap runs
+        w[1, 2, 3] = 5e-324  # one nonzero entry and the tap runs, as a broadcast product
         _conv_forward(w.view(Counted), b, x)
-        assert calls.count("matmul") == 2
+        assert calls.count("matmul") == 1 and calls.count("multiply") == 1
+        calls.clear()
+        w[1, 0, 1] = -2.0  # a second input column and the tap is a matmul
+        _conv_forward(w.view(Counted), b, x)
+        assert calls.count("matmul") == 2 and calls.count("multiply") == 0
 
     def test_overflow_still_raises(self, rng):
         # past a float64 overflow a skipped tap adds no 0 * inf = NaN, so the
@@ -875,6 +885,155 @@ class TestRowBlocks:
         assert started == [] and threading.active_count() == before
         forward(random_cnn(rng, d=2, s=2, J=6, L=1), rng.random((_BLOCK_FLOATS // 12 + 1, 2)))
         assert len(started) == 1 and threading.active_count() == before
+
+
+def planted_net(rng, d, s, J=4):
+    """A random net whose later layers carry the tap kinds of compiled ones:
+    one-channel taps of negative and +-0 weights (entry [0, 0] -0.0, so the
+    plan scans them), an all-+-0 tap, a two-channel tap and +-0 biases."""
+    params = random_cnn(rng, d=d, s=s, J=J, L=4)
+    w1, w2, w3 = (layer.weights for layer in params.layers[1:])
+    w1[1:] = -0.0
+    w1[1:, 1:, 0] = -rng.random((s - 1, J - 1))  # channel 0, rows 1..J-1
+    w1[1:, 2, 0] = -0.0  # a +-0 inside the rows the product writes
+    w2[1:] = 0.0
+    w2[1:, J - 1, J - 1] = -1.5  # the last row only
+    w2[s - 1] = -0.0  # all +-0
+    params.layers[2].bias[:] = -0.0
+    params.layers[3].bias[::2] = 0.0
+    w3[1:, 0, 0] = 0.0
+    w3[1:, :, 2:] = 0.0  # two channels, with a zero entry [0, 0]
+    return params
+
+
+def compiled_nets(rng):
+    """Compiled and planted nets over d in {2, 3, 8} and s in {2, 3}."""
+    for d, s in ((2, 2), (3, 2), (3, 3), (8, 2), (8, 3)):
+        net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, d)),
+                         rng.standard_normal(2))
+        yield shallow_to_cnn(net, s)[0]
+        for link in (log_link_net(3), log_link_net(7), log_link_net(50), sign_link_net(0.25)):
+            yield compose_with_scalar_net(net, link, s)[0]
+        yield planted_net(rng, d, s)
+
+
+class TestTapPlan:
+    """The plan of each layer's taps (skip, one-channel broadcast product, or
+    GEMM) and bias keeps every byte of the row-major reference, is made once
+    per forward pass, and costs a trained net no filter scan."""
+
+    def test_plan_kinds(self, rng):
+        from convrates.cnn import _tap_plan
+
+        J = 4
+        layers = planted_net(rng, 3, 3, J).layers
+        assert _tap_plan(layers[1].weights, layers[1].bias) == (
+            [(1, 0, 1, J), (2, 0, 1, J)], layers[1].bias)
+        assert _tap_plan(layers[2].weights, layers[2].bias) == ([(1, J - 1, J - 1, J)], None)
+        taps, bias = _tap_plan(layers[3].weights, layers[3].bias)
+        assert taps == [(1, None, 0, J), (2, None, 0, J)] and bias is layers[3].bias
+        assert _tap_plan(layers[0].weights, np.zeros(J))[0] == []  # one input channel: no plan
+
+    def test_one_input_channel_always_adds_the_bias(self):
+        # `backward`'s adjoint passes no bias; on one input channel its -0.0
+        # products still become the +0 that summing from +0 gives
+        from convrates.cnn import _conv_forward
+
+        w = np.array([[[-1.0]], [[2.0]]])
+        x = np.array([[[0.0, 1.0], [-0.0, 0.0]]])  # (1, d, n)
+        out = _conv_forward(w, None, x)
+        assert out.tobytes() == _conv_forward(w, np.zeros(1), x).tobytes()
+        assert np.array_equal(out, [[[0.0, -1.0], [0.0, 0.0]]])
+        assert not np.signbit(out[out == 0]).any()
+        # and a +0 bias on one input channel still makes its pass: conv_apply
+        # returns the pre-activation, which would otherwise keep the -0.0
+        pre = conv_apply(ConvLayer(w, np.zeros(1)), x[0, :, :1])
+        assert np.array_equal(pre, [[0.0], [0.0]]) and not np.signbit(pre).any()
+
+    @pytest.mark.parametrize("n", [1, 7, 150])
+    def test_outputs_match_stacked_reference(self, rng, n):
+        for params in compiled_nets(rng):
+            X = rng.random((n, params.d))
+            X[::3] = 0.0  # zero inputs: +-0 products on the one-channel taps
+            X[:, 0] = 0.0
+            values, grids = stacked_grids(params, X)
+            assert forward(params, X).tobytes() == values.tobytes()
+            assert final_grid(params, X).tobytes() == grids[-1].tobytes()
+            assert [g.tobytes() for g in activation_grids(params, X)] == [
+                g.tobytes() for g in grids]
+            for layer, grid in zip(params.layers[1:], grids):
+                expected = stacked_conv_forward(layer.weights, layer.bias, grid[-1:])[0]
+                assert conv_apply(layer, grid[-1]).tobytes() == expected.tobytes()
+
+    def test_conv_apply_on_signed_zero_inputs(self, rng):
+        # negative and -0.0 entries, which no activated grid holds
+        for params in [planted_net(rng, d, s) for d, s in ((3, 2), (3, 3), (8, 3))]:
+            for layer in params.layers[1:]:
+                x = rng.standard_normal((params.d, 4))
+                x[::2, :2] = -0.0
+                x[1::2, 2:] = 0.0
+                expected = stacked_conv_forward(layer.weights, layer.bias, x[None])[0]
+                assert conv_apply(layer, x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["log:50", "shallow", "planted"])
+    def test_row_blocks_match_stacked_reference(self, monkeypatch, rng, case):
+        net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, 8)),
+                         rng.standard_normal(2))
+        params = {"log:50": lambda: compose_with_scalar_net(net, log_link_net(50), 3)[0],
+                  "shallow": lambda: shallow_to_cnn(net, 2)[0],
+                  "planted": lambda: planted_net(rng, 8, 3, J=6)}[case]()
+        rows = _BLOCK_FLOATS // (params.d * params.J)
+        # one row, exactly one block, one block plus a row, a ragged last block
+        for n in (1, rows, rows + 1, 2 * rows + rows // 3):
+            X = rng.random((n, params.d))
+            values, grids = stacked_grids(params, X)
+            for workers in (1, 2, 3):
+                usable_cores(monkeypatch, workers)
+                assert forward(params, X).tobytes() == values.tobytes()
+                assert final_grid(params, X).tobytes() == grids[-1].tobytes()
+
+    def test_a_forward_plans_each_layer_once(self, monkeypatch, rng):
+        import convrates.cnn as cnn
+
+        plans = []
+        plan = cnn._tap_plan
+        monkeypatch.setattr(cnn, "_tap_plan", lambda *args: plans.append(args) or plan(*args))
+        params = planted_net(rng, 8, 3, J=6)
+        rows = _BLOCK_FLOATS // (8 * 6)
+        usable_cores(monkeypatch, 2)
+        # one block: each layer on several channels plans itself; two and
+        # five blocks: `final_grid` plans every layer before the blocks
+        L = params.depth
+        for n, count in ((1, L - 1), (rows + 1, L), (5 * rows, L)):
+            plans.clear()
+            forward(params, rng.random((n, 8)))
+            assert len(plans) == count
+
+    def test_a_trained_nets_plan_scans_no_filter(self):
+        from convrates.cnn import _tap_plan
+
+        scans = []
+
+        class Watched(np.ndarray):
+            def any(self, *args, **kwargs):
+                scans.append("any")
+                return super().any(*args, **kwargs)
+
+            def __array_function__(self, func, types, args, kwargs):
+                scans.append(func.__name__)
+                return super().__array_function__(func, types, args, kwargs)
+
+        data = sample_dataset(make_eta_tsybakov(4.0), 256, seed=0)
+        params, _ = train_erm(data, TrainConfig(s=2, J=6, L=3, M=8.0, loss="hinge", epochs=1,
+                                                batch_size=128, restarts=1, seed=0))
+        for layer in params.layers[1:]:
+            taps, bias = _tap_plan(layer.weights.view(Watched), layer.bias.view(Watched))
+            assert taps == [(1, None, 0, 6)] and bias is not None
+        assert scans == []
+        w = params.layers[1].weights.copy()
+        w[1, 0, 0] = 0.0  # the watch sees a scan
+        _tap_plan(w.view(Watched), None)
+        assert "any" in scans and "flatnonzero" in scans
 
 
 class TestParamsFromVector:
