@@ -484,7 +484,7 @@ def _write_fit(path, fit):
     _write_rows(path, [{key: getattr(fit, key) for key in keys}])
 
 
-_TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "init_scale")
+_TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts")
 
 
 @_verb(
@@ -505,7 +505,6 @@ _TRAIN_KEYS = ("s", "J", "epochs", "batch_size", "learning_rate", "restarts", "i
     learning_rate=(float, 0.02),
     final_learning_rate=(float, 0.002),
     restarts=(int, 2),
-    init_scale=(float, 1.0),
     mc_samples=(int, 20_000),
 )
 def _run_experiment(p, seed, output):

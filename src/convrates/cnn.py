@@ -9,44 +9,24 @@ Architecture conventions used throughout the package:
   It realizes the map  out[:, j'] = sum_j T(w[:, j', j]) @ x[:, j] + b[j'],
   where T(w) is the upper-banded matrix of `conv_matrix` (one-sided zero
   padding, stride one).
-* The forward loop (`_conv_forward`, `_activations`) holds a batch of grids
-  channel-major, shape (J, d, n): tap k is one GEMM w[k] @ x[:, k:], whose
-  right factor is a (J_in, (d-k) n) view with row stride d n, so the points
-  are the long dimension BLAS packs; it is added onto out[:, :d-k] in tap
-  order after the bias.  A one-row tap (k = d-1 > 0) multiplies the row
-  before it too: one row at n = 1 is one column, which numpy runs as gemv,
-  and a lone point's gemv sums would differ from its sums in a batch.  The
-  bits are those of the row-major x @ w[k]^T over the whole grid.  A tap
-  with one output channel on J_in > 1 channels (only in `conv_apply`)
-  would make numpy switch to gemv in this orientation, so it keeps the
-  row-major product on a C-contiguous copy of its rows.  A J_in = 1 tap is
-  one broadcast product, so results are bit-identical to the row-major
-  form, except that a J_in = 1 pre-activation may be -0.0 where the
-  row-major sum, which starts from +0, gives +0.0; ReLU makes both +0.
-  On J_in > 1 channels tap 0 is always the GEMM, and `_tap_plan` decides
-  once per forward pass how each later tap runs, in one of three kinds:
-  - all +-0 (a third of the taps of a compiled log link): skipped;
-  - one input channel c (every other tap k > 0 of a compiled log link):
-    one broadcast product x[c, k:] * w[k, r0:r1, c], added onto only the
-    tap's nonzero output rows r0:r1;
-  - anything else: the GEMM.
-  An all-+-0 bias then makes no pass.  Every kind keeps the GEMM's bits
-  while grids are finite: BLAS sums each entry from +0, so out holds no
-  -0.0 once tap 0 and the bias are in; a one-channel sum's other terms are
-  +-0 weights times finite entries, so the sum is its one rounded product;
-  and what is left out would add +0.  A trained tap runs as the GEMM as
-  soon as its entry [0, 0] is nonzero, so training pays no filter scan.
-  Each layer's pre-activation grid is fresh, and ReLU overwrites it in
-  place.  `final_grid` plans every layer once, then takes a batch of
-  several 1 MiB row blocks through all layers block by block with that one
-  plan, on every usable core (`run_row_blocks`); a row's value depends
-  neither on the worker count nor on the BLAS thread count.  `backward`
-  reads these grids: a tap's filter gradient is one GEMM of gz[:, :d-k]
-  against a_in[:, k:], and its input gradient is the same core on the
-  adjoint, with no bias: T(w)^T = P T(w^T) P, with P the spatial reversal
-  and w^T each tap's channel block transposed.  Every other function takes
-  and returns (n, d, J) batches, and einsums read them C-contiguous: their
-  summation order follows the layout.
+* The one forward loop (`_activations`, one `_conv_forward` per layer)
+  holds a batch of grids channel-major, shape (J, d, n), and runs each tap
+  as one product whose long dimension is the points; `_conv_forward` states
+  its paths and why each keeps the bits of the row-major x @ w[k]^T.  Those
+  bits, and so every byte-identical output of the package, are checked on
+  OpenBLAS's SkylakeX kernel set (the name `scipy_openblas_get_corename64_`
+  returns in numpy's bundled library); another kernel set rounds some
+  products differently.  `final_grid` takes a large batch through all
+  layers in row blocks, one run of blocks per usable core
+  (`run_row_blocks`); a row's value depends neither on the worker count nor
+  on the BLAS thread count.  `backward` reads these grids: a tap's filter
+  gradient is one GEMM, and its input gradient is the same core on the
+  adjoint, T(w)^T = P T(w^T) P, with P the spatial reversal and w^T each
+  tap's channel block transposed.  Every other function takes and returns
+  (n, d, J) batches, and einsums read them C-contiguous: their summation
+  order follows the layout.  A `# kept:` comment gives the time a call
+  took with that path removed, over the time with it: the median of 10
+  interleaved runs on 2 cores, at the `perfbench` workloads' shapes.
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
@@ -171,17 +151,15 @@ def conv_matrix(w, d):
 
 
 def _tap_plan(weights, bias):
-    """How `_conv_forward` runs a layer's taps k > 0 and its bias; the one place
-    in this module that tests filter entries for zero.
+    """How `_conv_forward` runs the taps k > 0 and the bias of a layer on
+    J_in > 1 channels; the one place in this module that tests filter
+    entries for zero.
 
-    Returns (taps, bias).  taps lists each live tap k > 0 of a layer on
-    J_in > 1 channels as (k, c, r0, r1): c is None for a GEMM over all
-    channels, else the tap reads only input channel c and writes only output
-    rows r0:r1, one broadcast product.  All-+-0 taps are left out.  bias is
-    None where it is all +-0, since then it would add +0 to a GEMM's output.
-    A tap whose entry [0, 0] is nonzero (all taps of a trained net) is a
-    GEMM without a scan, so a trained net's plan costs s - 1 scalar tests.
-    On one input channel every tap and the bias run (module docstring).
+    Returns (taps, bias).  taps lists each live tap as (k, c, r0, r1): c is
+    None for a GEMM over all channels, else the tap reads only input channel
+    c and writes only output rows r0:r1, one broadcast product.  bias is None
+    where it is all +-0.  A tap whose entry [0, 0] is nonzero (every tap of a
+    trained net) is a GEMM without a scan.
     """
     s, J, K = weights.shape
     if K == 1:
@@ -192,13 +170,13 @@ def _tap_plan(weights, bias):
             taps.append((k, None, 0, J))
             continue
         channels = np.flatnonzero(weights[k].any(axis=0))
-        if channels.size == 1:  # one input channel: its nonzero output rows
+        if channels.size == 1:  # kept: as GEMMs, the verify forward took 1.43x
             c = int(channels[0])
             rows = np.flatnonzero(weights[k, :, c])
             taps.append((k, c, int(rows[0]), int(rows[-1]) + 1))
-        elif channels.size:
+        elif channels.size:  # kept: running all-+-0 taps, the verify forward took 1.62x
             taps.append((k, None, 0, J))
-    if bias is not None and not bias[0] and not bias.any():
+    if bias is not None and not bias[0] and not bias.any():  # kept: with its pass, 1.11x
         bias = None
     return taps, bias
 
@@ -206,36 +184,33 @@ def _tap_plan(weights, bias):
 def _conv_forward(weights, bias, x, last=False, taps=None):
     """Channel-major layer map: x (J_in, d, n) -> (J_out, d, n), pre-activation.
 
-    `bias` and `taps` are a `_tap_plan`; without `taps` the plan is made
-    here.  A bias of None makes no pass, except on one input channel, where
-    +0 is added so that no -0.0 product survives it.
-
-    A net's last layer on one input channel has elementwise taps, so it writes
-    (n, d, J_out) storage for free and spares the caller a transposed copy.
-    Where x is not C-contiguous, each matrix-product tap copies its rows.
-
-    On J_in > 1 channels each of the plan's tap kinds and its bias rule
-    (module docstring) keeps the full GEMM's bits while x is finite:
-    - BLAS sums each entry from +0, so after tap 0 out holds no -0.0, and
-      after adding the bias or any later tap it still holds none;
-    - in the GEMM of a one-channel tap every other product in an entry's sum
-      is a +-0 weight times a finite entry, so the sum is the one rounded
-      product w * x, or +0 where that is +-0: the broadcast product differs
-      at most in the sign of a zero, which adding onto out cannot show;
-    - the taps, rows and bias left out would add +0 or -0 to an out without
-      -0.0, which changes no entry.
-    Where x holds +-inf (only after a float64 overflow) a left-out product
-    adds no 0 * inf = NaN, so which entries are NaN and which are inf may
-    differ from summing every product.
+    `bias` and `taps` are a `_tap_plan`, made here when `taps` is None.  Tap
+    k adds w[k] @ x[:, k:] onto out[:, :d-k] after tap 0 and the bias.  Each
+    path keeps the bits of the row-major x @ w[k]^T while x is finite:
+    - one input channel: each tap is one broadcast product, the GEMM's one
+      rounded product; +0 is added where there is no bias, so a -0.0 product
+      becomes the +0 that a BLAS sum from +0 gives.  A net's last layer there
+      writes (n, d, J_out) storage, which spares the caller a transposed copy;
+    - a one-row tap (k = d - 1) multiplies the row before it too: numpy runs
+      a one-column product as gemv, whose sums a GEMM does not repeat;
+    - one output channel on J_in > 1 channels (only in `conv_apply`) keeps
+      the row-major product on a C-contiguous copy, which numpy runs as gemv;
+    - the plan's skipped taps and bias: BLAS sums each entry from +0, so out
+      holds no -0.0 after tap 0, and adding +-0 to it changes no entry;
+    - the plan's one-channel taps: every other term of the GEMM's sum is a
+      +-0 weight times a finite entry, so the sum is the one product w * x,
+      up to the sign of a zero, which adding onto out cannot show.
+    Where x holds +-inf (only after an overflow) a left-out product adds no
+    0 * inf = NaN, so which entries are NaN and which are inf may differ.
     """
     s, J, K = weights.shape
     d, n = x.shape[1:]
-    n_major = last and K == 1
+    n_major = last and K == 1  # kept: as (J, d, n), the cover forward took 1.19x
     out = np.empty((n, d, J)).transpose(2, 1, 0) if n_major else np.empty((J, d, n))
-    if K == 1:  # one-term dots: each tap is the GEMM's single rounded product
+    if K == 1:  # kept: as GEMMs, the cover forward took 1.89x and training's 1.20x
         x, w = x[0], weights[..., None]
         np.multiply(x, w[0], out=out)
-        out += 0.0 if bias is None else bias[:, None, None]  # +0 turns a -0.0 product to +0
+        out += 0.0 if bias is None else bias[:, None, None]
         for k in range(1, s):
             out[:, : d - k] += x[k:] * w[k]
         return out
@@ -255,7 +230,7 @@ def _conv_forward(weights, bias, x, last=False, taps=None):
     buf = np.empty((J, max(d - 1, 2), n)) if taps else None  # the shifted taps' products
     for k, c, r0, r1 in taps:
         if c is None:  # a one-row tap also multiplies the row before it
-            lo = min(k, max(d - 2, 0))
+            lo = min(k, d - 2)
             gemm(k, lo, buf[:, : d - lo])
             out[:, : d - k] += buf[:, k - lo : d - lo]
         else:
@@ -347,6 +322,7 @@ def run_row_blocks(n, rows, run):
         except BaseException as exc:  # re-raised below, once every thread has joined
             errors.append(exc)
 
+    # kept: on one thread, the verify forward took 1.46x, a 20 000-point training one 1.15x
     threads = [threading.Thread(target=contextvars.copy_context().run, args=(guarded, *cut))
                for cut in zip(cuts[1:-1], cuts[2:])]
     for t in threads:
@@ -366,7 +342,7 @@ def final_grid(params, x):
     """
     X = _check_input(params, x)
     (n, d), J = X.shape, params.J
-    if n * d * J <= _BLOCK_FLOATS:
+    if n * d * J <= _BLOCK_FLOATS:  # kept: blocked, the cover forward took 1.10x, training's 1.05x
         for a in _activations(params.layers, X):
             pass
         return np.ascontiguousarray(a.transpose(2, 1, 0))

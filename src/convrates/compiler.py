@@ -108,14 +108,14 @@ def _relu_sum(X, directions, offsets, coeffs):
     Beyond the outermost kinks the slope is sum_k c_k a_k over the neurons on
     there.  A neuron without a finite kink (a_k = 0, or -b_k/a_k past the
     float range) is on for every finite t when b_k > 0 and off otherwise.
-    Each point is interpolated on its own, in blocks of `_BLOCK_BYTES // 8`
-    points: its value does not depend on the number of points, the block size
-    or the worker count.  A net that overflows float64 at a kink, between two
-    kinks or in a slope is summed densely at every point instead, since the
-    interpolant would spread the overflow over a whole segment.  So is a net
-    with a product c_k a_k or a slope that underflows to a subnormal or to
-    zero: its absolute error, up to half the least subnormal, would grow with
-    the distance to the kink.
+    Each point is interpolated on its own, in one elementwise pass on the
+    calling thread, so its value does not depend on the number of points.
+    A net that overflows float64 at a kink, between two kinks or in a slope
+    is summed densely at every point instead, since the interpolant would
+    spread the overflow over a whole segment.  So is a net with a product
+    c_k a_k or a slope that underflows to a subnormal or to zero: its
+    absolute error, up to half the least subnormal, would grow with the
+    distance to the kink.
     """
     if X.shape[1] > 1:
         return _dense_relu_sum(X, directions, offsets, coeffs)
@@ -153,17 +153,8 @@ def _relu_sum(X, directions, offsets, coeffs):
     half_slope = np.repeat(slope, 2)[1:-1]
 
     t = X[:, 0]
-    out = np.empty(len(t))
-    rows = _BLOCK_BYTES // 8
-
-    def run(lo, hi):
-        for start in range(lo, hi, rows):
-            x = t[start : start + rows]
-            h = np.searchsorted(breaks, x, side="right")
-            out[start : start + len(x)] = anchor_value[h] + (x - anchor[h]) * half_slope[h]
-
-    run_row_blocks(len(t), rows, run)
-    return out
+    h = np.searchsorted(breaks, t, side="right")
+    return anchor_value[h] + (t - anchor[h]) * half_slope[h]
 
 
 @dataclass
@@ -201,9 +192,9 @@ class ShallowNet:
         Non-finite entries are refused.  With d >= 2 each row goes through the
         fixed-order dense sum; with d = 1 the dense sum runs on the net's
         kinks and each row is interpolated between them (see `_relu_sum`).
-        Either way, in blocks on every usable core, without BLAS, so a row's
-        value does not depend on how many rows come with it, on the worker
-        count or on the BLAS thread count.
+        Neither goes through BLAS, so a row's value does not depend on how
+        many rows come with it, on the worker count or on the BLAS thread
+        count.
         """
         x = check_finite(x, "points")
         if x.ndim not in (1, 2) or x.shape[-1] != self.d:

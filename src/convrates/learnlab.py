@@ -68,7 +68,6 @@ class TargetSpec:
     svb_constant: float | None = None  # C_beta
     margin_cdf: callable | None = field(default=None, repr=False)
     small_value_cdf: callable | None = field(default=None, repr=False)
-    detail: str = ""
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=np.float64))
@@ -115,8 +114,7 @@ def make_regression_target(family, params=None, seed=0):
 
         sup = float(np.sum(np.abs(amps) / (2 * np.pi * np.abs(freqs))))
         lip = float(np.sum(np.abs(amps)))
-        detail = f"{len(amps)} sine terms; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}"
-        return _lipschitz_target("trig-mixture", fn, d, sup, lip, detail)
+        return _lipschitz_target("trig-mixture", fn, d, sup, lip)
 
     if family == "gaussian-bump-mixture":
         k = _term_array(params, "n_terms", 3, scalar=True, integer=(1,))
@@ -143,8 +141,7 @@ def make_regression_target(family, params=None, seed=0):
             sup = float(np.sum(np.abs(amps)))
             # sup of |grad| of a bump with width w is |a| e^(-1/2) / w
             lip = float(np.sum(np.abs(amps) * math.exp(-0.5) / widths))
-        detail = f"{len(amps)} bumps; |h| <= {sup:.4g}, Lipschitz <= {lip:.4g}"
-        return _lipschitz_target("gaussian-bump-mixture", fn, d, sup, lip, detail)
+        return _lipschitz_target("gaussian-bump-mixture", fn, d, sup, lip)
 
     if family == "coordinate-clamp":
         slope, center, level, offset = (
@@ -160,13 +157,12 @@ def make_regression_target(family, params=None, seed=0):
             return offset + np.clip(slope * (X[:, coord] - center), -level, level)
 
         sup = abs(offset) + level
-        detail = f"clamp slope {slope} on coordinate {coord}"
-        return _lipschitz_target("coordinate-clamp", fn, d, sup, abs(slope), detail)
+        return _lipschitz_target("coordinate-clamp", fn, d, sup, abs(slope))
 
     raise PreconditionError(f"unknown regression family: {family!r}")
 
 
-def _lipschitz_target(name, fn, d, sup, lip, detail):
+def _lipschitz_target(name, fn, d, sup, lip):
     """A regression target certified Lipschitz (smoothness 1): |h| <= sup,
     Lipschitz constant lip, radius sup + lip."""
     if not (0 <= sup < math.inf and 0 <= lip < math.inf):
@@ -175,7 +171,7 @@ def _lipschitz_target(name, fn, d, sup, lip, detail):
         )
     return TargetSpec(
         kind="regression", fn=fn, d=d, name=name, smoothness=1.0, holder_radius=sup + lip,
-        sup_bound=sup, lipschitz=lip, detail=detail,
+        sup_bound=sup, lipschitz=lip,
     )
 
 
@@ -212,7 +208,7 @@ def _reject_unknown(params, family):
         raise PreconditionError(f"unknown {family} parameters: {sorted(params)}")
 
 
-def _class_probability(name, fn, d, detail, given, lipschitz=None, **certificates):
+def _class_probability(name, fn, d, given, lipschitz=None, **certificates):
     """A class-probability target; with `lipschitz`, eta is certified
     Lipschitz (smoothness 1, radius max(1, lipschitz)), the counterpart of
     `_lipschitz_target`.  `certificates` are its margin and small-value laws;
@@ -226,9 +222,7 @@ def _class_probability(name, fn, d, detail, given, lipschitz=None, **certificate
         value = certificates.get(key)
         if value is not None and not 0 < value < math.inf:  # c/2 may underflow, 2/c overflow
             raise PreconditionError(f"{name} at {given} certifies {key} = {value}, not finite > 0")
-    return TargetSpec(
-        kind="class-probability", fn=fn, d=d, name=name, detail=detail, **certificates
-    )
+    return TargetSpec(kind="class-probability", fn=fn, d=d, name=name, **certificates)
 
 
 def make_eta_tsybakov(c, d=2):
@@ -252,8 +246,8 @@ def make_eta_tsybakov(c, d=2):
             return np.where(t >= 1.0, 1.0, 0.0)
 
         return _class_probability(
-            "eta-step", fn, d, "step eta; |2 eta - 1| = 1 almost surely", f"c={c!r}",
-            noise_exponent=math.inf, noise_constant=1.0, margin_cdf=margin_cdf,
+            "eta-step", fn, d, f"c={c!r}", noise_exponent=math.inf, noise_constant=1.0,
+            margin_cdf=margin_cdf,
         )
 
     def fn(X):
@@ -264,8 +258,7 @@ def make_eta_tsybakov(c, d=2):
         return np.where(t >= 1.0, 1.0, np.minimum(2 * t / c, 1.0))
 
     return _class_probability(
-        "eta-ramp", fn, d, f"ramp steepness {c}; P(|2 eta - 1| <= t) = min(2t/{c}, 1) below 1",
-        f"c={c!r}", lipschitz=c / 2, sup_bound=1.0, noise_exponent=1.0,
+        "eta-ramp", fn, d, f"c={c!r}", lipschitz=c / 2, sup_bound=1.0, noise_exponent=1.0,
         noise_constant=max(1.0, 2.0 / c), margin_cdf=margin_cdf,
     )
 
@@ -293,9 +286,8 @@ def make_eta_svb(beta, d=2):
             return low, low
 
         return _class_probability(
-            "eta-svb0", fn, d, f"eta in [{floor}, {1 - floor}]; small-value condition trivial",
-            f"beta={beta!r}", lipschitz=span, sup_bound=1.0 - floor, svb_exponent=0.0,
-            svb_constant=1.0, small_value_cdf=small_value_cdf,
+            "eta-svb0", fn, d, f"beta={beta!r}", lipschitz=span, sup_bound=1.0 - floor,
+            svb_exponent=0.0, svb_constant=1.0, small_value_cdf=small_value_cdf,
         )
 
     power = 1.0 / beta
@@ -309,9 +301,8 @@ def make_eta_svb(beta, d=2):
         return t**beta, 1.0 - (1.0 - t) ** beta
 
     return _class_probability(
-        "eta-svb", fn, d, f"eta = x1^{power:.4g}; P(eta <= t) = t^{beta} exactly",
-        f"beta={beta!r}", lipschitz=power, sup_bound=1.0, svb_exponent=beta, svb_constant=1.0,
-        small_value_cdf=small_value_cdf,
+        "eta-svb", fn, d, f"beta={beta!r}", lipschitz=power, sup_bound=1.0, svb_exponent=beta,
+        svb_constant=1.0, small_value_cdf=small_value_cdf,
     )
 
 
@@ -395,7 +386,6 @@ class TrainConfig:
     learning_rate: float = 0.02
     final_learning_rate: float | None = None  # geometric decay target
     restarts: int = 2
-    init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -409,8 +399,6 @@ class TrainConfig:
         final = self.final_learning_rate or 0.0
         if not (0 < self.learning_rate < math.inf and 0 <= final < math.inf):
             raise PreconditionError("learning rates must be finite, the first > 0, the final >= 0")
-        if not 0 <= self.init_scale < math.inf:
-            raise PreconditionError(f"init_scale {self.init_scale} must be finite and nonnegative")
         if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
             raise PreconditionError("epochs, batch size, restarts must be positive")
         if self.L < 1 or self.s < 1 or self.J < 1:
@@ -454,15 +442,15 @@ def empirical_risk(params, X, y, loss, level):
     return float(np.mean(_pointwise_loss(loss, forward(params, X), y, level)))
 
 
-def _init_cnn(d, s, J, L, M, rng, scale):
+def _init_cnn(d, s, J, L, M, rng):
     # He-style fan-in scaling keeps activation magnitudes stable in depth
     layers = []
     for i in range(L):
         in_c = 1 if i == 0 else J
-        w = rng.normal(0.0, scale * math.sqrt(2.0 / (s * in_c)), (s, J, in_c))
+        w = rng.normal(0.0, math.sqrt(2.0 / (s * in_c)), (s, J, in_c))
         b = rng.normal(0.0, 0.01, J)
         layers.append(ConvLayer(w, b))
-    W = rng.normal(0.0, scale / math.sqrt(d * J), (d, J))
+    W = rng.normal(0.0, 1.0 / math.sqrt(d * J), (d, J))
     params = CnnParams(d, s, layers, W)
     _project(params, M)
     return params
@@ -508,7 +496,7 @@ def train_erm(data, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for restart in range(cfg.restarts):
             rng = spawn_rng(cfg.seed, restart)
-            vec = param_vector(_init_cnn(*arch, cfg.M, rng, cfg.init_scale))
+            vec = param_vector(_init_cnn(*arch, cfg.M, rng))
             params = params_view(vec, *arch)
             step = 0
 

@@ -55,6 +55,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown \\[approx-log\\] keys"):
             cli.load_config(cfg)
 
+    def test_removed_init_scale_key_rejected(self, tmp_path):
+        # `init_scale` is no longer an option: a config that still sets it is
+        # refused rather than silently trained at the fixed scale
+        cfg = write_config(
+            tmp_path,
+            "[run]\nverb = experiment\nseed = 0\noutput = x\n"
+            "[experiment]\nloss = squared\ntarget = coordinate-clamp\ninit_scale = 1.0\n",
+        )
+        with pytest.raises(ConfigError, match="unknown \\[experiment\\] keys"):
+            cli.load_config(cfg)
+
     def test_unexpected_section_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -311,7 +322,6 @@ class TestNonFiniteAndEmptyInputs:
             ("experiment", _TINY_EXPERIMENT + "learning_rate = nan\n", cli.EXIT_PRECONDITION),
             ("experiment", _TINY_EXPERIMENT + "final_learning_rate = inf\n",
              cli.EXIT_PRECONDITION),
-            ("experiment", _TINY_EXPERIMENT + "init_scale = nan\n", cli.EXIT_PRECONDITION),
             ("experiment", _TINY_EXPERIMENT.replace("= 200", "= 0"), cli.EXIT_PRECONDITION),
             ("verify-compile", "[verify-compile]\npoints = 0\n", cli.EXIT_PRECONDITION),
             ("verify-compile", "[verify-compile]\ntolerance = nan\n", cli.EXIT_CONFIG),
@@ -380,7 +390,7 @@ class TestNonFiniteAndEmptyInputs:
         ],
         ids=[
             "nan-l_const", "nan-m_const", "inf-b_const", "nan-noise_scale",
-            "nan-learning_rate", "inf-final_learning_rate", "nan-init_scale",
+            "nan-learning_rate", "inf-final_learning_rate",
             "zero-mc_samples", "zero-points", "nan-tolerance", "negative-neurons",
             "zero-grid", "zero-resolution", "nan-u", "u-squared-overflows",
             "ragged-trig-terms", "nan-amp", "coord-out-of-range", "zero-freq",
@@ -615,7 +625,6 @@ _FUZZ_KEYS["experiment"] = {
     "steepness": ("4.0", _ANY_FLOAT),
     "learning_rate": ("0.02", _ANY_FLOAT),
     "final_learning_rate": ("0.002", _ANY_FLOAT),
-    "init_scale": ("1.0", _ANY_FLOAT),
     "l_const": ("0", _ANY_FLOAT),
     "m_const": ("0", _ANY_FLOAT),
     "b_const": (None, _ANY_FLOAT),  # unset: the hinge loss refuses it

@@ -498,6 +498,12 @@ class TestKinkEvaluation:
         assert kinks.size > compiler._BLOCK_BYTES // (8 * g.n_neurons)  # more than one block
         g(np.linspace(-2.0, 2.0, 10_000))
         assert started == []
+        # nor does a call with more points than a `_BLOCK_BYTES` buffer holds
+        t = np.linspace(-2.0, 2.0, 40_000)
+        values = g(t)
+        assert started == []
+        sample = np.arange(0, t.size, 997)
+        assert values[sample].tobytes() == np.array([g(v) for v in t[sample]]).tobytes()
 
     def test_one_dense_row_per_distinct_kink(self, monkeypatch, rng):
         rows = _record_dense_rows(monkeypatch)

@@ -254,10 +254,10 @@ class TestEtaSvb:
 
 class TestGoldenTargets:
     def test_target_reprs(self):
-        # sha256 of the repr, which carries every certificate and `detail`, of
-        # each shipped target: the regression families at their defaults and
-        # the squared study's trig terms, the ramp and step class
-        # probabilities, and the small-value family at beta = 0, 1/2 and 1
+        # sha256 of the repr, which carries every certificate, of each shipped
+        # target: the regression families at their defaults and the squared
+        # study's trig terms, the ramp and step class probabilities, and the
+        # small-value family at beta = 0, 1/2 and 1
         study_terms = {"amps": [1.5, 1.0], "freqs": [1, 3], "coords": [0, 1], "phases": [0.3, 1.1]}
         families = ("trig-mixture", "gaussian-bump-mixture", "coordinate-clamp")
         specs = [make_regression_target(family) for family in families]
@@ -265,7 +265,7 @@ class TestGoldenTargets:
         specs += [make_eta_tsybakov(4.0), make_eta_tsybakov(math.inf)]
         specs += [make_eta_svb(beta) for beta in (0.0, 0.5, 1.0)]
         digest = hashlib.sha256("\n".join(map(repr, specs)).encode()).hexdigest()
-        assert digest == "727030bceecc9335f923bc5abe718a8c9ee29c0cc7dcb270260b28f91b5ff12d"
+        assert digest == "e42e2ad9a9a374f3d1922411a88800af727eef61262203b0a6ccb45d50e0914c"
 
 
 class TestSampleDataset:
@@ -344,14 +344,17 @@ class TestTrainConfigValidation:
         [
             ("M", math.nan), ("M", math.inf), ("trunc_level", math.nan),
             ("trunc_level", math.inf), ("learning_rate", math.nan),
-            ("final_learning_rate", math.inf), ("init_scale", math.nan),
-            ("init_scale", -1.0), ("s", 0), ("J", -2), ("learning_rate", 0.0),
+            ("final_learning_rate", math.inf), ("s", 0), ("J", -2), ("learning_rate", 0.0),
             ("learning_rate", -0.1), ("final_learning_rate", -0.001),
         ],
     )
     def test_rejects(self, field, value):
         with pytest.raises(PreconditionError):
             TrainConfig(**{field: value})
+
+    def test_init_scale_is_not_a_field(self):
+        with pytest.raises(TypeError, match="init_scale"):
+            TrainConfig(init_scale=1.0)
 
     @pytest.mark.parametrize("field, value, match", [
         ("loss", "cubic", "unknown loss: 'cubic'"),
@@ -367,6 +370,27 @@ class TestTrainConfigValidation:
         consts = ScheduleConstants(**{field: value})
         with pytest.raises(PreconditionError, match="finite"):
             architecture_schedule("squared", 256, 2, 1.0, consts=consts)
+
+
+class TestInitCnn:
+    def test_he_scale_then_projection(self):
+        # the weights are drawn at the He fan-in scale, with no extra factor,
+        # and only the output layer is scaled down to meet the budget M
+        d, s, J, L = 4, 2, 3, 2
+        free = learnlab._init_cnn(d, s, J, L, 1e12, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        for i, layer in enumerate(free.layers):
+            in_c = 1 if i == 0 else J
+            w = rng.normal(0.0, math.sqrt(2.0 / (s * in_c)), (s, J, in_c))
+            assert layer.weights.tobytes() == w.tobytes()
+            assert layer.bias.tobytes() == rng.normal(0.0, 0.01, J).tobytes()
+        W = rng.normal(0.0, 1.0 / math.sqrt(d * J), (d, J))
+        assert free.output_weights.tobytes() == W.tobytes()
+        M = path_norm(free) / 4
+        tight = learnlab._init_cnn(d, s, J, L, M, np.random.default_rng(5))
+        for a, b in zip(tight.layers, free.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+        assert path_norm(tight) == pytest.approx(M, rel=1e-12)
 
 
 class TestTrainErm:
@@ -475,7 +499,7 @@ class TestTrainErm:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         weights = np.random.default_rng(0).standard_normal
 
-        def huge_init(d, s, J, L, M, rng, scale):
+        def huge_init(d, s, J, L, M, rng):
             layers = [ConvLayer(1e200 * weights((s, J, 1 if i == 0 else J)), np.zeros(J))
                       for i in range(L)]
             return CnnParams(d, s, layers, np.full((d, J), 1e-300))
