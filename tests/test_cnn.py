@@ -917,6 +917,22 @@ def compiled_nets(rng):
         yield planted_net(rng, d, s)
 
 
+def scan_watch(scans):
+    """An ndarray subclass that appends to `scans` each `any` call and each
+    numpy function called on it."""
+
+    class Watched(np.ndarray):
+        def any(self, *args, **kwargs):
+            scans.append("any")
+            return super().any(*args, **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            scans.append(func.__name__)
+            return super().__array_function__(func, types, args, kwargs)
+
+    return Watched
+
+
 class TestTapPlan:
     """The plan of each layer's taps (skip, one-channel broadcast product, or
     GEMM) and bias keeps every byte of the row-major reference, is made once
@@ -998,31 +1014,31 @@ class TestTapPlan:
         plans = []
         plan = cnn._tap_plan
         monkeypatch.setattr(cnn, "_tap_plan", lambda *args: plans.append(args) or plan(*args))
-        params = planted_net(rng, 8, 3, J=6)
+        planted = planted_net(rng, 8, 3, J=6)
+        net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, 8)),
+                         rng.standard_normal(2))
+        compiled = compose_with_scalar_net(net, log_link_net(7), 3)[0]
         rows = _BLOCK_FLOATS // (8 * 6)
         usable_cores(monkeypatch, 2)
-        # one block: each layer on several channels plans itself; two and
-        # five blocks: `final_grid` plans every layer before the blocks
-        L = params.depth
-        for n, count in ((1, L - 1), (rows + 1, L), (5 * rows, L)):
-            plans.clear()
-            forward(params, rng.random((n, 8)))
-            assert len(plans) == count
+        # the readout's rows are planned first, once.  The planted net's W_out
+        # reaches every row, so in one block each layer on several channels
+        # plans itself, and over two or five blocks `_last_grid` plans every
+        # layer before the blocks.  The compiled net's readout reaches rows
+        # :2, so every layer is planned before its rows are known
+        for params, one_block in ((planted, planted.depth), (compiled, compiled.depth + 1)):
+            for n in (1, rows + 1, 5 * rows):
+                plans.clear()
+                forward(params, rng.random((n, 8)))
+                assert len(plans) == (one_block if n == 1 else params.depth + 1)
+                assert np.shares_memory(plans[0][0], params.output_weights)
+                layers = [id(args[0]) for args in plans[1:]]
+                assert len(set(layers)) == len(layers)  # no layer is planned twice
 
     def test_a_trained_nets_plan_scans_no_filter(self):
         from convrates.cnn import _tap_plan
 
         scans = []
-
-        class Watched(np.ndarray):
-            def any(self, *args, **kwargs):
-                scans.append("any")
-                return super().any(*args, **kwargs)
-
-            def __array_function__(self, func, types, args, kwargs):
-                scans.append(func.__name__)
-                return super().__array_function__(func, types, args, kwargs)
-
+        Watched = scan_watch(scans)
         data = sample_dataset(make_eta_tsybakov(4.0), 256, seed=0)
         params, _ = train_erm(data, TrainConfig(s=2, J=6, L=3, M=8.0, loss="hinge", epochs=1,
                                                 batch_size=128, restarts=1, seed=0))
@@ -1034,6 +1050,114 @@ class TestTapPlan:
         w[1, 0, 0] = 0.0  # the watch sees a scan
         _tap_plan(w.view(Watched), None)
         assert "any" in scans and "flatnonzero" in scans
+
+
+def readout_nets(rng):
+    """Compiled nets with no link, a sign link and log links over d in {2, 4, 8}
+    and s in {2, 3}, then hand-built nets whose W_out has trailing zero rows
+    (+0 and -0.0, identity layers between), is all zero, or is zero except its
+    last row."""
+    for d, s in ((2, 2), (4, 2), (4, 3), (8, 2), (8, 3)):
+        net = ShallowNet(rng.standard_normal(2), rng.standard_normal((2, d)),
+                         rng.standard_normal(2))
+        yield shallow_to_cnn(net, s)[0]
+        for link in (sign_link_net(0.25), log_link_net(3), log_link_net(7)):
+            yield compose_with_scalar_net(net, link, s)[0]
+    for d, s, J in ((3, 2, 2), (6, 3, 4), (8, 3, 6)):
+        base = random_cnn(rng, d=d, s=s, J=J, L=2)
+        for zeros in (d - 1, d - 2, 1, d):  # W_out's zero rows, counted from the last
+            params = embed(base, depth=4)
+            params.output_weights[d - zeros :] = 0.0
+            params.output_weights[d - zeros :, ::2] = -0.0
+            yield params
+        params = random_cnn(rng, d=d, s=s, J=J, L=3)
+        params.output_weights[:-1] = 0.0
+        yield params
+
+
+class TestReadoutRows:
+    """`forward` computes only the grid rows the readout reaches and keeps the
+    bits of the full contraction over `final_grid`."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, "rows", "rows + 1", 10_000])
+    def test_forward_matches_the_full_contraction(self, monkeypatch, rng, size):
+        from convrates.cnn import _readout_plan
+
+        pruned = 0
+        for params in readout_nets(rng):
+            rows = _BLOCK_FLOATS // (params.d * params.J)
+            n = {"rows": rows, "rows + 1": rows + 1}.get(size, size)
+            X = rng.random((n, params.d))
+            X[::3] = 0.0
+            values, _ = stacked_grids(params, X)
+            pruned += _readout_plan(params)[1] is not None
+            for workers in (1, 2, 3):
+                usable_cores(monkeypatch, workers)
+                full = np.einsum("ndj,dj->n", final_grid(params, X), params.output_weights)
+                got = forward(params, X)
+                assert got.tobytes() == full.tobytes() == values.tobytes()
+        assert pruned == 28  # all but the d = 2 compiles and the last-row nets
+
+    def test_the_rows_of_a_hand_built_net(self, rng):
+        from convrates.cnn import _activations, _readout_plan
+
+        params = random_cnn(rng, d=6, s=3, J=2, L=3)
+        params.layers[1].weights[2] = 0.0  # largest live tap 1
+        params.layers[2].weights[1:] = -0.0  # tap 0 only
+        W = params.output_weights
+        W[2:] = 0.0
+        # p = 2; layer 2 adds no row, layer 1 one and layer 0 (one channel) s - 1
+        assert _readout_plan(params)[1] == [5, 3, 2, 2]
+        W[1] = 0.0
+        assert _readout_plan(params)[1] == [5, 3, 2, 2]  # at least two rows
+        W[3] = -1.0
+        plans, rows = _readout_plan(params)
+        assert rows == [6, 5, 4, 4]  # capped at d
+        grids = _activations(params.layers, rng.random((7, 6)), plans, rows)
+        assert [g.shape for g in grids] == [(2, 6, 7), (2, 5, 7), (2, 4, 7)]
+        W[-1, 1] = 2.0  # the readout reaches every row
+        assert _readout_plan(params) == (None, None)
+        for d, J in ((2, 3), (5, 1)):  # a floor of d rows; no plan on one channel
+            params = random_cnn(rng, d=d, s=2, J=J, L=2)
+            params.output_weights[1:] = 0.0
+            assert _readout_plan(params) == (None, None)
+
+    def test_an_overflow_in_an_unread_row_stays_out(self, rng):
+        # row 3 of the input reaches only grid rows the readout does not read:
+        # the full contraction makes 0 * inf = NaN there, forward stays finite
+        params = random_cnn(rng, d=4, s=2, J=2, L=2)
+        params.layers[0].weights[0] = 1e10
+        params.layers[1].weights[1] = 0.0
+        params.output_weights[2:] = 0.0
+        X = rng.random((5, 4))
+        X[:, 3] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.einsum("ndj,dj->n", final_grid(params, X), params.output_weights)
+        assert np.isnan(full).all()
+        with np.errstate(over="raise"):
+            got = forward(params, X)
+        X[:, 3] = 0.5
+        assert got.tobytes() == forward(params, X).tobytes()
+
+    def test_a_d2_or_trained_nets_readout_scans_nothing(self):
+        from convrates.cnn import _readout_plan
+
+        scans = []
+        Watched = scan_watch(scans)
+        config = TrainConfig(s=2, J=6, L=3, M=8.0, loss="hinge", epochs=1,
+                             batch_size=128, restarts=1, seed=0)
+        for d in (2, 3, 8):
+            data = sample_dataset(make_eta_tsybakov(4.0, d=d), 256, seed=0)
+            params, _ = train_erm(data, config)
+            params.output_weights = params.output_weights.view(Watched)
+            assert _readout_plan(params) == (None, None)
+        d2 = random_cnn(np.random.default_rng(0), d=2, s=2, J=6, L=2)
+        d2.output_weights = np.zeros((2, 6)).view(Watched)
+        assert _readout_plan(d2) == (None, None)
+        assert scans == []
+        params.output_weights[-1, 0] = 0.0  # the watch sees a scan
+        _readout_plan(params)
+        assert "any" in scans
 
 
 class TestParamsFromVector:
