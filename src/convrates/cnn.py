@@ -17,17 +17,18 @@ Architecture conventions used throughout the package:
   OpenBLAS's SkylakeX kernel set (the name `scipy_openblas_get_corename64_`
   returns in numpy's bundled library); another kernel set rounds some
   products differently.  `final_grid` takes a large batch through all
-  layers in row blocks, one run of blocks per usable core
-  (`run_row_blocks`); a row's value depends neither on the worker count nor
-  on the BLAS thread count; `forward` computes only the rows its readout
-  reaches (`_readout_plan`).  `backward` reads these grids: a tap's filter
-  gradient is one GEMM, and its input gradient is the same core on the
-  adjoint, T(w)^T = P T(w^T) P, with P the spatial reversal and w^T each
-  tap's channel block transposed.  Every other function takes and returns
-  (n, d, J) batches, and einsums read them C-contiguous: their summation
-  order follows the layout.  A `# kept:` comment gives the time a call
-  took with that path removed, over the time with it: the median of 10
-  interleaved runs on 2 cores, at the `perfbench` workloads' shapes.
+  layers in row blocks, split into runs of at least two blocks, at most
+  one per usable core (`run_row_blocks`); a row's value depends neither on
+  the worker count nor on the BLAS thread count; `forward` computes only
+  the rows its readout reaches (`_readout_plan`).  `backward` reads these
+  grids: a tap's filter gradient is one GEMM, and its input gradient is the
+  same core on the adjoint, T(w)^T = P T(w^T) P, with P the spatial
+  reversal and w^T each tap's channel block transposed.  Every other
+  function takes and returns (n, d, J) batches, and einsums read them
+  C-contiguous: their summation order follows the layout.  A `# kept:`
+  comment gives the time a call took with that path removed, over the
+  time with it: the median of 10 interleaved runs on 2 cores, at the
+  `perfbench` workloads' shapes.
 * A network is L such layers followed by ReLU activations and a final inner
   product with a (d, J) output-weight matrix:
       f(x) = <W_out, relu(conv_{L-1}(... relu(conv_0(x)) ...))>.
@@ -306,8 +307,10 @@ def run_row_blocks(n, rows, run):
     """Call run(lo, hi) on contiguous runs of whole `rows`-row blocks covering 0..n.
 
     With n <= rows this is run(0, n).  Otherwise the blocks are split, to
-    within one block, into one run per usable core (`os.sched_getaffinity`;
-    where the platform lacks it, `os.cpu_count()`), at most one per block.
+    within one block, into min(cores, blocks // 2) runs, cores the usable
+    core count (`os.sched_getaffinity`; where the platform lacks it,
+    `os.cpu_count()`): every run gets two whole blocks or more, so a batch
+    of two or three blocks runs on the caller's thread alone.
     The first run goes on the caller's thread, each other on a thread
     started and joined here under a copy of the caller's context, so its
     `np.errstate` holds.  Runs must write disjoint outputs; the first
@@ -317,7 +320,7 @@ def run_row_blocks(n, rows, run):
         return run(0, n)
     blocks = -(-n // rows)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    runs = min(cores or 1, blocks)
+    runs = min(cores or 1, blocks // 2)  # n > rows, so blocks // 2 >= 1
     cuts = [rows * (blocks * i // runs) for i in range(runs)] + [n]
     errors = []
 
@@ -327,7 +330,8 @@ def run_row_blocks(n, rows, run):
         except BaseException as exc:  # re-raised below, once every thread has joined
             errors.append(exc)
 
-    # kept: on one thread, the verify forward took 1.46x, a 20 000-point training one 1.15x
+    # kept: on one thread the verify forward (4 blocks) took 1.46x; a thread for a
+    # 2-block run cost about 2.4 MB of `rates` peak RSS and gained nothing end to end
     threads = [threading.Thread(target=contextvars.copy_context().run, args=(guarded, *cut))
                for cut in zip(cuts[1:-1], cuts[2:])]
     for t in threads:

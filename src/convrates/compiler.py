@@ -29,12 +29,13 @@ asserted on every call.
 `ScalarNet`, the one-dimensional `ShallowNet` behind the surrogate links,
 refuse non-finite points.  With d >= 2 they evaluate every point by the dense
 sum: in row blocks through one reused pre-activation buffer of about
-`_BLOCK_BYTES` per core, with inner products and the neuron sum formed in a
-fixed order without BLAS.  With d = 1 the net is piecewise linear, so the
-dense sum runs on its distinct kinks only, and each point is interpolated
-linearly between the two kinks around it, or extended with the end slope
-beyond the outermost kink.  Either way a value does not depend on the block
-size, the number of points, the worker count or the BLAS thread count.
+`_BLOCK_BYTES` per run of `cnn.run_row_blocks`, with inner products and the
+neuron sum formed in a fixed order without BLAS.  With d = 1 the net is
+piecewise linear, so the dense sum runs on its distinct kinks only, and each
+point is interpolated linearly between the two kinks around it, or extended
+with the end slope beyond the outermost kink.  Either way a value does not
+depend on the block size, the number of points, the worker count or the BLAS
+thread count.
 """
 
 from __future__ import annotations

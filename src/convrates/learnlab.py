@@ -231,8 +231,13 @@ def make_eta_tsybakov(c, d=2):
     The margin law is P(|2 eta - 1| <= t) = min(2t/c, 1) for t < 1 and 1 for
     t >= 1, so the noise exponent is q = 1 with constant c_q = max(1, 2/c)
     (the max makes the bound valid for every t > 0, including t >= 1 where
-    the clamped mass concentrates).  c = inf gives the step eta with margin
-    identically 1 (the q = inf regime).
+    the clamped mass concentrates).  The ramp is symmetric about x1 = 1/2, so
+    eta and 1 - eta share one small-value law: for 0 <= t < 1,
+        P(eta <= t) = clip(1/2 + (2t - 1)/c, 0, 1),
+    0 below and 1 from t = 1.  For c <= 2 the clamp never binds and the law
+    is at most (2/c) t: beta = 1 with C_beta = 2/c.  For c > 2 the mass
+    1/2 - 1/c at eta = 0 leaves beta = 0, C_beta = 1.  c = inf gives the
+    step eta with margin identically 1 (the q = inf regime).
     """
     if not (isinstance(c, numbers.Real) and c > 0):
         raise PreconditionError(f"ramp steepness c must be a number > 0, not {c!r}")
@@ -257,9 +262,17 @@ def make_eta_tsybakov(c, d=2):
         t = np.asarray(t, dtype=np.float64)
         return np.where(t >= 1.0, 1.0, np.minimum(2 * t / c, 1.0))
 
+    def small_value_cdf(t):
+        t = np.asarray(t, dtype=np.float64)
+        low = np.clip(0.5 + (2 * np.clip(t, 0.0, 1.0) - 1) / c, 0.0, 1.0)
+        low = np.where(t >= 1.0, 1.0, np.where(t < 0.0, 0.0, low))
+        return low, low
+
+    beta, c_beta = (1.0, 2.0 / c) if c <= 2 else (0.0, 1.0)
     return _class_probability(
         "eta-ramp", fn, d, f"c={c!r}", lipschitz=c / 2, sup_bound=1.0, noise_exponent=1.0,
-        noise_constant=max(1.0, 2.0 / c), margin_cdf=margin_cdf,
+        noise_constant=max(1.0, 2.0 / c), margin_cdf=margin_cdf, svb_exponent=beta,
+        svb_constant=c_beta, small_value_cdf=small_value_cdf,
     )
 
 

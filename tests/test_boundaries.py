@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package imports another module's
 private (underscore) names, with no exception, every private
-module-level name is used in its own module, and only the one CSV writer
-and the network file writer open a file for writing.  The input rules several
+module-level name is used in its own module, only the one CSV writer
+and the network file writer open a file for writing, and only
+`cnn.run_row_blocks` makes a thread.  The input rules several
 modules share (the size guard, the finiteness check and the norm-budget
 check) are public names of `errors`, and their own tests are here.  In
 `cnn` only the one forward loop builds grids layer by layer, only it,
@@ -178,6 +179,61 @@ def test_the_write_check_sees_each_open_form():
         "open('log', 'r+')\n"
     )
     assert writing_opens(source) == ["writes", "appends", "path_method", "inner", "<module>"]
+
+
+_THREAD_MAKERS = {"Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "start_new_thread"}
+
+
+def thread_makers(source):
+    """The enclosing function ("<module>" outside any) of each call that makes
+    a thread (`threading.Thread` or `Timer`, a thread pool or
+    `_thread.start_new_thread`, under any import alias) and of each class
+    derived from one, in the order they occur."""
+    tree = ast.parse(source)
+    names = _THREAD_MAKERS | {a.asname or a.name for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)
+                              for a in node.names if a.name in _THREAD_MAKERS}
+
+    def makes(node):
+        exprs = [node.func] if isinstance(node, ast.Call) else (
+            node.bases if isinstance(node, ast.ClassDef) else [])
+        return any(isinstance(e, ast.Name) and e.id in names
+                   or isinstance(e, ast.Attribute) and e.attr in _THREAD_MAKERS for e in exprs)
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if makes(child):
+                found.append(scope)
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if function else scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_run_row_blocks_makes_threads():
+    # one thread policy: a thread made elsewhere would escape its run-count rule
+    makers = sorted(f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                    for scope in thread_makers(path.read_text()))
+    assert makers == ["cnn.run_row_blocks"]
+
+
+def test_the_thread_check_sees_each_form():
+    source = (
+        "import threading as th\nfrom threading import Timer as T\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "def direct():\n    return th.Thread(target=print)\n"
+        "def aliased():\n    return T(1.0, print)\n"
+        "def pooled():\n    with ThreadPoolExecutor(2):\n        pass\n"
+        "def nested():\n    def inner():\n        _thread.start_new_thread(print, ())\n"
+        "    return inner\n"
+        "class Worker(th.Thread):\n    pass\n"
+        "def fine(t):\n    return th.active_count(), th.Thread.start(t), th.Thread\n"
+        "th.Thread()\n"
+    )
+    assert thread_makers(source) == ["direct", "aliased", "pooled", "inner", "<module>", "<module>"]
 
 
 def test_size_guard_accepts_both_ends():

@@ -795,8 +795,8 @@ def _scalar_case(rng):
 
 class TestRowBlocks:
     """A batch of more than one row block runs as contiguous runs of whole
-    blocks, one per usable core; no byte depends on the worker count or on
-    the rows that come with a row."""
+    blocks, at most one per usable core and one per two blocks; no byte
+    depends on the worker count or on the rows that come with a row."""
 
     @pytest.mark.parametrize("case", [_forward_case, _open_case, _shallow_case, _scalar_case])
     def test_bytes_do_not_depend_on_workers_or_batch(self, monkeypatch, rng, case):
@@ -811,18 +811,21 @@ class TestRowBlocks:
             for n in sizes:
                 assert evaluate(inputs[:n]).tobytes() == full[:n].tobytes()
 
-    @pytest.mark.parametrize("n, rows, workers", [(10, 2, 3), (10, 3, 2), (7, 2, 8), (5, 5, 4)])
+    # the workers set the run count at [20-2-3], half the blocks at [10-2-3] and
+    # [7-2-8]; [6-2-4]'s three blocks make one run
+    @pytest.mark.parametrize("n, rows, workers",
+                             [(10, 2, 3), (20, 2, 3), (10, 3, 2), (7, 2, 8), (6, 2, 4), (5, 5, 4)])
     def test_runs_are_contiguous_whole_blocks(self, monkeypatch, n, rows, workers):
         usable_cores(monkeypatch, workers)
         runs = []
         run_row_blocks(n, rows, lambda lo, hi: runs.append((lo, hi)))
         runs.sort()
         blocks = -(-n // rows)
-        assert len(runs) == min(workers, blocks)
+        assert len(runs) == max(1, min(workers, blocks // 2))
         assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
         assert runs[-1][1] == n and all(lo % rows == 0 for lo, _ in runs)
         sizes = [-(-(hi - lo) // rows) for lo, hi in runs]
-        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= min(2, blocks)
 
     @pytest.mark.parametrize("count, workers", [(3, 3), (None, 1)])
     def test_without_affinity_the_cpu_count_sets_the_runs(self, monkeypatch, count, workers):
@@ -830,8 +833,8 @@ class TestRowBlocks:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         runs = []
-        run_row_blocks(10, 2, lambda lo, hi: runs.append((lo, hi)))
-        assert len(runs) == workers and max(runs)[1] == 10
+        run_row_blocks(20, 2, lambda lo, hi: runs.append((lo, hi)))  # 10 blocks, 5 runs at most
+        assert len(runs) == workers and max(runs)[1] == 20
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch, rng):
         params = random_cnn(rng, d=2, s=2, J=6, L=2)
@@ -861,9 +864,9 @@ class TestRowBlocks:
     def test_workers_run_under_the_callers_errstate(self, monkeypatch, rng):
         usable_cores(monkeypatch, 2)
         params = random_cnn(rng, d=2, s=2, J=6, L=3)
-        rows = _BLOCK_FLOATS // 12
+        rows = 2 * (_BLOCK_FLOATS // 12)  # two runs of two blocks
         X = rng.random((2 * rows, 2))
-        X[rows:] *= 1e308  # only the second block, on the worker thread, overflows
+        X[rows:] *= 1e308  # only the second run, on the worker thread, overflows
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             forward(params, X)
         with warnings.catch_warnings():
@@ -882,8 +885,10 @@ class TestRowBlocks:
         data = sample_dataset(make_eta_tsybakov(4.0), 1024, seed=0)
         train_erm(data, TrainConfig(s=2, J=6, L=2, M=8.0, loss="hinge", epochs=1,
                                     batch_size=128, restarts=1, seed=0))
+        params = random_cnn(rng, d=2, s=2, J=6, L=1)
+        forward(params, rng.random((20_000, 2)))  # `measure_excess`'s draw: two blocks
         assert started == [] and threading.active_count() == before
-        forward(random_cnn(rng, d=2, s=2, J=6, L=1), rng.random((_BLOCK_FLOATS // 12 + 1, 2)))
+        forward(params, rng.random((3 * (_BLOCK_FLOATS // 12) + 1, 2)))  # four blocks
         assert len(started) == 1 and threading.active_count() == before
 
 

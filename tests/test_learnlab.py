@@ -178,6 +178,20 @@ class TestEtaTsybakov:
         assert float(spec.margin_cdf(0.0)) == 0.0
         assert float(spec.margin_cdf(1.0)) == 1.0
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, 4.0, 50.0])
+    def test_small_value_law_matches_samples_and_its_bound(self, rng, c):
+        # eta and 1 - eta share the law; the clamp binds only for c > 2, and
+        # its atom 1/2 - 1/c at eta = 0 leaves beta = 0
+        spec = make_eta_tsybakov(c)
+        assert (spec.svb_exponent, spec.svb_constant) == ((1.0, 2 / c) if c <= 2 else (0.0, 1.0))
+        vals = spec(rng.random((200_000, 2)))
+        for t in np.linspace(0.0, 1.5, 31):
+            low, high = spec.small_value_cdf(t)
+            assert np.mean(vals <= t) == pytest.approx(float(low), abs=0.01)
+            assert np.mean(1 - vals <= t) == pytest.approx(float(high), abs=0.01)
+            assert max(low, high) <= spec.svb_constant * t**spec.svb_exponent + 1e-12
+        assert spec.small_value_cdf(-0.5)[0] == 0.0
+
     def test_step_margin_law(self):
         # |2 eta - 1| = 1 almost surely: the law is 0 below t = 1 and 1 from it
         spec = make_eta_tsybakov(math.inf)
@@ -265,7 +279,7 @@ class TestGoldenTargets:
         specs += [make_eta_tsybakov(4.0), make_eta_tsybakov(math.inf)]
         specs += [make_eta_svb(beta) for beta in (0.0, 0.5, 1.0)]
         digest = hashlib.sha256("\n".join(map(repr, specs)).encode()).hexdigest()
-        assert digest == "e42e2ad9a9a374f3d1922411a88800af727eef61262203b0a6ccb45d50e0914c"
+        assert digest == "b052177b3da9b2ab6f491b98d70a86b296bf105bc3feaa2e1a380d7d7f88b291"
 
 
 class TestSampleDataset:
